@@ -3,7 +3,8 @@ channels acting on those spectra, and the resulting loss of trainability in
 small networks."""
 
 from .activations import (
-    ActivationKind,
+    SIGMOID,
+    STEP,
     DimensionError,
     NonDifferentiableError,
     PerceptronConfig,

@@ -6,7 +6,8 @@ property the spectral pipeline relies on), while the perceptron decision rule
 maps the tie Sum(w*x)+b = 0 to class 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,48 +77,30 @@ def perceptron_decide(cfg: PerceptronConfig, inputs) -> int:
     return 1 if float(cfg.weights @ inputs) + cfg.bias > 0 else 0
 
 
-@dataclass
-class ActivationKind:
-    """Dispatch handle for the activation family used by the network layer.
+def _no_derivative(z):
+    raise NonDifferentiableError("step activation has no derivative; finite input "
+                                 "changes can produce drastic output changes")
 
-    ``table`` is only set for the degraded kind and is consumed opaquely:
-    any object with ``evaluate``/``evaluate_derivative`` works.
+
+@dataclass(frozen=True)
+class ClosedFormActivation:
+    """A closed-form hidden activation with the members a network reads.
+
+    The callables are fields, not methods: one class serves both constants
+    without dispatch, and the benchmark's tracer, which names spans
+    ``module.method``, requires that no module define a public method twice.
     """
 
-    name: str
-    table: object = field(default=None, repr=False)
-
-    @classmethod
-    def sigmoid(cls):
-        return cls("sigmoid")
-
-    @classmethod
-    def step(cls):
-        return cls("step")
-
-    @classmethod
-    def degraded(cls, table):
-        return cls("degraded", table)
-
-    def value(self, z):
-        if self.name == "sigmoid":
-            return sigmoid(z)
-        if self.name == "step":
-            return step(z)
-        return self.table.evaluate(z)
-
-    def derivative(self, z):
-        if self.name == "sigmoid":
-            return sigmoid_prime(z)
-        if self.name == "step":
-            raise NonDifferentiableError(
-                "step activation has no derivative; finite input changes can "
-                "produce drastic output changes"
-            )
-        return self.table.evaluate_derivative(z)
+    evaluate: Callable
+    evaluate_derivative: Callable
+    loss_fraction: float
 
 
-def sensitivity_predict(activation: ActivationKind, cfg: PerceptronConfig,
+SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime, 0.0)
+STEP = ClosedFormActivation(step, _no_derivative, 1.0)
+
+
+def sensitivity_predict(activation, cfg: PerceptronConfig,
                         inputs, deltas_w, delta_b: float) -> float:
     """First-order output change under weight/bias perturbations.
 
@@ -130,4 +113,4 @@ def sensitivity_predict(activation: ActivationKind, cfg: PerceptronConfig,
     if inputs.shape != cfg.weights.shape or deltas_w.shape != cfg.weights.shape:
         raise DimensionError("inputs, perturbations and weights must have equal length")
     z = float(cfg.weights @ inputs) + cfg.bias
-    return float(activation.derivative(z)) * (float(inputs @ deltas_w) + delta_b)
+    return float(activation.evaluate_derivative(z)) * (float(inputs @ deltas_w) + delta_b)

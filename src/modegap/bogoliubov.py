@@ -22,7 +22,7 @@ like sqrt(1 - iota) for uniform channels.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class BogoliubovChannel:
     iota: np.ndarray
     squeeze: np.ndarray
     profile: str = "custom"
-    params: dict = None
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.iota = np.asarray(self.iota, dtype=float)
@@ -67,8 +67,6 @@ class BogoliubovChannel:
             raise ProfileError("loss profile must lie in [0, 1]")
         if np.any(self.squeeze < 0.0) or not np.all(np.isfinite(self.squeeze)):
             raise ProfileError("squeeze profile must be finite and >= 0")
-        if self.params is None:
-            self.params = {}
 
     @property
     def alpha(self) -> np.ndarray:

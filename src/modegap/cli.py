@@ -37,7 +37,6 @@ from .bogoliubov import (
     uniform_channel,
     write_activation_csv,
 )
-from .activations import ActivationKind
 from .network import median_epochs, sweep, write_report_csv
 from .svgplot import line_plot
 from . import verify as verify_mod
@@ -100,9 +99,12 @@ def resolve_config(args) -> dict:
 
 def config_grid(config) -> Grid:
     try:
-        return Grid(float(config["grid.L"]), int(config["grid.N"]))
+        grid = Grid(float(config["grid.L"]), int(config["grid.N"]))
     except (ValueError, GridError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
+    if grid.n_points < 8:
+        raise ConfigError(f"bad grid: grid.N must be >= 8, got {grid.n_points}")
+    return grid
 
 
 def config_channel(config, grid: Grid):
@@ -119,11 +121,16 @@ def config_channel(config, grid: Grid):
     raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
 
 
-def parse_float_list(text, key):
+def parse_levels(config):
+    """``sweep.levels`` as floats: non-empty, ascending and in [0, 1]."""
+    text = config["sweep.levels"]
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        levels = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise ConfigError(f"bad {key}: {text!r}") from exc
+        raise ConfigError(f"bad sweep.levels: {text!r}") from exc
+    if not levels or levels != sorted(levels) or not all(0.0 <= v <= 1.0 for v in levels):
+        raise ConfigError(f"sweep.levels must be non-empty, ascending and in [0, 1]: {text!r}")
+    return levels
 
 
 def parse_seed_list(text):
@@ -154,6 +161,12 @@ def prepare_out(config) -> Path:
 def cmd_spectrum(config) -> int:
     out_dir = prepare_out(config)
     grid = config_grid(config)
+    positive = grid.k > 0
+    ks = grid.k[positive]
+    band = (ks >= verify_mod.ORACLE_BAND[0]) & (ks <= verify_mod.ORACLE_BAND[1])
+    if not band.any():
+        raise ConfigError("bad grid: no wavenumber in the oracle band "
+                          f"{verify_mod.ORACLE_BAND}")
     g = gap_samples(grid)
     spec = continuum_gap_spectrum(grid)
 
@@ -164,8 +177,6 @@ def cmd_spectrum(config) -> int:
             w.writerow([repr(float(z)), repr(float(v))])
     write_spectrum_csv(out_dir / "gap_spectrum.csv", spec)
 
-    positive = grid.k > 0
-    ks = grid.k[positive]
     numeric = spec.amplitudes[positive]
     analytic = analytic_gap_spectrum(ks)
     rel_err = np.abs(numeric - analytic) / np.abs(analytic)
@@ -182,7 +193,6 @@ def cmd_spectrum(config) -> int:
                ("analytic |g(k)|", ks[show], np.abs(analytic[show]))],
               "Gap mode spectrum", "k", "|amplitude|")
 
-    band = (ks >= verify_mod.ORACLE_BAND[0]) & (ks <= verify_mod.ORACLE_BAND[1])
     max_rel = float(np.max(rel_err[band]))
     status = "PASS" if max_rel < verify_mod.ORACLE_TOL else "FAIL"
     print(f"{status} oracle max rel err on [0.1,10]: {max_rel:.6e} "
@@ -222,7 +232,7 @@ def cmd_degrade(config) -> int:
     zs = np.linspace(-10.0, 10.0, 801)
     curves = []
     if channel.profile == "uniform":
-        for iota in parse_float_list(config["sweep.levels"], "sweep.levels"):
+        for iota in parse_levels(config):
             act = reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
     else:
@@ -239,7 +249,7 @@ def cmd_degrade(config) -> int:
 def cmd_train_sweep(config) -> int:
     out_dir = prepare_out(config)
     grid = config_grid(config)
-    levels = parse_float_list(config["sweep.levels"], "sweep.levels")
+    levels = parse_levels(config)
     seeds = parse_seed_list(config["sweep.seeds"])
     task = config["task.name"].lower()
     if task not in ("xor", "moons"):
@@ -248,30 +258,22 @@ def cmd_train_sweep(config) -> int:
     reports = sweep(task, levels, seeds, grid)
     write_report_csv(out_dir / "train_reports.csv", reports)
 
-    medians_g, medians_e, medians_a = [], [], []
-    for iota in levels:
-        cells = [r for r in reports if r.iota == iota]
-        medians_g.append(float(np.median([r.mean_grad_norm_first100 for r in cells])))
-        medians_e.append(median_epochs(cells))
-        medians_a.append(float(np.median([r.final_accuracy for r in cells])))
+    medians_g = verify_mod.grad_norm_medians(reports, levels)
+    by_level = [[r for r in reports if r.iota == iota] for iota in levels]
+    medians_a = [float(np.median([r.final_accuracy for r in cells])) for cells in by_level]
     line_plot(out_dir / "train_sweep.svg",
               [("median hidden grad norm", levels, medians_g),
                ("median final accuracy", levels, medians_a)],
               f"Trainability vs loss level ({task})", "iota", "median metric")
 
-    monotone = all(medians_g[i] >= medians_g[i + 1] for i in range(len(levels) - 1))
-    endpoint_ok = True
-    notes = []
-    if 0.0 in levels:
-        med0 = medians_e[levels.index(0.0)]
-        endpoint_ok &= np.isfinite(med0)
-        notes.append(f"median_epochs@0={med0:.0f}" if np.isfinite(med0)
-                     else "median_epochs@0=never")
-    if 1.0 in levels:
-        med1 = medians_e[levels.index(1.0)]
-        endpoint_ok &= np.isinf(med1)
-        notes.append("median_epochs@1=never" if np.isinf(med1)
-                     else f"median_epochs@1={med1:.0f}")
+    monotone = verify_mod.non_increasing(medians_g)
+    endpoint_ok, notes = True, []
+    for level, converges in ((0.0, True), (1.0, False)):
+        if level in levels:
+            med = median_epochs(by_level[levels.index(level)])
+            endpoint_ok &= np.isfinite(med) == converges
+            notes.append(f"median_epochs@{level:g}="
+                         + (f"{med:.0f}" if np.isfinite(med) else "never"))
     status = "PASS" if (monotone and endpoint_ok) else "FAIL"
     print(f"{status} monotone-degradation check: grad_medians="
           + ",".join(f"{m:.3e}" for m in medians_g)

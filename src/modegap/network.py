@@ -9,6 +9,10 @@ The training cost is the summed binary cross-entropy over the batch, so the
 batch gradient is the plain sum of per-example gradients.  Gradient-norm
 statistics cover the hidden layers only; the output layer keeps learning at
 full loss and would mask the freeze.
+
+A hidden activation is any object with ``evaluate(z)``,
+``evaluate_derivative(z)`` and ``loss_fraction``: a ``reconstruct(...)``
+result, or the closed-form ``SIGMOID`` or ``STEP``.
 """
 
 import csv
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activations import ActivationKind, DimensionError, sigmoid
+from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
 from .spectral import Grid
 
@@ -38,7 +42,7 @@ MOONS_ACC_THRESHOLD = 0.9
 @dataclass
 class MlpConfig:
     layer_sizes: tuple
-    hidden_activation: ActivationKind
+    hidden_activation: object
     learning_rate: float
     max_epochs: int
     batch_size: int
@@ -69,6 +73,7 @@ class TrainReport:
     loss_fraction: float
     seed: int
     iota: float = field(default=float("nan"))
+    weights: list = field(default=None, compare=False, repr=False)
 
 
 def make_dataset(name: str, seed: int = 0) -> Dataset:
@@ -92,9 +97,13 @@ def make_dataset(name: str, seed: int = 0) -> Dataset:
     raise ValueError(f"unknown dataset: {name!r}")
 
 
-def init_weights(config: MlpConfig):
-    """Per-layer (W, b): W uniform on [-0.5, 0.5] row-major, biases zero."""
-    rng = np.random.default_rng(config.seed)
+def init_weights(config: MlpConfig, rng=None):
+    """Per-layer (W, b): W uniform on [-0.5, 0.5] row-major, biases zero.
+
+    Drawn from ``rng``, by default ``default_rng(config.seed)`` as in ``train``.
+    """
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
     sizes = config.layer_sizes
     weights = []
     for i in range(len(sizes) - 1):
@@ -126,7 +135,7 @@ def forward(config: MlpConfig, weights, inputs):
     for w, b in weights[:-1]:
         z = post[-1] @ w.T + b
         pre.append(z)
-        post.append(act.value(z))
+        post.append(act.evaluate(z))
     w, b = weights[-1]
     z = post[-1] @ w.T + b
     pre.append(z)
@@ -160,7 +169,7 @@ def loss_gradients(config: MlpConfig, weights, inputs, labels):
     for layer in range(len(weights) - 1, -1, -1):
         grads.append((delta.T @ post[layer], delta.sum(axis=0)))
         if layer > 0:
-            delta = (delta @ weights[layer][0]) * act.derivative(pre[layer - 1])
+            delta = (delta @ weights[layer][0]) * act.evaluate_derivative(pre[layer - 1])
     return grads[::-1]
 
 
@@ -176,31 +185,17 @@ def accuracy(outputs, labels) -> float:
     return float(np.mean((np.asarray(outputs) > 0.5).astype(float) == labels))
 
 
-def _activation_loss_fraction(act: ActivationKind) -> float:
-    if act.name == "degraded":
-        return float(act.table.loss_fraction)
-    return 1.0 if act.name == "step" else 0.0
-
-
 def train(config: MlpConfig, dataset: Dataset) -> TrainReport:
-    return train_and_weights(config, dataset)[0]
-
-
-def train_and_weights(config: MlpConfig, dataset: Dataset):
     """Plain gradient descent to max_epochs; deterministic given the seed.
 
     Full batch when batch_size >= n, otherwise minibatches reshuffled each
     epoch from the same generator that initialized the weights.  The
     threshold metric is evaluated on the full dataset at each epoch end:
-    loss < 0.05 for XOR, accuracy >= 0.9 for moons.  Returns the report and
-    the final weights.
+    loss < 0.05 for XOR, accuracy >= 0.9 for moons.  The report carries the
+    final weights.
     """
     rng = np.random.default_rng(config.seed)
-    sizes = config.layer_sizes
-    weights = []
-    for i in range(len(sizes) - 1):
-        w = rng.uniform(-0.5, 0.5, (sizes[i + 1], sizes[i]))
-        weights.append([w, np.zeros(sizes[i + 1])])
+    weights = init_weights(config, rng)
 
     x, y = dataset.inputs, dataset.labels
     n = len(x)
@@ -218,9 +213,9 @@ def train_and_weights(config: MlpConfig, dataset: Dataset):
             sel = order[start:start + config.batch_size]
             grads = loss_gradients(config, weights, x[sel], y[sel])
             epoch_norms.append(hidden_gradient_norm(grads))
-            for layer, (dw, db) in enumerate(grads):
-                weights[layer][0] -= lr * dw
-                weights[layer][1] -= lr * db
+            for (w, b), (dw, db) in zip(weights, grads):
+                w -= lr * dw
+                b -= lr * db
         if epoch <= 100:
             grad_norms.append(float(np.mean(epoch_norms)))
 
@@ -233,18 +228,18 @@ def train_and_weights(config: MlpConfig, dataset: Dataset):
             if hit:
                 epochs_to_threshold = epoch
 
-    report = TrainReport(
+    return TrainReport(
         final_accuracy=final_acc,
         final_loss=final_loss,
         epochs_to_threshold=epochs_to_threshold,
         mean_grad_norm_first100=float(np.mean(grad_norms)),
-        loss_fraction=_activation_loss_fraction(config.hidden_activation),
+        loss_fraction=float(config.hidden_activation.loss_fraction),
         seed=config.seed,
+        weights=weights,
     )
-    return report, [(w, b) for w, b in weights]
 
 
-def task_config(task: str, activation: ActivationKind, seed: int) -> MlpConfig:
+def task_config(task: str, activation, seed: int) -> MlpConfig:
     """The fixed per-task hyperparameters with the given hidden activation."""
     task = task.lower()
     if task == "xor":
@@ -270,7 +265,7 @@ def sweep(task: str, loss_levels, seeds, grid=None) -> list[TrainReport]:
 
     reports = []
     for iota in levels:
-        activation = ActivationKind.degraded(reconstruct(uniform_channel(grid, iota)))
+        activation = reconstruct(uniform_channel(grid, iota))
         for seed in seeds:
             dataset = make_dataset(task, seed)
             report = train(task_config(task, activation, int(seed)), dataset)

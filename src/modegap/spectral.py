@@ -45,8 +45,8 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise GridError("half_width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise GridError("half_width must be finite and positive")
         n = self.n_points
         if n <= 0 or (n & (n - 1)) != 0:
             raise GridError("n_points must be a positive power of two")
@@ -55,11 +55,8 @@ class Grid:
         self._n_index = np.arange(-(n // 2), n // 2)
         self.k = np.pi * self._n_index / self.half_width
 
-    def same_as(self, other: "Grid") -> bool:
-        return self.half_width == other.half_width and self.n_points == other.n_points
-
     def require_same(self, other: "Grid"):
-        if not self.same_as(other):
+        if self.half_width != other.half_width or self.n_points != other.n_points:
             raise GridError(
                 f"grid mismatch: ({self.half_width}, {self.n_points}) vs "
                 f"({other.half_width}, {other.n_points})"

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import ActivationKind, PerceptronConfig, perceptron_decide, sigmoid
+from .activations import SIGMOID, PerceptronConfig, perceptron_decide, sigmoid
 from .spectral import Grid, analytic_gap_spectrum, continuum_gap_spectrum, gap_samples, \
     sigmoid_samples, step_samples
 from .bogoliubov import (
@@ -164,7 +164,7 @@ def check_planck_occupation():
 
 def check_gradient_correctness():
     dataset = make_dataset("xor")
-    config = MlpConfig((2, 4, 1), ActivationKind.sigmoid(), 0.5, 1, 4, seed=0)
+    config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, seed=0)
     rng = np.random.default_rng(2025)
     h = 1e-5
     worst = 0.0
@@ -215,18 +215,19 @@ def check_xor_endpoints(reports):
                 f"zero_hidden_grads@1={zero_grads}")
 
 
-def grad_norm_medians(reports):
-    medians = []
-    for iota in SWEEP_LEVELS:
-        cells = [r.mean_grad_norm_first100 for r in reports if r.iota == iota]
-        medians.append(float(np.median(cells)))
-    return medians
+def grad_norm_medians(reports, levels=SWEEP_LEVELS):
+    """Median early hidden-gradient norm of the cells at each loss level."""
+    return [float(np.median([r.mean_grad_norm_first100 for r in reports if r.iota == iota]))
+            for iota in levels]
+
+
+def non_increasing(values) -> bool:
+    return all(a >= b for a, b in zip(values, values[1:]))
 
 
 def check_grad_norm_monotone(reports):
     medians = grad_norm_medians(reports)
-    ok = all(medians[i] >= medians[i + 1] for i in range(len(medians) - 1))
-    return ok, "medians=" + ",".join(f"{m:.3e}" for m in medians)
+    return non_increasing(medians), "medians=" + ",".join(f"{m:.3e}" for m in medians)
 
 
 def scaling_fixed_point_ratios():
@@ -242,7 +243,7 @@ def scaling_fixed_point_ratios():
                (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
     norms = {}
     for iota in SWEEP_LEVELS:
-        act = ActivationKind.degraded(reconstruct(uniform_channel(DEFAULT_GRID, iota)))
+        act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
         config = task_config("xor", act, seed=0)
         grads = loss_gradients(config, weights, dataset.inputs, dataset.labels)
         norms[iota] = hidden_gradient_norm(grads)
@@ -261,10 +262,10 @@ def check_gradient_scaling():
 
 
 def check_perceptron_limit_freeze():
-    act = ActivationKind.degraded(reconstruct(uniform_channel(DEFAULT_GRID, 1.0)))
-    config = task_config("xor", act, seed=3)
+    config = task_config("xor", reconstruct(uniform_channel(DEFAULT_GRID, 1.0)), seed=3)
     initial = network.init_weights(config)
-    report, final = network.train_and_weights(config, make_dataset("xor"))
+    report = network.train(config, make_dataset("xor"))
+    final = report.weights
     frozen = all(np.array_equal(initial[i][0], final[i][0])
                  and np.array_equal(initial[i][1], final[i][1])
                  for i in range(len(initial) - 1))

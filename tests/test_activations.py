@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modegap import (
-    ActivationKind,
+    SIGMOID,
+    STEP,
     DimensionError,
     NonDifferentiableError,
     PerceptronConfig,
@@ -81,10 +82,17 @@ class TestPerceptron:
         with pytest.raises(ValueError):
             PerceptronConfig([np.inf], 0.0)
 
+    # Rescaling invariance holds in IEEE arithmetic only while no product
+    # c*w*x or c*b underflows: a nonzero weight or bias is at least 1e-100 in
+    # magnitude, so with c >= 1e-3 and the fixed inputs' |x| > 0.5 every
+    # product stays far above the smallest normal float.
+    COEFFICIENT = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=5),
+                            st.floats(min_value=-5, max_value=-1e-100))
+
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
-        st.lists(st.floats(min_value=-5, max_value=5), min_size=1, max_size=4),
-        st.floats(min_value=-5, max_value=5),
+        st.lists(COEFFICIENT, min_size=1, max_size=4),
+        COEFFICIENT,
     )
     @settings(max_examples=200)
     def test_positive_rescaling_invariance(self, c, weights, bias):
@@ -95,35 +103,41 @@ class TestPerceptron:
             PerceptronConfig(c * np.asarray(weights), c * bias), x)
         assert base == scaled
 
+    def test_rescaling_underflow_falls_on_the_tie(self):
+        """Outside that domain invariance fails: 0.5 * 5e-324 rounds to 0, so
+        the rescaled sum is the tie, class 0, while the base sum is positive."""
+        base = perceptron_decide(PerceptronConfig([5e-324], 0.0), [1.0])
+        scaled = perceptron_decide(PerceptronConfig(0.5 * np.array([5e-324]), 0.0), [1.0])
+        assert (base, scaled) == (1, 0)
 
-class TestActivationKind:
+
+class TestClosedFormActivation:
     def test_sigmoid_dispatch(self):
-        act = ActivationKind.sigmoid()
-        assert act.value(0.0) == 0.5
-        assert act.derivative(0.0) == 0.25
+        assert SIGMOID.evaluate(0.0) == 0.5
+        assert SIGMOID.evaluate_derivative(0.0) == 0.25
 
     def test_step_derivative_raises(self):
         with pytest.raises(NonDifferentiableError):
-            ActivationKind.step().derivative(0.0)
+            STEP.evaluate_derivative(0.0)
 
 
 class TestSensitivity:
     def test_zero_input_kills_weight_term(self):
         cfg = PerceptronConfig([1.0], 0.0)
-        pred = sensitivity_predict(ActivationKind.sigmoid(), cfg,
+        pred = sensitivity_predict(SIGMOID, cfg,
                                    [0.0], [0.01], 0.0)
         assert pred == 0.0
 
     def test_quarter_slope_at_zero_preactivation(self):
         # bias -1 puts the evaluation point at z = 0, where the slope is 1/4
         cfg = PerceptronConfig([1.0], -1.0)
-        pred = sensitivity_predict(ActivationKind.sigmoid(), cfg,
+        pred = sensitivity_predict(SIGMOID, cfg,
                                    [1.0], [0.01], 0.0)
         assert pred == pytest.approx(0.0025, abs=1e-15)
 
     def test_slope_at_unit_preactivation(self):
         cfg = PerceptronConfig([1.0], 0.0)
-        pred = sensitivity_predict(ActivationKind.sigmoid(), cfg,
+        pred = sensitivity_predict(SIGMOID, cfg,
                                    [1.0], [0.01], 0.0)
         s1 = sigmoid(1.0)
         assert pred == pytest.approx(s1 * (1 - s1) * 0.01, abs=1e-15)
@@ -132,7 +146,7 @@ class TestSensitivity:
         """Halving the perturbation shrinks the prediction error ~4x."""
         cfg = PerceptronConfig([0.8, -0.4], 0.3)
         x = np.array([1.2, 0.7])
-        act = ActivationKind.sigmoid()
+        act = SIGMOID
 
         def true_delta(dw, db):
             before = sigmoid(np.dot(cfg.weights, x) + cfg.bias)
@@ -150,9 +164,9 @@ class TestSensitivity:
     def test_step_raises(self):
         cfg = PerceptronConfig([1.0], 0.0)
         with pytest.raises(NonDifferentiableError):
-            sensitivity_predict(ActivationKind.step(), cfg, [1.0], [0.01], 0.0)
+            sensitivity_predict(STEP, cfg, [1.0], [0.01], 0.0)
 
     def test_dimension_error(self):
         cfg = PerceptronConfig([1.0, 2.0], 0.0)
         with pytest.raises(DimensionError):
-            sensitivity_predict(ActivationKind.sigmoid(), cfg, [1.0], [0.01, 0.0], 0.0)
+            sensitivity_predict(SIGMOID, cfg, [1.0], [0.01, 0.0], 0.0)

@@ -1,6 +1,8 @@
 import filecmp
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +51,23 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["spectrum", "--config", str(tmp_path / "none.cfg"),
                         "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train-sweep", "--set", "sweep.levels=0,2"],
+        ["train-sweep", "--set", "sweep.levels=1,0"],
+        ["degrade", "--set", "sweep.levels=0,2"],
+        ["degrade", "--set", "sweep.levels="],
+        ["spectrum", "--set", "grid.N=4"],
+        ["spectrum", "--set", "grid.L=nan"],
+        ["spectrum", "--set", "grid.L=0.1", "--set", "grid.N=8"],
+        ["channel", "--set", "grid.L=inf"],
+    ])
+    def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_resolved_echoed(self, tmp_path):
         out = tmp_path / "o"
@@ -207,6 +226,30 @@ class TestVerifyCommand:
         monkeypatch.setattr(spectral, "gap_samples", lambda grid: -true_gap(grid))
         passed, measured = verify_mod.check_grid_oracle_agreement()
         assert not passed
+
+
+class TestBenchmarkTracing:
+    def test_tracer_installs_and_summarises(self, tmp_path):
+        """The benchmark's span tracer wraps every public callable of the
+        package; it must install and summarise a traced command."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "import child\n"
+            "from tracer import Tracer\n"
+            "from modegap import cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            f"code = cli.main(['degrade', '--set', 'grid.N=256', '--out', {str(tmp_path / 'o')!r}])\n"
+            "child.per_layer_metrics(tracer, [0])\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modegap import (
-    ActivationKind,
+    SIGMOID,
     DimensionError,
     Grid,
     MlpConfig,
@@ -23,7 +23,6 @@ from modegap.network import (
     init_weights,
     median_epochs,
     read_report_csv,
-    train_and_weights,
     write_report_csv,
 )
 
@@ -31,7 +30,7 @@ GRID = Grid(40.0, 4096)
 
 
 def degraded(iota):
-    return ActivationKind.degraded(reconstruct(uniform_channel(GRID, iota)))
+    return reconstruct(uniform_channel(GRID, iota))
 
 
 class TestDatasets:
@@ -61,13 +60,13 @@ class TestDatasets:
 
 class TestForward:
     def test_zero_weights_give_half(self):
-        config = MlpConfig((2, 4, 1), ActivationKind.sigmoid(), 0.5, 1, 4, 0)
+        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         weights = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         _, _, out = forward(config, weights, np.array([0.3, -2.0]))
         assert out == 0.5
 
     def test_shape_mismatch(self):
-        config = MlpConfig((2, 4, 1), ActivationKind.sigmoid(), 0.5, 1, 4, 0)
+        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         weights = [(np.zeros((4, 3)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         with pytest.raises(DimensionError):
             forward(config, weights, np.array([1.0, 2.0]))
@@ -81,7 +80,7 @@ class TestForward:
         weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                    (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
         cfg_table = MlpConfig((2, 4, 1), degraded(0.0), 0.5, 1, 4, 0)
-        cfg_exact = MlpConfig((2, 4, 1), ActivationKind.sigmoid(), 0.5, 1, 4, 0)
+        cfg_exact = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         x = rng.uniform(-2, 2, (50, 2))
         _, _, out_table = forward(cfg_table, weights, x)
         _, _, out_exact = forward(cfg_exact, weights, x)
@@ -106,7 +105,7 @@ class TestForward:
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         ds = make_dataset("xor")
-        config = MlpConfig((2, 4, 1), ActivationKind.sigmoid(), 0.5, 1, 4, 0)
+        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         rng = np.random.default_rng(17)
         h = 1e-5
         for _ in range(5):
@@ -157,7 +156,7 @@ class TestGradients:
 
 class TestTrain:
     def test_deterministic(self):
-        config = task_config("xor", ActivationKind.sigmoid(), seed=4)
+        config = task_config("xor", SIGMOID, seed=4)
         a = train(config, make_dataset("xor"))
         b = train(config, make_dataset("xor"))
         assert a == b
@@ -165,14 +164,15 @@ class TestTrain:
     def test_total_loss_freezes_hidden_layers(self):
         config = task_config("xor", degraded(1.0), seed=3)
         initial = init_weights(config)
-        report, final = train_and_weights(config, make_dataset("xor"))
+        report = train(config, make_dataset("xor"))
+        final = report.weights
         assert report.mean_grad_norm_first100 == 0.0
         for (w0, b0), (w1, b1) in zip(initial[:-1], final[:-1]):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
 
     def test_report_fields(self):
-        config = task_config("xor", ActivationKind.sigmoid(), seed=0)
+        config = task_config("xor", SIGMOID, seed=0)
         report = train(config, make_dataset("xor"))
         assert 0.0 <= report.final_accuracy <= 1.0
         assert report.final_loss >= 0.0
@@ -192,7 +192,7 @@ class TestTrain:
         783, 657, 825, 683 -- all ten under the 2000-epoch budget)."""
         expected = {0: 658, 1: 678}
         for seed, epochs in expected.items():
-            config = task_config("xor", ActivationKind.sigmoid(), seed)
+            config = task_config("xor", SIGMOID, seed)
             report = train(config, make_dataset("xor"))
             assert report.epochs_to_threshold == epochs
             assert report.final_loss < 0.05
