@@ -20,7 +20,6 @@ jump is deliberately excluded.  This makes the derivative table scale exactly
 like sqrt(1 - iota) for uniform channels.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -31,9 +30,11 @@ from .spectral import (
     ModeSpectrum,
     gap_samples,
     inverse_transform,
+    read_columns,
     step_samples,
     transform_gap,
     transform_samples,
+    write_columns,
 )
 from .activations import sigmoid_prime
 
@@ -105,8 +106,8 @@ def uniform_channel(grid: Grid, iota: float) -> BogoliubovChannel:
 
 def lowpass_channel(grid: Grid, k_cut: float) -> BogoliubovChannel:
     """Lossless below |k| = k_cut, total loss at and above it."""
-    if k_cut <= 0:
-        raise ProfileError(f"k_cut must be positive, got {k_cut}")
+    if not (math.isfinite(k_cut) and k_cut > 0):
+        raise ProfileError(f"k_cut must be finite and positive, got {k_cut}")
     iota = np.where(np.abs(grid.k) < k_cut, 0.0, 1.0)
     return BogoliubovChannel(grid, iota, np.zeros(grid.n_points),
                              "lowpass", {"kc": float(k_cut)})
@@ -119,8 +120,8 @@ def thermal_channel(grid: Grid, temperature: float) -> BogoliubovChannel:
     the exact squeeze diverges; the arctanh argument is capped just below 1,
     which leaves every nonzero lattice mode untouched.
     """
-    if temperature <= 0:
-        raise ProfileError(f"temperature must be positive, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ProfileError(f"temperature must be finite and positive, got {temperature}")
     x = np.minimum(np.exp(-np.abs(grid.k) / (2.0 * temperature)), _MAX_TANH)
     return BogoliubovChannel(grid, np.zeros(grid.n_points), np.arctanh(x),
                              "thermal", {"T": float(temperature)})
@@ -211,22 +212,13 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
 
 
 def write_activation_csv(path, activation: DegradedActivation):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "f", "fprime"])
-        for z, f, fp in zip(activation.grid.z, activation.samples,
-                            activation.derivative_samples):
-            w.writerow([repr(float(z)), repr(float(f)), repr(float(fp))])
+    write_columns(path, ["z", "f", "fprime"],
+                  [activation.grid.z, activation.samples, activation.derivative_samples])
 
 
 def read_activation_csv(path):
     """Returns (z, f, fprime) arrays; the inverse of write_activation_csv."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["z", "f", "fprime"]:
-        raise ValueError(f"unexpected activation CSV header: {rows[0]}")
-    data = np.array([[float(c) for c in r] for r in rows[1:]])
-    return data[:, 0], data[:, 1], data[:, 2]
+    return tuple(read_columns(path, ["z", "f", "fprime"]))
 
 
 def channel_descriptor(channel: BogoliubovChannel) -> str:

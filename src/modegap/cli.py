@@ -11,7 +11,6 @@ error.
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -21,9 +20,10 @@ from .spectral import (
     Grid,
     GridError,
     analytic_gap_spectrum,
-    continuum_gap_spectrum,
+    continuum_spectrum,
     gap_samples,
     sigmoid_samples,
+    write_columns,
     write_spectrum_csv,
 )
 from .bogoliubov import (
@@ -168,24 +168,16 @@ def cmd_spectrum(config) -> int:
         raise ConfigError("bad grid: no wavenumber in the oracle band "
                           f"{verify_mod.ORACLE_BAND}")
     g = gap_samples(grid)
-    spec = continuum_gap_spectrum(grid)
+    spec = continuum_spectrum(grid, g)
 
-    with open(out_dir / "gap_samples.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["z", "g"])
-        for z, v in zip(grid.z, g):
-            w.writerow([repr(float(z)), repr(float(v))])
+    write_columns(out_dir / "gap_samples.csv", ["z", "g"], [grid.z, g])
     write_spectrum_csv(out_dir / "gap_spectrum.csv", spec)
 
     numeric = spec.amplitudes[positive]
     analytic = analytic_gap_spectrum(ks)
     rel_err = np.abs(numeric - analytic) / np.abs(analytic)
-    with open(out_dir / "oracle_comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "numeric", "analytic", "rel_err"])
-        for k, nu, an, re_ in zip(ks, numeric.imag, analytic.imag, rel_err):
-            w.writerow([repr(float(k)), repr(float(nu)), repr(float(an)),
-                        repr(float(re_))])
+    write_columns(out_dir / "oracle_comparison.csv", ["k", "numeric", "analytic", "rel_err"],
+                  [ks, numeric.imag, analytic.imag, rel_err])
 
     show = ks <= 20.0
     line_plot(out_dir / "gap_spectrum.svg",
@@ -207,14 +199,9 @@ def cmd_channel(config, compose_n: int) -> int:
     if compose_n > 1:
         channel = self_compose(channel, compose_n)
 
-    occupation = channel.beta**2
-    with open(out_dir / "channel_modes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "alpha", "beta", "eta", "occupation"])
-        for k, a, b, e, occ in zip(grid.k, channel.alpha, channel.beta,
-                                   channel.eta, occupation):
-            w.writerow([repr(float(k)), repr(float(a)), repr(float(b)),
-                        repr(float(e)), repr(float(occ))])
+    beta = channel.beta
+    write_columns(out_dir / "channel_modes.csv", ["k", "alpha", "beta", "eta", "occupation"],
+                  [grid.k, channel.alpha, beta, channel.eta, beta**2])
     (out_dir / "channel.txt").write_text(channel_descriptor(channel))
     print(f"commutator residual: {commutator_residual(channel):.12g}")
     return 0
@@ -233,7 +220,8 @@ def cmd_degrade(config) -> int:
     curves = []
     if channel.profile == "uniform":
         for iota in parse_levels(config):
-            act = reconstruct(uniform_channel(grid, iota))
+            act = activation if iota == channel.params["iota"] \
+                else reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
     else:
         curves.append((channel.profile, zs, activation.evaluate(zs)))

@@ -15,14 +15,13 @@ A hidden activation is any object with ``evaluate(z)``,
 result, or the closed-form ``SIGMOID`` or ``STEP``.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
-from .spectral import Grid
+from .spectral import Grid, read_columns, write_columns
 
 
 OUTPUT_CLAMP = 1e-7
@@ -281,34 +280,24 @@ def median_epochs(reports) -> float:
     return float(np.median(vals))
 
 
+REPORT_HEADER = ["iota", "seed", "final_accuracy", "final_loss",
+                 "epochs_to_threshold", "mean_grad_norm_first100"]
+
+
 def write_report_csv(path, reports):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iota", "seed", "final_accuracy", "final_loss",
-                    "epochs_to_threshold", "mean_grad_norm_first100"])
-        for r in reports:
-            w.writerow([
-                repr(float(r.iota)), r.seed, repr(float(r.final_accuracy)),
-                repr(float(r.final_loss)),
-                -1 if r.epochs_to_threshold is None else r.epochs_to_threshold,
-                repr(float(r.mean_grad_norm_first100)),
-            ])
+    """One row per report; a run that never reached the threshold has epochs -1."""
+    write_columns(path, REPORT_HEADER, [
+        [float(r.iota) for r in reports], [r.seed for r in reports],
+        [float(r.final_accuracy) for r in reports], [float(r.final_loss) for r in reports],
+        [-1 if r.epochs_to_threshold is None else r.epochs_to_threshold for r in reports],
+        [float(r.mean_grad_norm_first100) for r in reports],
+    ])
 
 
 def read_report_csv(path) -> list[TrainReport]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = ["iota", "seed", "final_accuracy", "final_loss",
-              "epochs_to_threshold", "mean_grad_norm_first100"]
-    if rows[0] != header:
-        raise ValueError(f"unexpected report CSV header: {rows[0]}")
-    out = []
-    for r in rows[1:]:
-        epochs = int(r[4])
-        out.append(TrainReport(
-            final_accuracy=float(r[2]), final_loss=float(r[3]),
-            epochs_to_threshold=None if epochs == -1 else epochs,
-            mean_grad_norm_first100=float(r[5]),
-            loss_fraction=float("nan"), seed=int(r[1]), iota=float(r[0]),
-        ))
-    return out
+    rows = read_columns(path, REPORT_HEADER).T.tolist()
+    return [TrainReport(final_accuracy=acc, final_loss=loss,
+                        epochs_to_threshold=None if epochs == -1 else int(epochs),
+                        mean_grad_norm_first100=grad, loss_fraction=float("nan"),
+                        seed=int(seed), iota=iota)
+            for iota, seed, acc, loss, epochs, grad in rows]

@@ -17,7 +17,6 @@ line; the gap decays like exp(-|z|) so truncation at |z| = L contributes at
 most exp(-L).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,18 +224,40 @@ def parseval_check(spectrum: ModeSpectrum, samples) -> float:
     return abs(sample_energy - spectral_energy) / sample_energy
 
 
-def write_spectrum_csv(path, spectrum: ModeSpectrum):
+# Rows per write in write_columns: bounds the row strings held at once.
+_CHUNK_ROWS = 8192
+
+
+def write_columns(path, header, columns):
+    """Write equal-length columns as a CSV table: a header row, then one row
+    per index, each value as its shortest round-trip repr, rows ending in
+    CRLF: the bytes the csv module writes for the same rows."""
+    columns = [np.asarray(c) for c in columns]
+    if len(header) != len(columns) or len({len(c) for c in columns}) > 1:
+        raise ValueError("write_columns needs one equal-length column per header name")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "re", "im"])
-        for kk, a in zip(spectrum.grid.k, spectrum.amplitudes):
-            w.writerow([repr(float(kk)), repr(float(a.real)), repr(float(a.imag))])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            rows = zip(*(c[start:start + _CHUNK_ROWS].tolist() for c in columns))
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+
+
+def read_columns(path, header) -> np.ndarray:
+    """The columns of a table written by write_columns, as float rows of a
+    (len(header), n) array; raises ValueError unless the header matches."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    if lines[:1] != [",".join(header)]:
+        raise ValueError(f"unexpected CSV header in {path}: {lines[:1]}")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return np.array(rows, dtype=float).reshape(len(rows), len(header)).T
+
+
+def write_spectrum_csv(path, spectrum: ModeSpectrum):
+    a = spectrum.amplitudes
+    write_columns(path, ["k", "re", "im"], [spectrum.grid.k, a.real, a.imag])
 
 
 def read_spectrum_csv(path, grid: Grid) -> ModeSpectrum:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["k", "re", "im"]:
-        raise ValueError(f"unexpected spectrum CSV header: {rows[0]}")
-    amps = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
-    return ModeSpectrum(grid, amps)
+    _, re, im = read_columns(path, ["k", "re", "im"])
+    return ModeSpectrum(grid, list(map(complex, re, im)))

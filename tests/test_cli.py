@@ -61,6 +61,9 @@ class TestConfigResolution:
         ["spectrum", "--set", "grid.L=nan"],
         ["spectrum", "--set", "grid.L=0.1", "--set", "grid.N=8"],
         ["channel", "--set", "grid.L=inf"],
+        ["channel", "--set", "channel.profile=lowpass", "--set", "channel.kc=nan"],
+        ["channel", "--set", "channel.profile=lowpass", "--set", "channel.kc=inf"],
+        ["channel", "--set", "channel.profile=thermal", "--set", "channel.T=inf"],
     ])
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -231,18 +234,20 @@ class TestVerifyCommand:
 class TestBenchmarkTracing:
     def test_tracer_installs_and_summarises(self, tmp_path):
         """The benchmark's span tracer wraps every public callable of the
-        package; it must install and summarise a traced command."""
+        package and counts the rows of the spectrum and activation writers;
+        it must install and summarise traced commands that call both."""
         root = Path(__file__).resolve().parents[1]
         script = (
-            "import sys\n"
             "import child\n"
             "from tracer import Tracer\n"
             "from modegap import cli\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
-            f"code = cli.main(['degrade', '--set', 'grid.N=256', '--out', {str(tmp_path / 'o')!r}])\n"
-            "child.per_layer_metrics(tracer, [0])\n"
-            "sys.exit(code)\n"
+            "codes = [cli.main([command, '--set', 'grid.N=256', '--out', f'o-{command}'])\n"
+            "         for command in ('degrade', 'spectrum', 'channel')]\n"
+            "metrics, _ = child.per_layer_metrics(tracer, [0])\n"
+            "print(codes, metrics['spectral.write_spectrum_csv.rows'],\n"
+            "      metrics['bogoliubov.write_activation_csv.rows'])\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "perfbench")]))
@@ -250,6 +255,7 @@ class TestBenchmarkTracing:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 256 256"
 
 
 class TestEntryPoint:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
-from modegap.spectral import read_spectrum_csv, write_spectrum_csv
+from modegap.bogoliubov import read_activation_csv
+from modegap.network import read_report_csv
+from modegap.spectral import read_columns, read_spectrum_csv, write_columns, write_spectrum_csv
 
 GRID = Grid(40.0, 4096)
 
@@ -271,3 +274,58 @@ class TestSpectrumCsv:
         assert header == "k,re,im"
         again = read_spectrum_csv(path, GRID)
         np.testing.assert_array_equal(again.amplitudes, spec.amplitudes)
+
+
+class TestColumns:
+    """write_columns/read_columns: the one CSV format of every table."""
+
+    @staticmethod
+    def table():
+        n = 8193                                   # one row past a whole chunk
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5]
+        x = np.linspace(-40.0, 40.0, n)
+        x[-len(special):] = special                # straddles the chunk boundary
+        y = np.resize(np.array(special), n)
+        m = np.arange(n) - 1                       # integer column, -1 included
+        return x, y, m
+
+    def test_bytes_match_csv_module(self, tmp_path):
+        x, y, m = self.table()
+        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["x", "y", "m"])
+            for a, b, c in zip(x, y, m):
+                w.writerow([repr(float(a)), repr(float(b)), int(c)])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_round_trip_is_exact(self, tmp_path):
+        x, y, m = self.table()
+        write_columns(tmp_path / "t.csv", ["x", "y", "m"], [x, y, m])
+        again = read_columns(tmp_path / "t.csv", ["x", "y", "m"])
+        assert again.shape == (3, len(x))
+        for col, orig in zip(again, (x, y, m)):
+            np.testing.assert_array_equal(col, orig)
+            np.testing.assert_array_equal(np.signbit(col), np.signbit(orig))
+
+    def test_header_only_table(self, tmp_path):
+        write_columns(tmp_path / "t.csv", ["a", "b"], [[], []])
+        assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
+        assert read_columns(tmp_path / "t.csv", ["a", "b"]).shape == (2, 0)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0]])
+
+    @pytest.mark.parametrize("read", [lambda p: read_spectrum_csv(p, GRID),
+                                      read_activation_csv, read_report_csv],
+                             ids=["spectrum", "activation", "report"])
+    @pytest.mark.parametrize("text", ["", "k,re,im,extra\r\n1,2,3,4\r\n"],
+                             ids=["empty", "wrong-header"])
+    def test_readers_reject_wrong_header_and_empty_file(self, tmp_path, read, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match="header"):
+            read(path)
