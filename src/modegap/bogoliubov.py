@@ -64,7 +64,7 @@ class BogoliubovChannel:
         n = self.grid.n_points
         if self.iota.shape != (n,) or self.squeeze.shape != (n,):
             raise ProfileError("profiles must cover the full wavenumber lattice")
-        if np.any(self.iota < 0.0) or np.any(self.iota > 1.0):
+        if not np.all((self.iota >= 0.0) & (self.iota <= 1.0)):
             raise ProfileError("loss profile must lie in [0, 1]")
         if np.any(self.squeeze < 0.0) or not np.all(np.isfinite(self.squeeze)):
             raise ProfileError("squeeze profile must be finite and >= 0")
@@ -98,8 +98,6 @@ def make_channel(grid: Grid, loss_profile, squeeze_profile,
 
 def uniform_channel(grid: Grid, iota: float) -> BogoliubovChannel:
     """Constant loss, no squeeze."""
-    if not 0.0 <= iota <= 1.0:
-        raise ProfileError(f"iota must be in [0, 1], got {iota}")
     return BogoliubovChannel(grid, np.full(grid.n_points, float(iota)),
                              np.zeros(grid.n_points), "uniform", {"iota": float(iota)})
 

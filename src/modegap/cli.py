@@ -7,7 +7,7 @@ resolved configuration is echoed to ``<out.dir>/config.resolved`` next to the
 outputs of every command.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error.
+error; a command that exits 2 has checked every value and written nothing.
 """
 
 import argparse
@@ -19,7 +19,6 @@ import numpy as np
 from .spectral import (
     Grid,
     GridError,
-    analytic_gap_spectrum,
     continuum_spectrum,
     gap_samples,
     sigmoid_samples,
@@ -37,7 +36,7 @@ from .bogoliubov import (
     uniform_channel,
     write_activation_csv,
 )
-from .network import median_epochs, sweep, write_report_csv
+from .network import sweep, write_report_csv
 from .svgplot import line_plot
 from . import verify as verify_mod
 
@@ -60,8 +59,12 @@ class ConfigError(ValueError):
 
 
 def parse_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -75,8 +78,6 @@ def parse_config_file(path) -> dict:
 def resolve_config(args) -> dict:
     config = dict(DEFAULTS)
     if args.config:
-        if not Path(args.config).exists():
-            raise ConfigError(f"config file not found: {args.config}")
         file_values = parse_config_file(args.config)
         unknown = set(file_values) - set(DEFAULTS)
         if unknown:
@@ -143,39 +144,36 @@ def parse_seed_list(text):
     return seeds
 
 
-def write_resolved(config, out_dir: Path):
-    lines = [f"{k} = {config[k]}" for k in sorted(config)]
-    (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
-
-
 def prepare_out(config) -> Path:
     out_dir = Path(config["out.dir"])
+    lines = [f"{k} = {config[k]}" for k in sorted(config)]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        write_resolved(config, out_dir)
+        (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
     return out_dir
 
 
+def print_checks(results) -> int:
+    """Print a ``PASS|FAIL name: measured`` line per check; return the failures."""
+    for name, passed, measured in results:
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {measured}")
+    return sum(not passed for _, passed, _ in results)
+
+
 def cmd_spectrum(config) -> int:
-    out_dir = prepare_out(config)
     grid = config_grid(config)
-    positive = grid.k > 0
-    ks = grid.k[positive]
-    band = (ks >= verify_mod.ORACLE_BAND[0]) & (ks <= verify_mod.ORACLE_BAND[1])
-    if not band.any():
-        raise ConfigError("bad grid: no wavenumber in the oracle band "
-                          f"{verify_mod.ORACLE_BAND}")
     g = gap_samples(grid)
     spec = continuum_spectrum(grid, g)
+    try:
+        (ks, numeric, analytic, rel_err), oracle = verify_mod.oracle_comparison(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
+    out_dir = prepare_out(config)
 
     write_columns(out_dir / "gap_samples.csv", ["z", "g"], [grid.z, g])
     write_spectrum_csv(out_dir / "gap_spectrum.csv", spec)
-
-    numeric = spec.amplitudes[positive]
-    analytic = analytic_gap_spectrum(ks)
-    rel_err = np.abs(numeric - analytic) / np.abs(analytic)
     write_columns(out_dir / "oracle_comparison.csv", ["k", "numeric", "analytic", "rel_err"],
                   [ks, numeric.imag, analytic.imag, rel_err])
 
@@ -185,17 +183,14 @@ def cmd_spectrum(config) -> int:
                ("analytic |g(k)|", ks[show], np.abs(analytic[show]))],
               "Gap mode spectrum", "k", "|amplitude|")
 
-    max_rel = float(np.max(rel_err[band]))
-    status = "PASS" if max_rel < verify_mod.ORACLE_TOL else "FAIL"
-    print(f"{status} oracle max rel err on [0.1,10]: {max_rel:.6e} "
-          f"(target {verify_mod.ORACLE_TOL:.0e})")
+    print_checks([("grid-oracle-agreement", *oracle)])
     return 0
 
 
 def cmd_channel(config, compose_n: int) -> int:
-    out_dir = prepare_out(config)
     grid = config_grid(config)
     channel = config_channel(config, grid)
+    out_dir = prepare_out(config)
     if compose_n > 1:
         channel = self_compose(channel, compose_n)
 
@@ -208,9 +203,10 @@ def cmd_channel(config, compose_n: int) -> int:
 
 
 def cmd_degrade(config) -> int:
-    out_dir = prepare_out(config)
     grid = config_grid(config)
     channel = config_channel(config, grid)
+    levels = parse_levels(config) if channel.profile == "uniform" else []
+    out_dir = prepare_out(config)
     activation = reconstruct(channel)
 
     write_activation_csv(out_dir / "degraded_activation.csv", activation)
@@ -219,7 +215,7 @@ def cmd_degrade(config) -> int:
     zs = np.linspace(-10.0, 10.0, 801)
     curves = []
     if channel.profile == "uniform":
-        for iota in parse_levels(config):
+        for iota in levels:
             act = activation if iota == channel.params["iota"] \
                 else reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
@@ -235,46 +231,32 @@ def cmd_degrade(config) -> int:
 
 
 def cmd_train_sweep(config) -> int:
-    out_dir = prepare_out(config)
     grid = config_grid(config)
     levels = parse_levels(config)
     seeds = parse_seed_list(config["sweep.seeds"])
     task = config["task.name"].lower()
     if task not in ("xor", "moons"):
         raise ConfigError(f"unknown task: {task!r} (xor, moons)")
+    out_dir = prepare_out(config)
 
     reports = sweep(task, levels, seeds, grid)
     write_report_csv(out_dir / "train_reports.csv", reports)
 
     medians_g = verify_mod.grad_norm_medians(reports, levels)
-    by_level = [[r for r in reports if r.iota == iota] for iota in levels]
-    medians_a = [float(np.median([r.final_accuracy for r in cells])) for cells in by_level]
+    medians_a = [float(np.median([r.final_accuracy for r in reports if r.iota == iota]))
+                 for iota in levels]
     line_plot(out_dir / "train_sweep.svg",
               [("median hidden grad norm", levels, medians_g),
                ("median final accuracy", levels, medians_a)],
               f"Trainability vs loss level ({task})", "iota", "median metric")
 
-    monotone = verify_mod.non_increasing(medians_g)
-    endpoint_ok, notes = True, []
-    for level, converges in ((0.0, True), (1.0, False)):
-        if level in levels:
-            med = median_epochs(by_level[levels.index(level)])
-            endpoint_ok &= np.isfinite(med) == converges
-            notes.append(f"median_epochs@{level:g}="
-                         + (f"{med:.0f}" if np.isfinite(med) else "never"))
-    status = "PASS" if (monotone and endpoint_ok) else "FAIL"
-    print(f"{status} monotone-degradation check: grad_medians="
-          + ",".join(f"{m:.3e}" for m in medians_g)
-          + (" " + " ".join(notes) if notes else ""))
+    print_checks(verify_mod.sweep_checks(task, reports, levels))
     return 0
 
 
 def cmd_verify(full: bool) -> int:
     results = verify_mod.run_criteria(full=full)
-    failures = 0
-    for name, passed, measured in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {measured}")
-        failures += not passed
+    failures = print_checks(results)
     print(f"{len(results) - failures}/{len(results)} criteria passed")
     return 1 if failures else 0
 

@@ -58,6 +58,8 @@ class TestChannelCoefficients:
             make_channel(SMALL, lambda k: -0.1, lambda k: 0.0)
         with pytest.raises(ProfileError):
             make_channel(SMALL, lambda k: 0.0, lambda k: -1.0)
+        with pytest.raises(ProfileError):
+            make_channel(SMALL, lambda k: math.nan, lambda k: 0.0)
 
     def test_thermal_finite_at_k_zero(self):
         ch = thermal_channel(SMALL, 1.0)

@@ -51,6 +51,14 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["spectrum", "--config", str(tmp_path / "none.cfg"),
                         "--out", str(tmp_path / "o")]) == 2
+        (tmp_path / "cfgdir").mkdir()
+        assert run_cli(["spectrum", "--config", str(tmp_path / "cfgdir"),
+                        "--out", str(tmp_path / "o")]) == 2
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# \xe9\xff\ngrid.N = 1024\n")
+        assert run_cli(["spectrum", "--config", str(latin1),
+                        "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train-sweep", "--set", "sweep.levels=0,2"],
@@ -71,6 +79,7 @@ class TestConfigResolution:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_resolved_echoed(self, tmp_path):
         out = tmp_path / "o"
@@ -93,7 +102,13 @@ class TestSpectrumCommand:
         lines = (out / "oracle_comparison.csv").read_text().splitlines()
         assert lines[0] == "k,numeric,analytic,rel_err"
         printed = capsys.readouterr().out
-        assert "oracle max rel err" in printed
+        assert "grid-oracle-agreement" in printed
+
+    def test_default_grid_prints_verify_line(self, tmp_path, capsys):
+        assert run_cli(["spectrum", "--out", str(tmp_path / "spec")]) == 0
+        assert capsys.readouterr().out == (
+            "PASS grid-oracle-agreement: "
+            + verify_mod.check_grid_oracle_agreement()[1] + "\n")
 
     def test_deterministic_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -187,13 +202,24 @@ class TestTrainSweepCommand:
                         "--set", "sweep.levels=0,1",
                         "--set", "sweep.seeds=0,1"]) == 0
         printed = capsys.readouterr().out
-        assert "monotone-degradation check" in printed
-        assert "median_epochs@1=never" in printed
         reports = read_report_csv(out / "train_reports.csv")
+        checks = verify_mod.sweep_checks("xor", reports, [0.0, 1.0])
+        assert [name for name, _, _ in checks] == ["xor-trainability-endpoints",
+                                                   "grad-norm-monotone"]
+        assert printed.splitlines() == [
+            f"{'PASS' if passed else 'FAIL'} {name}: {measured}"
+            for name, passed, measured in checks]
         assert len(reports) == 4
         at1 = [r for r in reports if r.iota == 1.0]
         assert all(r.mean_grad_norm_first100 == 0.0 for r in at1)
         assert (out / "train_sweep.svg").exists()
+
+    def test_one_level_prints_only_monotone(self, tmp_path, capsys):
+        assert run_cli(["train-sweep", "--out", str(tmp_path / "sweep"),
+                        "--set", "sweep.levels=1", "--seed", "0"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 1
+        assert printed[0].startswith("PASS grad-norm-monotone: ")
 
     def test_unknown_task(self, tmp_path):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
@@ -235,7 +261,8 @@ class TestBenchmarkTracing:
     def test_tracer_installs_and_summarises(self, tmp_path):
         """The benchmark's span tracer wraps every public callable of the
         package and counts the rows of the spectrum and activation writers;
-        it must install and summarise traced commands that call both."""
+        it must install and summarise traced commands that call both, and a
+        traced train-sweep, which two of the benchmark's workloads run."""
         root = Path(__file__).resolve().parents[1]
         script = (
             "import child\n"
@@ -245,7 +272,10 @@ class TestBenchmarkTracing:
             "tracer.install()\n"
             "codes = [cli.main([command, '--set', 'grid.N=256', '--out', f'o-{command}'])\n"
             "         for command in ('degrade', 'spectrum', 'channel')]\n"
+            "sweep_code = cli.main(['train-sweep', '--set', 'grid.N=256', '--set',\n"
+            "                       'sweep.levels=0,1', '--seed', '0', '--out', 'o-sweep'])\n"
             "metrics, _ = child.per_layer_metrics(tracer, [0])\n"
+            "print(sweep_code, metrics['network.train.calls'])\n"
             "print(codes, metrics['spectral.write_spectrum_csv.rows'],\n"
             "      metrics['bogoliubov.write_activation_csv.rows'])\n"
         )
@@ -256,6 +286,7 @@ class TestBenchmarkTracing:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 256 256"
+        assert proc.stdout.splitlines()[-2] == "0 2"
 
 
 class TestEntryPoint:
