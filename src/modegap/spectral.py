@@ -37,7 +37,8 @@ class Grid:
     """Uniform lattice of the activation argument and its wavenumbers.
 
     z_j = -L + j*dz for j in [0, N) with dz = 2L/N; k_n = pi*n/L for
-    n in [-N/2, N/2).  N must be a power of two.
+    n in [-N/2, N/2).  N must be a power of two, and dz and the largest |k|
+    must be finite, with dz > 0.
     """
 
     half_width: float
@@ -50,6 +51,10 @@ class Grid:
         if n <= 0 or (n & (n - 1)) != 0:
             raise GridError("n_points must be a positive power of two")
         self.dz = 2.0 * self.half_width / n
+        k_max = np.pi * (n // 2) / self.half_width
+        if not (0.0 < self.dz < np.inf and np.isfinite(k_max)):
+            raise GridError(f"half_width {self.half_width} gives a non-finite lattice: "
+                            f"dz = {self.dz}, max |k| = {k_max}")
         self.z = -self.half_width + self.dz * np.arange(n)
         self._n_index = np.arange(-(n // 2), n // 2)
         self.k = np.pi * self._n_index / self.half_width

@@ -1,11 +1,15 @@
+import contextlib
 import filecmp
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modegap import cli
 from modegap.bogoliubov import read_activation_csv, planck_occupation
@@ -25,14 +29,17 @@ class TestConfigResolution:
             ["degrade", "--config", str(cfg), "--set", "grid.N=512",
              "--out", str(tmp_path / "o")])
         resolved = cli.resolve_config(args)
-        assert resolved["channel.iota"] == "0.25"   # file beats default
-        assert resolved["grid.N"] == "512"          # --set beats file
-        assert resolved["out.dir"] == str(tmp_path / "o")
-        assert resolved["channel.profile"] == "uniform"  # default survives
+        assert resolved.values["channel.iota"] == "0.25"   # file beats default
+        assert resolved.values["grid.N"] == "512"          # --set beats file
+        assert resolved.values["out.dir"] == str(tmp_path / "o")
+        assert resolved.values["channel.profile"] == "uniform"  # default survives
+        assert resolved.grid.n_points == 512
 
     def test_seed_flag_overrides_sweep_seeds(self, tmp_path):
         args = cli.build_parser().parse_args(["train-sweep", "--seed", "7"])
-        assert cli.resolve_config(args)["sweep.seeds"] == "7"
+        resolved = cli.resolve_config(args)
+        assert resolved.values["sweep.seeds"] == "7"
+        assert resolved.seeds == [7]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -72,7 +79,17 @@ class TestConfigResolution:
         ["channel", "--set", "channel.profile=lowpass", "--set", "channel.kc=nan"],
         ["channel", "--set", "channel.profile=lowpass", "--set", "channel.kc=inf"],
         ["channel", "--set", "channel.profile=thermal", "--set", "channel.T=inf"],
+        ["channel", "--set", f"grid.N={2**56}"],
+        ["spectrum", "--set", "grid.L=5e-324"],
+        ["spectrum", "--set", "grid.L=1e308"],
+        ["degrade", "--set", "grid.L=5e-324"],
+        ["degrade", "--set", "grid.L=1e308"],
+        ["spectrum", "--set", "task.name=cifar"],
+        ["degrade", "--set", "channel.profile=lowpass", "--set", "sweep.levels=0,2"],
+        ["train-sweep", "--set", "channel.profile=bandstop", "--set", "sweep.levels=1",
+         "--seed", "0"],
     ])
+    @pytest.mark.filterwarnings("error")  # no warning may precede the error line
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
         assert run_cli(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -81,6 +98,15 @@ class TestConfigResolution:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_options_belong_to_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["--out", "o", "channel", "--set", "grid.N=128"]) == 2
+        assert run_cli(["--set", "grid.N=128", "channel", "--out", "o"]) == 2
+        assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["verify", "--out", "x"])
+
     def test_resolved_echoed(self, tmp_path):
         out = tmp_path / "o"
         assert run_cli(["channel", "--out", str(out),
@@ -88,6 +114,61 @@ class TestConfigResolution:
         text = (out / "config.resolved").read_text()
         assert "grid.N = 256" in text
         assert "channel.profile = uniform" in text
+
+
+# Config values for the fuzz: edge floats, the valid names, bounded integers,
+# junk text without decimal digits (so it never parses as a huge grid.N), and
+# empty, unsorted or out-of-range comma lists.
+EDGE_VALUES = ["nan", "-nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-310",
+               "2.2250738585072014e-308", "1e-300", "1e300", "1e308", "-1", "0.5",
+               "1", "2", "40", "uniform", "lowpass", "thermal", "xor", "moons", ""]
+NUMBERS = st.one_of(st.integers(-2**16, 2**16), st.floats(-2.0, 2.0), st.just(float("nan")))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-2**16, 2**16).map(str),
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8),
+    st.lists(NUMBERS, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+)
+FUZZED_KEYS = sorted(set(cli.DEFAULTS) - {"out.dir"})
+
+
+def set_flags(values):
+    return [flag for key, val in values.items() for flag in ("--set", f"{key}={val}")]
+
+
+class TestConfigFuzz:
+    @given(st.sampled_from(["spectrum", "channel", "degrade", "train-sweep"]),
+           st.dictionaries(st.sampled_from(FUZZED_KEYS), CONFIG_VALUES, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_resolve_config_returns_or_raises_config_error(self, command, values):
+        args = cli.build_parser().parse_args([command, *set_flags(values)])
+        try:
+            run = cli.resolve_config(args)
+        except cli.ConfigError:
+            return
+        assert isinstance(run, cli.RunConfig)
+
+    @given(st.sampled_from(["spectrum", "channel", "degrade"]),
+           st.dictionaries(st.sampled_from(FUZZED_KEYS), CONFIG_VALUES, max_size=3),
+           st.one_of(st.sampled_from([2**e for e in range(13)]),
+                     st.integers(-2**12, 2**12)),
+           st.integers(0, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_cli_exits_0_or_2(self, command, values, n_points, compose):
+        values["grid.N"] = n_points
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            argv = [command, *set_flags(values), "--out", str(out)]
+            if command == "channel":
+                argv += ["--compose", str(compose)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = run_cli(argv)
+            assert code in (0, 2)
+            if code == 2:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                assert not out.exists()
 
 
 class TestSpectrumCommand:

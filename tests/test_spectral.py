@@ -61,6 +61,8 @@ class TestGrid:
             Grid(-1.0, 64)
         with pytest.raises(GridError):
             Grid(40.0, 0)
+        with pytest.raises(GridError):
+            Grid(1e-310, 4096)  # dz > 0, but the largest |k| overflows
 
 
 class TestGap:
