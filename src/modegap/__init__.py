@@ -48,14 +48,14 @@ from .bogoliubov import (
     uniform_channel,
 )
 from .network import (
+    TASKS,
     Dataset,
-    MlpConfig,
+    Task,
     TrainReport,
     forward,
     loss_gradients,
     make_dataset,
     sweep,
-    task_config,
     train,
 )
 

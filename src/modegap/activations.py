@@ -84,7 +84,8 @@ def _no_derivative(z):
 
 @dataclass(frozen=True)
 class ClosedFormActivation:
-    """A closed-form hidden activation with the members a network reads.
+    """A closed-form hidden activation: the ``evaluate`` and
+    ``evaluate_derivative`` a network reads.
 
     The callables are fields, not methods: one class serves both constants
     without dispatch, and the benchmark's tracer, which names spans
@@ -93,11 +94,10 @@ class ClosedFormActivation:
 
     evaluate: Callable
     evaluate_derivative: Callable
-    loss_fraction: float
 
 
-SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime, 0.0)
-STEP = ClosedFormActivation(step, _no_derivative, 1.0)
+SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime)
+STEP = ClosedFormActivation(step, _no_derivative)
 
 
 def sensitivity_predict(activation, cfg: PerceptronConfig,

@@ -28,7 +28,6 @@ import numpy as np
 from .spectral import (
     Grid,
     ModeSpectrum,
-    gap_samples,
     inverse_transform,
     read_columns,
     step_samples,
@@ -88,12 +87,11 @@ class BogoliubovChannel:
         return np.sqrt(1.0 - self.iota) * np.exp(-self.squeeze)
 
 
-def make_channel(grid: Grid, loss_profile, squeeze_profile,
-                 profile: str = "custom", params: dict = None) -> BogoliubovChannel:
+def make_channel(grid: Grid, loss_profile, squeeze_profile) -> BogoliubovChannel:
     """Build a channel from callables k -> iota(k) and k -> r(k)."""
     iota = np.array([float(loss_profile(k)) for k in grid.k])
     squeeze = np.array([float(squeeze_profile(k)) for k in grid.k])
-    return BogoliubovChannel(grid, iota, squeeze, profile, params or {})
+    return BogoliubovChannel(grid, iota, squeeze)
 
 
 def uniform_channel(grid: Grid, iota: float) -> BogoliubovChannel:
@@ -174,7 +172,6 @@ class DegradedActivation:
     grid: Grid
     samples: np.ndarray
     derivative_samples: np.ndarray
-    channel: BogoliubovChannel
     loss_fraction: float
 
     def evaluate(self, z):
@@ -195,7 +192,9 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
 
     The loss fraction weights the per-mode loss by the gap's spectral power:
     sum(iota_k |g_k|^2) / sum(|g_k|^2), which reduces to iota itself for
-    uniform channels.
+    uniform channels.  The amplitudes are scaled by the largest before they
+    are squared: on a coarse lattice they are small enough (about 1e-160 at
+    dz = 375) that their squares would fall into the subnormals.
     """
     grid = channel.grid
     gap_spec = transform_gap(grid)
@@ -204,9 +203,10 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
 
-    weights = np.abs(gap_spec.amplitudes) ** 2
+    magnitudes = np.abs(gap_spec.amplitudes)
+    weights = (magnitudes / np.max(magnitudes)) ** 2
     loss_fraction = float(np.sum(channel.iota * weights) / np.sum(weights))
-    return DegradedActivation(grid, samples, deriv, channel, loss_fraction)
+    return DegradedActivation(grid, samples, deriv, loss_fraction)
 
 
 def write_activation_csv(path, activation: DegradedActivation):

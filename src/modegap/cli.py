@@ -21,6 +21,7 @@ import numpy as np
 from .spectral import (
     Grid,
     continuum_spectrum,
+    gap,
     gap_samples,
     sigmoid_samples,
     write_columns,
@@ -37,7 +38,7 @@ from .bogoliubov import (
     uniform_channel,
     write_activation_csv,
 )
-from .network import sweep, write_report_csv
+from .network import TASKS, sweep, write_report_csv
 from .svgplot import line_plot
 from . import verify as verify_mod
 
@@ -124,6 +125,11 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"bad grid: {exc}") from exc
     if grid.n_points < 8:
         raise ConfigError(f"bad grid: grid.N must be >= 8, got {grid.n_points}")
+    # The gap is largest in magnitude at the samples next to z = 0; where
+    # those underflow, every sample is 0 and no loss fraction exists.
+    o = grid.n_points // 2
+    if not np.any(gap(grid.z[[o - 1, o + 1]])):
+        raise ConfigError(f"bad grid: every gap sample underflows to 0 (dz = {grid.dz:g})")
 
     # Built per call, so that a maker rebound on this module (as the
     # benchmark's span tracer does) is the one called.
@@ -147,8 +153,8 @@ def resolve_config(args) -> RunConfig:
     if not seeds or any(s < 0 for s in seeds):
         raise ConfigError(f"sweep.seeds must be non-negative integers: {values['sweep.seeds']!r}")
     task = values["task.name"].lower()
-    if task not in ("xor", "moons"):
-        raise ConfigError(f"unknown task: {task!r} (xor, moons)")
+    if task not in TASKS:
+        raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")
     return RunConfig(values, grid, channel, levels, seeds, task)
 
 

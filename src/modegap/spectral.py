@@ -170,16 +170,20 @@ def continuum_gap_spectrum(grid: Grid) -> ModeSpectrum:
     return continuum_spectrum(grid, gap_samples(grid))
 
 
-def inverse_transform(spectrum: ModeSpectrum, symmetry_tol: float = 1e-6) -> np.ndarray:
+SYMMETRY_TOL = 1e-6
+
+
+def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
     """Real samples whose forward transform reproduces the spectrum exactly.
 
-    Refuses spectra that are not conjugate-symmetric (the field would not be
-    real); the discarded imaginary residue is checked against 1e-9.
+    Refuses spectra that are not conjugate-symmetric to within SYMMETRY_TOL
+    (the field would not be real); the discarded imaginary residue is
+    checked against 1e-9.
     """
     defect = spectrum.conjugate_symmetry_defect()
-    if defect > symmetry_tol:
+    if defect > SYMMETRY_TOL:
         raise SpectrumSymmetryError(
-            f"conjugate symmetry violated by {defect:.3e} (tolerance {symmetry_tol:.1e})"
+            f"conjugate symmetry violated by {defect:.3e} (tolerance {SYMMETRY_TOL:.1e})"
         )
     grid = spectrum.grid
     phase = np.where(grid._n_index % 2 == 0, 1.0, -1.0)

@@ -35,6 +35,7 @@ from .spectral import Grid, analytic_gap_spectrum, continuum_gap_spectrum, gap_s
 from .bogoliubov import (
     commutator_residual,
     make_channel,
+    mode_occupation,
     planck_occupation,
     reconstruct,
     self_compose,
@@ -42,13 +43,12 @@ from .bogoliubov import (
     uniform_channel,
 )
 from .network import (
-    MlpConfig,
+    TASKS,
     hidden_gradient_norm,
     loss_gradients,
     make_dataset,
     median_epochs,
     sweep,
-    task_config,
 )
 from . import network
 
@@ -149,11 +149,11 @@ def check_reconstruction_endpoints():
     sig = sigmoid_samples(grid)
     stp = step_samples(grid)
     g = gap_samples(grid)
-    dev_sig = float(np.max(np.abs(reconstruct(uniform_channel(grid, 0.0)).samples - sig)))
-    step_exact = bool(np.array_equal(reconstruct(uniform_channel(grid, 1.0)).samples, stp))
+    recs = {iota: reconstruct(uniform_channel(grid, iota)) for iota in SWEEP_LEVELS}
+    dev_sig = float(np.max(np.abs(recs[0.0].samples - sig)))
+    step_exact = bool(np.array_equal(recs[1.0].samples, stp))
     dev_closed = 0.0
-    for iota in SWEEP_LEVELS:
-        rec = reconstruct(uniform_channel(grid, iota))
+    for iota, rec in recs.items():
         closed = stp + math.sqrt(1.0 - iota) * g
         dev_closed = max(dev_closed, float(np.max(np.abs(rec.samples - closed))))
     ok = dev_sig < 1e-9 and step_exact and dev_closed < 1e-9
@@ -167,21 +167,20 @@ def check_planck_occupation():
     ks = grid.k[grid.n_points // 2 + 7: grid.n_points // 2 + 147: 7][:20]
     worst = 0.0
     for k in ks:
-        occ = float(channel.beta[np.argmin(np.abs(grid.k - k))] ** 2)
+        occ = mode_occupation(channel, k)
         worst = max(worst, abs(occ - planck_occupation(k, 1.0)))
     return worst < 1e-10, f"max_abs_dev={worst:.3e} over {len(ks)} modes"
 
 
 def check_gradient_correctness():
     dataset = make_dataset("xor")
-    config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, seed=0)
     rng = np.random.default_rng(2025)
     h = 1e-5
     worst = 0.0
     for _ in range(100):
         weights = [(rng.uniform(-1.0, 1.0, (4, 2)), rng.uniform(-1.0, 1.0, 4)),
                    (rng.uniform(-1.0, 1.0, (1, 4)), rng.uniform(-1.0, 1.0, 1))]
-        grads = loss_gradients(config, weights, dataset.inputs, dataset.labels)
+        grads = loss_gradients(SIGMOID, weights, dataset.inputs, dataset.labels)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                                    for dw, db in grads])
 
@@ -191,7 +190,7 @@ def check_gradient_correctness():
                 w2 = flat[i:i + w.size].reshape(w.shape); i += w.size
                 b2 = flat[i:i + b.size]; i += b.size
                 out.append((w2, b2))
-            _, _, y = network.forward(config, out, dataset.inputs)
+            _, _, y = network.forward(SIGMOID, out, dataset.inputs)
             return network.bce_loss(y, dataset.labels)
 
         flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
@@ -209,7 +208,7 @@ def check_gradient_correctness():
 
 
 def run_xor_sweep():
-    return sweep("xor", SWEEP_LEVELS, SWEEP_SEEDS)
+    return sweep("xor", SWEEP_LEVELS, SWEEP_SEEDS, DEFAULT_GRID)
 
 
 def check_xor_endpoints(reports):
@@ -252,8 +251,7 @@ def scaling_fixed_point_ratios():
     norms = {}
     for iota in SWEEP_LEVELS:
         act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
-        config = task_config("xor", act, seed=0)
-        grads = loss_gradients(config, weights, dataset.inputs, dataset.labels)
+        grads = loss_gradients(act, weights, dataset.inputs, dataset.labels)
         norms[iota] = hidden_gradient_norm(grads)
     return norms
 
@@ -270,9 +268,8 @@ def check_gradient_scaling():
 
 
 def check_perceptron_limit_freeze():
-    config = task_config("xor", reconstruct(uniform_channel(DEFAULT_GRID, 1.0)), seed=3)
-    initial = network.init_weights(config)
-    report = network.train(config, make_dataset("xor"))
+    initial = network.init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
+    report = network.train("xor", reconstruct(uniform_channel(DEFAULT_GRID, 1.0)), 3)
     final = report.weights
     frozen = all(np.array_equal(initial[i][0], final[i][0])
                  and np.array_equal(initial[i][1], final[i][1])
@@ -349,6 +346,6 @@ def run_criteria(full: bool = False):
     results.append(("perceptron-limit-freeze", *check_perceptron_limit_freeze()))
     results.append(("determinism", *check_determinism()))
     if full:
-        moons = sweep("moons", (0.0, 1.0), SWEEP_SEEDS)
+        moons = sweep("moons", (0.0, 1.0), SWEEP_SEEDS, DEFAULT_GRID)
         results.append(("moons-band", *check_moons_band(moons)))
     return results

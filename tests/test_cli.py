@@ -88,6 +88,8 @@ class TestConfigResolution:
         ["degrade", "--set", "channel.profile=lowpass", "--set", "sweep.levels=0,2"],
         ["train-sweep", "--set", "channel.profile=bandstop", "--set", "sweep.levels=1",
          "--seed", "0"],
+        ["degrade", "--set", "grid.L=1e300"],
+        ["channel", "--set", "grid.L=3000", "--set", "grid.N=8"],
     ])
     @pytest.mark.filterwarnings("error")  # no warning may precede the error line
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):

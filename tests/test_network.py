@@ -5,15 +5,14 @@ import pytest
 
 from modegap import (
     SIGMOID,
+    TASKS,
     DimensionError,
     Grid,
-    MlpConfig,
     forward,
     loss_gradients,
     make_dataset,
     reconstruct,
     sweep,
-    task_config,
     train,
     uniform_channel,
 )
@@ -56,34 +55,35 @@ class TestDatasets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_dataset("mnist")
+        with pytest.raises(ValueError):
+            train("XOR", SIGMOID, 0)
 
 
 class TestForward:
     def test_zero_weights_give_half(self):
-        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         weights = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
-        _, _, out = forward(config, weights, np.array([0.3, -2.0]))
+        _, _, out = forward(SIGMOID, weights, np.array([0.3, -2.0]))
         assert out == 0.5
 
     def test_shape_mismatch(self):
-        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         weights = [(np.zeros((4, 3)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         with pytest.raises(DimensionError):
-            forward(config, weights, np.array([1.0, 2.0]))
+            forward(SIGMOID, weights, np.array([1.0, 2.0]))
         good = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         with pytest.raises(DimensionError):
-            forward(config, good, np.array([1.0, 2.0, 3.0]))
+            forward(SIGMOID, good, np.array([1.0, 2.0, 3.0]))
+        hidden = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 3)), np.zeros(1))]
+        with pytest.raises(DimensionError):
+            forward(SIGMOID, hidden, np.array([1.0, 2.0]))
 
     def test_identity_channel_matches_analytic_sigmoid(self):
         """Degraded table at zero loss is the sigmoid up to interpolation."""
         rng = np.random.default_rng(3)
         weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                    (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-        cfg_table = MlpConfig((2, 4, 1), degraded(0.0), 0.5, 1, 4, 0)
-        cfg_exact = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         x = rng.uniform(-2, 2, (50, 2))
-        _, _, out_table = forward(cfg_table, weights, x)
-        _, _, out_exact = forward(cfg_exact, weights, x)
+        _, _, out_table = forward(degraded(0.0), weights, x)
+        _, _, out_exact = forward(SIGMOID, weights, x)
         assert np.abs(out_table - out_exact).max() < 1e-3
 
     def test_small_perturbation_bounded_response(self):
@@ -91,12 +91,12 @@ class TestForward:
         rng = np.random.default_rng(8)
         weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                    (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-        config = MlpConfig((2, 4, 1), degraded(0.5), 0.5, 1, 4, 0)
+        act = degraded(0.5)
         x = np.array([0.7, 0.2])
-        _, _, base = forward(config, weights, x)
+        _, _, base = forward(act, weights, x)
         bumped = [(weights[0][0].copy(), weights[0][1]), weights[1]]
         bumped[0][0][2, 1] += 1e-6
-        _, _, out = forward(config, bumped, x)
+        _, _, out = forward(act, bumped, x)
         # worst slope on the table is the step ramp across one cell, ~1/(2 dz)
         lipschitz = 0.25 * (1.0 + 1.0 / (2.0 * GRID.dz))
         assert abs(out - base) <= lipschitz * 1e-6
@@ -105,13 +105,12 @@ class TestForward:
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         ds = make_dataset("xor")
-        config = MlpConfig((2, 4, 1), SIGMOID, 0.5, 1, 4, 0)
         rng = np.random.default_rng(17)
         h = 1e-5
         for _ in range(5):
             weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                        (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-            grads = loss_gradients(config, weights, ds.inputs, ds.labels)
+            grads = loss_gradients(SIGMOID, weights, ds.inputs, ds.labels)
             flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                                    for w, b in weights])
             analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
@@ -123,7 +122,7 @@ class TestGradients:
                     w2 = vec[i:i + w.size].reshape(w.shape); i += w.size
                     b2 = vec[i:i + b.size]; i += b.size
                     rebuilt.append((w2, b2))
-                _, _, out = forward(config, rebuilt, ds.inputs)
+                _, _, out = forward(SIGMOID, rebuilt, ds.inputs)
                 return bce_loss(out, ds.labels)
 
             numeric = np.array([
@@ -146,9 +145,8 @@ class TestGradients:
                    (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
         norms = {}
         for iota in (0.0, 0.25, 0.5, 0.75):
-            config = task_config("xor", degraded(iota), seed=0)
             norms[iota] = hidden_gradient_norm(
-                loss_gradients(config, weights, ds.inputs, ds.labels))
+                loss_gradients(degraded(iota), weights, ds.inputs, ds.labels))
         for iota in (0.25, 0.5, 0.75):
             ratio = norms[iota] / norms[0.0]
             assert ratio == pytest.approx(math.sqrt(1 - iota), rel=1e-3)
@@ -156,15 +154,13 @@ class TestGradients:
 
 class TestTrain:
     def test_deterministic(self):
-        config = task_config("xor", SIGMOID, seed=4)
-        a = train(config, make_dataset("xor"))
-        b = train(config, make_dataset("xor"))
+        a = train("xor", SIGMOID, 4)
+        b = train("xor", SIGMOID, 4)
         assert a == b
 
     def test_total_loss_freezes_hidden_layers(self):
-        config = task_config("xor", degraded(1.0), seed=3)
-        initial = init_weights(config)
-        report = train(config, make_dataset("xor"))
+        initial = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
+        report = train("xor", degraded(1.0), 3)
         final = report.weights
         assert report.mean_grad_norm_first100 == 0.0
         for (w0, b0), (w1, b1) in zip(initial[:-1], final[:-1]):
@@ -172,17 +168,14 @@ class TestTrain:
             np.testing.assert_array_equal(b0, b1)
 
     def test_report_fields(self):
-        config = task_config("xor", SIGMOID, seed=0)
-        report = train(config, make_dataset("xor"))
+        report = train("xor", SIGMOID, 0)
         assert 0.0 <= report.final_accuracy <= 1.0
         assert report.final_loss >= 0.0
-        assert report.loss_fraction == 0.0
         if report.epochs_to_threshold is not None:
-            assert report.epochs_to_threshold <= config.max_epochs
+            assert report.epochs_to_threshold <= TASKS["xor"].max_epochs
 
     def test_moons_smoke(self):
-        config = task_config("moons", degraded(0.0), seed=0)
-        report = train(config, make_dataset("moons", 0))
+        report = train("moons", degraded(0.0), 0)
         assert report.epochs_to_threshold is not None
         assert report.final_accuracy >= 0.9
 
@@ -192,8 +185,7 @@ class TestTrain:
         783, 657, 825, 683 -- all ten under the 2000-epoch budget)."""
         expected = {0: 658, 1: 678}
         for seed, epochs in expected.items():
-            config = task_config("xor", SIGMOID, seed)
-            report = train(config, make_dataset("xor"))
+            report = train("xor", SIGMOID, seed)
             assert report.epochs_to_threshold == epochs
             assert report.final_loss < 0.05
 
@@ -203,7 +195,7 @@ class TestSweep:
         reports = sweep("xor", [0.0], [0, 1], GRID)
         act = degraded(0.0)
         for seed, report in zip((0, 1), reports):
-            direct = train(task_config("xor", act, seed), make_dataset("xor"))
+            direct = train("xor", act, seed)
             assert report.final_loss == direct.final_loss
             assert report.epochs_to_threshold == direct.epochs_to_threshold
 
