@@ -26,8 +26,6 @@ from .spectral import (
     gap_samples,
     inverse_transform,
     parseval_check,
-    sigmoid_samples,
-    step_samples,
     transform_gap,
     transform_samples,
 )
@@ -49,7 +47,6 @@ from .bogoliubov import (
 )
 from .network import (
     TASKS,
-    Dataset,
     Task,
     TrainReport,
     forward,

@@ -30,12 +30,11 @@ from .spectral import (
     ModeSpectrum,
     inverse_transform,
     read_columns,
-    step_samples,
     transform_gap,
     transform_samples,
     write_columns,
 )
-from .activations import sigmoid_prime
+from .activations import sigmoid_prime, step
 
 
 class ProfileError(ValueError):
@@ -142,12 +141,18 @@ def compose_channels(first: BogoliubovChannel, second: BogoliubovChannel) -> Bog
 
 
 def self_compose(channel: BogoliubovChannel, n: int) -> BogoliubovChannel:
-    """n copies of the channel in sequence (n >= 1)."""
+    """n copies of the channel in sequence (n >= 1).
+
+    For n >= 2 the result is described flat, as the channel's profile and
+    params plus ``compose = n``, not as n - 1 nested compositions.
+    """
     if n < 1:
         raise ProfileError(f"composition count must be >= 1, got {n}")
     out = channel
     for _ in range(n - 1):
         out = compose_channels(out, channel)
+    if n > 1:
+        out.profile, out.params = channel.profile, {**channel.params, "compose": n}
     return out
 
 
@@ -198,7 +203,7 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     """
     grid = channel.grid
     gap_spec = transform_gap(grid)
-    samples = step_samples(grid) + inverse_transform(apply_channel(channel, gap_spec))
+    samples = step(grid.z) + inverse_transform(apply_channel(channel, gap_spec))
 
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))

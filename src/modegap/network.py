@@ -53,12 +53,6 @@ TASKS = {
 
 
 @dataclass
-class Dataset:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-
-@dataclass
 class TrainReport:
     final_accuracy: float
     final_loss: float
@@ -69,12 +63,13 @@ class TrainReport:
     weights: list = field(default=None, compare=False, repr=False)
 
 
-def make_dataset(name: str, seed: int = 0) -> Dataset:
-    """XOR truth table, or two noisy interleaved half-circles (200 points)."""
+def make_dataset(name: str, seed: int = 0):
+    """(inputs, labels) of the XOR truth table, or of two noisy interleaved
+    half-circles (200 points); inputs are (n, 2), labels (n,)."""
     if name == "xor":
         inputs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         labels = np.array([0.0, 1.0, 1.0, 0.0])
-        return Dataset(inputs, labels)
+        return inputs, labels
     if name == "moons":
         rng = np.random.default_rng(seed)
         t0 = rng.uniform(0.0, np.pi, 100)
@@ -85,7 +80,7 @@ def make_dataset(name: str, seed: int = 0) -> Dataset:
         ])
         inputs = inputs + rng.normal(0.0, 0.1, inputs.shape)
         labels = np.concatenate([np.zeros(100), np.ones(100)])
-        return Dataset(inputs, labels)
+        return inputs, labels
     raise ValueError(f"unknown dataset: {name!r}")
 
 
@@ -99,14 +94,13 @@ def init_weights(layer_sizes, rng):
 def forward(activation, weights, inputs):
     """All layer pre-activations and activations, plus the sigmoid output.
 
-    ``inputs`` is (batch, d) or a single (d,) vector; the output column of the
-    last layer is squeezed to (batch,).  Each layer's W must have as many
-    columns as the width before it, starting from the input's.
+    ``inputs`` is a (batch, d) array; the output column of the last layer is
+    squeezed to (batch,).  Each layer's W must have as many columns as the
+    width before it, starting from d.
     """
     x = np.asarray(inputs, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise DimensionError(f"inputs must be a (batch, d) array, got shape {x.shape}")
     width = x.shape[1]
     for w, _ in weights:
         if w.shape[1] != width:
@@ -123,8 +117,6 @@ def forward(activation, weights, inputs):
     pre.append(z)
     out = sigmoid(z[:, 0])
     post.append(out)
-    if single:
-        out = float(out[0])
     return pre, post, out
 
 
@@ -141,7 +133,7 @@ def loss_gradients(activation, weights, inputs, labels):
     saturated past the clamp the error signal is exactly zero (the clamped
     loss is flat there).
     """
-    pre, post, out = forward(activation, weights, np.atleast_2d(inputs))
+    pre, post, out = forward(activation, weights, inputs)
     labels = np.asarray(labels, dtype=float)
 
     clipped = (out <= OUTPUT_CLAMP) | (out >= 1.0 - OUTPUT_CLAMP)
@@ -162,10 +154,6 @@ def hidden_gradient_norm(grads) -> float:
     return float(np.sqrt(total))
 
 
-def accuracy(outputs, labels) -> float:
-    return float(np.mean((np.asarray(outputs) > 0.5).astype(float) == labels))
-
-
 def train(task: str, activation, seed: int) -> TrainReport:
     """Plain gradient descent on ``make_dataset(task, seed)`` with the task's
     row of ``TASKS``; deterministic given the seed.  An unknown task raises
@@ -176,12 +164,11 @@ def train(task: str, activation, seed: int) -> TrainReport:
     threshold rule is evaluated on the full dataset at each epoch end.  The
     report carries the final weights.
     """
-    dataset = make_dataset(task, seed)
+    x, y = make_dataset(task, seed)
     spec = TASKS[task]
     rng = np.random.default_rng(seed)
     weights = init_weights(spec.layer_sizes, rng)
 
-    x, y = dataset.inputs, dataset.labels
     n = len(x)
     batch = spec.batch_size
     full_batch = batch >= n
@@ -205,7 +192,7 @@ def train(task: str, activation, seed: int) -> TrainReport:
 
         _, _, out = forward(activation, weights, x)
         final_loss = bce_loss(out, y)
-        final_acc = accuracy(out, y)
+        final_acc = float(np.mean((out > 0.5).astype(float) == y))
         if epochs_to_threshold is None and spec.reached(final_loss, final_acc):
             epochs_to_threshold = epoch
 

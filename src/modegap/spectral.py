@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import sigmoid, step
-
 
 class SpectrumSymmetryError(ValueError):
     """Raised when a spectrum claimed to describe a real field is asymmetric."""
@@ -37,8 +35,11 @@ class Grid:
     """Uniform lattice of the activation argument and its wavenumbers.
 
     z_j = -L + j*dz for j in [0, N) with dz = 2L/N; k_n = pi*n/L for
-    n in [-N/2, N/2).  N must be a power of two, and dz and the largest |k|
-    must be finite, with dz > 0.
+    n in [-N/2, N/2); ``phase`` is the (-1)^n of the transform pair.  N is a
+    power of two and at least 8 (the jump estimate of ``continuum_spectrum``
+    reads three samples on each side of z = 0); dz and the largest |k| are
+    finite, with dz > 0; and the gap samples next to z = 0, its largest, do
+    not underflow, or every sample is 0 and no loss fraction exists.
     """
 
     half_width: float
@@ -55,9 +56,14 @@ class Grid:
         if not (0.0 < self.dz < np.inf and np.isfinite(k_max)):
             raise GridError(f"half_width {self.half_width} gives a non-finite lattice: "
                             f"dz = {self.dz}, max |k| = {k_max}")
+        if n < 8:
+            raise GridError(f"n_points must be >= 8 for the jump estimate at z = 0, got {n}")
         self.z = -self.half_width + self.dz * np.arange(n)
-        self._n_index = np.arange(-(n // 2), n // 2)
-        self.k = np.pi * self._n_index / self.half_width
+        if not np.any(gap(self.z[[n // 2 - 1, n // 2 + 1]])):
+            raise GridError(f"every gap sample underflows to 0 (dz = {self.dz:g})")
+        index = np.arange(-(n // 2), n // 2)
+        self.k = np.pi * index / self.half_width
+        self.phase = np.where(index % 2 == 0, 1.0, -1.0)
 
     def require_same(self, other: "Grid"):
         if self.half_width != other.half_width or self.n_points != other.n_points:
@@ -107,14 +113,6 @@ def gap(z):
     return out if out.ndim else float(out)
 
 
-def sigmoid_samples(grid: Grid) -> np.ndarray:
-    return sigmoid(grid.z)
-
-
-def step_samples(grid: Grid) -> np.ndarray:
-    return step(grid.z)
-
-
 def gap_samples(grid: Grid) -> np.ndarray:
     return gap(grid.z)
 
@@ -128,8 +126,7 @@ def transform_samples(grid: Grid, samples) -> ModeSpectrum:
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
         raise GridError("sample count does not match the grid")
-    phase = np.where(grid._n_index % 2 == 0, 1.0, -1.0)
-    amplitudes = grid.dz * phase * np.fft.fftshift(np.fft.fft(samples))
+    amplitudes = grid.dz * grid.phase * np.fft.fftshift(np.fft.fft(samples))
     return ModeSpectrum(grid, amplitudes)
 
 
@@ -146,11 +143,9 @@ def continuum_spectrum(grid: Grid, samples) -> ModeSpectrum:
     whose leading term is i*J*dz^2*k/12; this adds the difference back.  J is
     extrapolated quadratically from three samples on each side of the origin,
     (3f_1 - 3f_2 + f_3) - (3f_-1 - 3f_-2 + f_-3).  The term is 0 at k = 0 and
-    at the real Nyquist entry, so conjugate symmetry is kept.  Needs N >= 8.
+    at the real Nyquist entry, so conjugate symmetry is kept.
     """
     n = grid.n_points
-    if n < 8:
-        raise GridError("the jump estimate needs at least 8 lattice points")
     spectrum = transform_samples(grid, samples)
     f = np.asarray(samples, dtype=float)
     o = n // 2                                 # z_o = 0
@@ -186,8 +181,7 @@ def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
             f"conjugate symmetry violated by {defect:.3e} (tolerance {SYMMETRY_TOL:.1e})"
         )
     grid = spectrum.grid
-    phase = np.where(grid._n_index % 2 == 0, 1.0, -1.0)
-    rec = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes * phase / grid.dz))
+    rec = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes * grid.phase / grid.dz))
     residue = float(np.max(np.abs(rec.imag)))
     if residue > 1e-9:
         raise SpectrumSymmetryError(f"imaginary reconstruction residue {residue:.3e}")

@@ -14,10 +14,11 @@ with it the deviation is 5.9e-9.  The lattice pair itself stays exact, so the
 round-trip and reconstruction identities are untouched.
 
 One check is known to fail on the default configuration and is reported
-honestly rather than loosened: the monotone early-gradient claim.  Degraded
-activations boost hidden-value contrast (the step carrier), which enlarges
-early hidden gradients faster than the sqrt(1-iota) derivative attenuation
-shrinks them at mid levels.
+honestly rather than loosened: the monotone early-gradient claim.  Its median
+early hidden-gradient norms measure 5.0e-3, 1.7e-2, 3.1e-2, 5.6e-2 and 0 over
+levels 0..1, while at a fixed weight point the hidden gradient scales as
+sqrt(1-iota) (gradient-scaling-fixed-point passes).  The cause of the rise is
+left open; ROADMAP item 3 holds what has been measured of it.
 """
 
 import contextlib
@@ -29,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .activations import SIGMOID, PerceptronConfig, perceptron_decide, sigmoid
-from .spectral import Grid, analytic_gap_spectrum, continuum_gap_spectrum, gap_samples, \
-    sigmoid_samples, step_samples
+from .activations import SIGMOID, PerceptronConfig, perceptron_decide, sigmoid, step
+from .spectral import Grid, analytic_gap_spectrum, continuum_gap_spectrum, gap_samples
 from .bogoliubov import (
     commutator_residual,
     make_channel,
@@ -146,8 +146,8 @@ def check_commutator_dichotomy():
 
 def check_reconstruction_endpoints():
     grid = DEFAULT_GRID
-    sig = sigmoid_samples(grid)
-    stp = step_samples(grid)
+    sig = sigmoid(grid.z)
+    stp = step(grid.z)
     g = gap_samples(grid)
     recs = {iota: reconstruct(uniform_channel(grid, iota)) for iota in SWEEP_LEVELS}
     dev_sig = float(np.max(np.abs(recs[0.0].samples - sig)))
@@ -173,14 +173,14 @@ def check_planck_occupation():
 
 
 def check_gradient_correctness():
-    dataset = make_dataset("xor")
+    inputs, labels = make_dataset("xor")
     rng = np.random.default_rng(2025)
     h = 1e-5
     worst = 0.0
     for _ in range(100):
         weights = [(rng.uniform(-1.0, 1.0, (4, 2)), rng.uniform(-1.0, 1.0, 4)),
                    (rng.uniform(-1.0, 1.0, (1, 4)), rng.uniform(-1.0, 1.0, 1))]
-        grads = loss_gradients(SIGMOID, weights, dataset.inputs, dataset.labels)
+        grads = loss_gradients(SIGMOID, weights, inputs, labels)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                                    for dw, db in grads])
 
@@ -190,8 +190,8 @@ def check_gradient_correctness():
                 w2 = flat[i:i + w.size].reshape(w.shape); i += w.size
                 b2 = flat[i:i + b.size]; i += b.size
                 out.append((w2, b2))
-            _, _, y = network.forward(SIGMOID, out, dataset.inputs)
-            return network.bce_loss(y, dataset.labels)
+            _, _, y = network.forward(SIGMOID, out, inputs)
+            return network.bce_loss(y, labels)
 
         flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                                for w, b in weights])
@@ -244,14 +244,14 @@ def scaling_fixed_point_ratios():
     the hidden values (0.5) and hence the output error are identical across
     loss levels and only the derivative table differentiates the gradients.
     """
-    dataset = make_dataset("xor")
+    inputs, labels = make_dataset("xor")
     rng = np.random.default_rng(42)
     weights = [(np.zeros((4, 2)), np.zeros(4)),
                (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
     norms = {}
     for iota in SWEEP_LEVELS:
         act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
-        grads = loss_gradients(act, weights, dataset.inputs, dataset.labels)
+        grads = loss_gradients(act, weights, inputs, labels)
         norms[iota] = hidden_gradient_norm(grads)
     return norms
 
@@ -296,10 +296,13 @@ def check_determinism():
                     code = cli.main([cmd, "--out", str(out)] + extra)
                 if code != 0:
                     return False, f"{cmd} exited {code}"
-            for f in sorted(out_a.glob("*.csv")):
-                if not filecmp.cmp(f, out_b / f.name, shallow=False):
-                    mismatches.append(f"{cmd}/{f.name}")
-    return not mismatches, ("bit-identical CSVs" if not mismatches
+            # config.resolved names its own out.dir; a file only one run wrote
+            # is an error of cmpfiles.
+            names = {f.name for out in (out_a, out_b) for f in out.iterdir()}
+            names.discard("config.resolved")
+            _, differ, errors = filecmp.cmpfiles(out_a, out_b, sorted(names), shallow=False)
+            mismatches += [f"{cmd}/{name}" for name in differ + errors]
+    return not mismatches, ("bit-identical outputs" if not mismatches
                             else "mismatched: " + ",".join(mismatches))
 
 

@@ -18,8 +18,8 @@ from modegap import (
     planck_occupation,
     reconstruct,
     self_compose,
-    sigmoid_samples,
-    step_samples,
+    sigmoid,
+    step,
     thermal_channel,
     transform_gap,
     uniform_channel,
@@ -175,19 +175,19 @@ class TestApplyChannel:
 class TestReconstruct:
     def test_identity_reproduces_sigmoid(self):
         act = reconstruct(uniform_channel(GRID, 0.0))
-        assert np.abs(act.samples - sigmoid_samples(GRID)).max() < 1e-9
+        assert np.abs(act.samples - sigmoid(GRID.z)).max() < 1e-9
         assert act.loss_fraction == pytest.approx(0.0, abs=1e-15)
 
     def test_total_loss_is_exact_step(self):
         act = reconstruct(uniform_channel(GRID, 1.0))
-        np.testing.assert_array_equal(act.samples, step_samples(GRID))
+        np.testing.assert_array_equal(act.samples, step(GRID.z))
         assert act.loss_fraction == 1.0
         np.testing.assert_array_equal(act.derivative_samples, 0.0)
 
     @pytest.mark.parametrize("iota", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_closed_form(self, iota):
         act = reconstruct(uniform_channel(GRID, iota))
-        closed = step_samples(GRID) + math.sqrt(1.0 - iota) * gap_samples(GRID)
+        closed = step(GRID.z) + math.sqrt(1.0 - iota) * gap_samples(GRID)
         assert np.abs(act.samples - closed).max() < 1e-9
 
     def test_uniform_loss_fraction_equals_iota(self):

@@ -229,6 +229,22 @@ class TestChannelCommand:
                         "--set", "channel.iota=0.5", "--set", "grid.N=256"]) == 0
         assert "commutator residual: 0.75" in capsys.readouterr().out
 
+    def test_deep_composition_described_flat(self, tmp_path):
+        """A 1000-fold composition is described as its base channel plus
+        ``compose = 1000``, so writing channel.txt cannot recurse per level."""
+        out = tmp_path / "ch"
+        proc = subprocess.run(
+            [sys.executable, "-m", "modegap", "channel", "--out", str(out),
+             "--compose", "1000", "--set", "grid.N=8"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = (out / "channel.txt").read_text().splitlines()
+        values = dict(line.split(" = ", 1) for line in lines)
+        assert values["profile"] == "uniform"
+        assert values["compose"] == "1000"
+        assert values["iota"] == "0.5"
+
     def test_thermal_occupation_column(self, tmp_path):
         out = tmp_path / "ch"
         assert run_cli(["channel", "--out", str(out),

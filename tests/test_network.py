@@ -34,23 +34,22 @@ def degraded(iota):
 
 class TestDatasets:
     def test_xor_exact(self):
-        ds = make_dataset("xor", seed=123)
-        np.testing.assert_array_equal(
-            ds.inputs, [[0, 0], [0, 1], [1, 0], [1, 1]])
-        np.testing.assert_array_equal(ds.labels, [0, 1, 1, 0])
+        inputs, labels = make_dataset("xor", seed=123)
+        np.testing.assert_array_equal(inputs, [[0, 0], [0, 1], [1, 0], [1, 1]])
+        np.testing.assert_array_equal(labels, [0, 1, 1, 0])
 
     def test_moons_shape_and_balance(self):
-        ds = make_dataset("moons", seed=0)
-        assert ds.inputs.shape == (200, 2)
-        assert ds.labels.sum() == 100
+        inputs, labels = make_dataset("moons", seed=0)
+        assert inputs.shape == (200, 2)
+        assert labels.sum() == 100
 
     def test_moons_deterministic(self):
-        a, b = make_dataset("moons", 5), make_dataset("moons", 5)
-        np.testing.assert_array_equal(a.inputs, b.inputs)
+        (a, _), (b, _) = make_dataset("moons", 5), make_dataset("moons", 5)
+        np.testing.assert_array_equal(a, b)
 
     def test_moons_seed_sensitivity(self):
-        a, b = make_dataset("moons", 1), make_dataset("moons", 2)
-        assert np.any(a.inputs != b.inputs)
+        (a, _), (b, _) = make_dataset("moons", 1), make_dataset("moons", 2)
+        assert np.any(a != b)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -62,19 +61,21 @@ class TestDatasets:
 class TestForward:
     def test_zero_weights_give_half(self):
         weights = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
-        _, _, out = forward(SIGMOID, weights, np.array([0.3, -2.0]))
-        assert out == 0.5
+        _, _, out = forward(SIGMOID, weights, np.array([[0.3, -2.0]]))
+        np.testing.assert_array_equal(out, [0.5])
 
     def test_shape_mismatch(self):
         weights = [(np.zeros((4, 3)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         with pytest.raises(DimensionError):
-            forward(SIGMOID, weights, np.array([1.0, 2.0]))
+            forward(SIGMOID, weights, np.array([[1.0, 2.0]]))
         good = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 4)), np.zeros(1))]
         with pytest.raises(DimensionError):
-            forward(SIGMOID, good, np.array([1.0, 2.0, 3.0]))
+            forward(SIGMOID, good, np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(DimensionError):
+            forward(SIGMOID, good, np.array([1.0, 2.0]))  # a 1-D input is no batch
         hidden = [(np.zeros((4, 2)), np.zeros(4)), (np.zeros((1, 3)), np.zeros(1))]
         with pytest.raises(DimensionError):
-            forward(SIGMOID, hidden, np.array([1.0, 2.0]))
+            forward(SIGMOID, hidden, np.array([[1.0, 2.0]]))
 
     def test_identity_channel_matches_analytic_sigmoid(self):
         """Degraded table at zero loss is the sigmoid up to interpolation."""
@@ -92,11 +93,11 @@ class TestForward:
         weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                    (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
         act = degraded(0.5)
-        x = np.array([0.7, 0.2])
-        _, _, base = forward(act, weights, x)
+        x = np.array([[0.7, 0.2]])
+        _, _, (base,) = forward(act, weights, x)
         bumped = [(weights[0][0].copy(), weights[0][1]), weights[1]]
         bumped[0][0][2, 1] += 1e-6
-        _, _, out = forward(act, bumped, x)
+        _, _, (out,) = forward(act, bumped, x)
         # worst slope on the table is the step ramp across one cell, ~1/(2 dz)
         lipschitz = 0.25 * (1.0 + 1.0 / (2.0 * GRID.dz))
         assert abs(out - base) <= lipschitz * 1e-6
@@ -104,13 +105,13 @@ class TestForward:
 
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
-        ds = make_dataset("xor")
+        inputs, labels = make_dataset("xor")
         rng = np.random.default_rng(17)
         h = 1e-5
         for _ in range(5):
             weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                        (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-            grads = loss_gradients(SIGMOID, weights, ds.inputs, ds.labels)
+            grads = loss_gradients(SIGMOID, weights, inputs, labels)
             flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                                    for w, b in weights])
             analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
@@ -122,8 +123,8 @@ class TestGradients:
                     w2 = vec[i:i + w.size].reshape(w.shape); i += w.size
                     b2 = vec[i:i + b.size]; i += b.size
                     rebuilt.append((w2, b2))
-                _, _, out = forward(SIGMOID, rebuilt, ds.inputs)
-                return bce_loss(out, ds.labels)
+                _, _, out = forward(SIGMOID, rebuilt, inputs)
+                return bce_loss(out, labels)
 
             numeric = np.array([
                 (loss_at(flat + h * e) - loss_at(flat - h * e)) / (2 * h)
@@ -139,14 +140,14 @@ class TestGradients:
         """With first-layer weights zero the hidden values match across loss
         levels, so the hidden gradient scales exactly like the derivative
         table: sqrt(1 - iota)."""
-        ds = make_dataset("xor")
+        inputs, labels = make_dataset("xor")
         rng = np.random.default_rng(42)
         weights = [(np.zeros((4, 2)), np.zeros(4)),
                    (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
         norms = {}
         for iota in (0.0, 0.25, 0.5, 0.75):
             norms[iota] = hidden_gradient_norm(
-                loss_gradients(degraded(iota), weights, ds.inputs, ds.labels))
+                loss_gradients(degraded(iota), weights, inputs, labels))
         for iota in (0.25, 0.5, 0.75):
             ratio = norms[iota] / norms[0.0]
             assert ratio == pytest.approx(math.sqrt(1 - iota), rel=1e-3)

@@ -55,14 +55,18 @@ class TestGrid:
         np.testing.assert_allclose(k[1:], -k[1:][::-1])
 
     def test_invalid(self):
-        with pytest.raises(GridError):
-            Grid(40.0, 100)  # not a power of two
-        with pytest.raises(GridError):
-            Grid(-1.0, 64)
-        with pytest.raises(GridError):
-            Grid(40.0, 0)
-        with pytest.raises(GridError):
-            Grid(1e-310, 4096)  # dz > 0, but the largest |k| overflows
+        for half_width, n_points in [
+            (40.0, 100),     # not a power of two
+            (-1.0, 64),
+            (40.0, 0),
+            (1e-310, 4096),  # dz > 0, but the largest |k| overflows
+            (40.0, 1),       # N < 8: no three samples on each side of z = 0
+            (40.0, 2),
+            (40.0, 4),
+            (1e300, 4096),   # the gap samples next to z = 0 underflow to 0
+        ]:
+            with pytest.raises(GridError):
+                Grid(half_width, n_points)
 
 
 class TestGap:
@@ -208,6 +212,8 @@ class TestContinuumSpectrum:
                                       transform_samples(GRID, even).amplitudes)
 
     def test_small_grid_rejected(self):
+        # the N >= 8 rule is the lattice's: the grid is refused before
+        # continuum_spectrum can read its samples
         with pytest.raises(GridError):
             continuum_spectrum(Grid(40.0, 4), np.zeros(4))
 
