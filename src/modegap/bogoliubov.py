@@ -21,7 +21,7 @@ like sqrt(1 - iota) for uniform channels.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class ProfileError(ValueError):
 # k = 0 lattice point of the thermal profile, where the exact value diverges.
 _MAX_TANH = np.nextafter(1.0, 0.0)
 
+# Largest squeeze whose cosh, sinh and sinh^2 are all finite: arcsinh(sqrt(DBL_MAX)).
+MAX_SQUEEZE = float(np.arcsinh(np.sqrt(np.finfo(float).max)))
+
 
 @dataclass
 class BogoliubovChannel:
@@ -53,8 +56,6 @@ class BogoliubovChannel:
     grid: Grid
     iota: np.ndarray
     squeeze: np.ndarray
-    profile: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.iota = np.asarray(self.iota, dtype=float)
@@ -64,8 +65,9 @@ class BogoliubovChannel:
             raise ProfileError("profiles must cover the full wavenumber lattice")
         if not np.all((self.iota >= 0.0) & (self.iota <= 1.0)):
             raise ProfileError("loss profile must lie in [0, 1]")
-        if np.any(self.squeeze < 0.0) or not np.all(np.isfinite(self.squeeze)):
-            raise ProfileError("squeeze profile must be finite and >= 0")
+        if not np.all((self.squeeze >= 0.0) & (self.squeeze <= MAX_SQUEEZE)):
+            raise ProfileError(f"squeeze profile must lie in [0, {MAX_SQUEEZE!r}], "
+                               "where alpha, beta and beta^2 are finite")
 
     @property
     def alpha(self) -> np.ndarray:
@@ -95,8 +97,7 @@ def make_channel(grid: Grid, loss_profile, squeeze_profile) -> BogoliubovChannel
 
 def uniform_channel(grid: Grid, iota: float) -> BogoliubovChannel:
     """Constant loss, no squeeze."""
-    return BogoliubovChannel(grid, np.full(grid.n_points, float(iota)),
-                             np.zeros(grid.n_points), "uniform", {"iota": float(iota)})
+    return BogoliubovChannel(grid, np.full(grid.n_points, float(iota)), np.zeros(grid.n_points))
 
 
 def lowpass_channel(grid: Grid, k_cut: float) -> BogoliubovChannel:
@@ -104,8 +105,7 @@ def lowpass_channel(grid: Grid, k_cut: float) -> BogoliubovChannel:
     if not (math.isfinite(k_cut) and k_cut > 0):
         raise ProfileError(f"k_cut must be finite and positive, got {k_cut}")
     iota = np.where(np.abs(grid.k) < k_cut, 0.0, 1.0)
-    return BogoliubovChannel(grid, iota, np.zeros(grid.n_points),
-                             "lowpass", {"kc": float(k_cut)})
+    return BogoliubovChannel(grid, iota, np.zeros(grid.n_points))
 
 
 def thermal_channel(grid: Grid, temperature: float) -> BogoliubovChannel:
@@ -117,9 +117,10 @@ def thermal_channel(grid: Grid, temperature: float) -> BogoliubovChannel:
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ProfileError(f"temperature must be finite and positive, got {temperature}")
-    x = np.minimum(np.exp(-np.abs(grid.k) / (2.0 * temperature)), _MAX_TANH)
-    return BogoliubovChannel(grid, np.zeros(grid.n_points), np.arctanh(x),
-                             "thermal", {"T": float(temperature)})
+    # For a tiny T, |k|/2T overflows to inf; exp(-inf) = 0 is the exact limit.
+    with np.errstate(over="ignore"):
+        x = np.minimum(np.exp(-np.abs(grid.k) / (2.0 * temperature)), _MAX_TANH)
+    return BogoliubovChannel(grid, np.zeros(grid.n_points), np.arctanh(x))
 
 
 def commutator_residual(channel: BogoliubovChannel) -> float:
@@ -135,24 +136,16 @@ def compose_channels(first: BogoliubovChannel, second: BogoliubovChannel) -> Bog
     """Sequential application: transmissivities multiply, squeezes add."""
     first.grid.require_same(second.grid)
     iota = 1.0 - (1.0 - first.iota) * (1.0 - second.iota)
-    return BogoliubovChannel(first.grid, iota, first.squeeze + second.squeeze,
-                             f"compose({first.profile},{second.profile})",
-                             {"first": first.params, "second": second.params})
+    return BogoliubovChannel(first.grid, iota, first.squeeze + second.squeeze)
 
 
 def self_compose(channel: BogoliubovChannel, n: int) -> BogoliubovChannel:
-    """n copies of the channel in sequence (n >= 1).
-
-    For n >= 2 the result is described flat, as the channel's profile and
-    params plus ``compose = n``, not as n - 1 nested compositions.
-    """
+    """n copies of the channel in sequence (n >= 1)."""
     if n < 1:
         raise ProfileError(f"composition count must be >= 1, got {n}")
     out = channel
     for _ in range(n - 1):
         out = compose_channels(out, channel)
-    if n > 1:
-        out.profile, out.params = channel.profile, {**channel.params, "compose": n}
     return out
 
 
@@ -222,18 +215,6 @@ def write_activation_csv(path, activation: DegradedActivation):
 def read_activation_csv(path):
     """Returns (z, f, fprime) arrays; the inverse of write_activation_csv."""
     return tuple(read_columns(path, ["z", "f", "fprime"]))
-
-
-def channel_descriptor(channel: BogoliubovChannel) -> str:
-    """Flat key-value text block describing a channel and its grid."""
-    lines = [f"profile = {channel.profile}"]
-    for key, val in sorted(channel.params.items()):
-        lines.append(f"{key} = {val}")
-    lines.append(f"grid.L = {channel.grid.half_width}")
-    lines.append(f"grid.N = {channel.grid.n_points}")
-    lines.append(f"max_iota = {float(np.max(channel.iota))}")
-    lines.append(f"max_squeeze = {float(np.max(channel.squeeze))}")
-    return "\n".join(lines) + "\n"
 
 
 def gap_power_split(channel: BogoliubovChannel):

@@ -4,8 +4,11 @@ Options follow the subcommand.  Configuration is a flat key-value file (one
 ``key = value`` per line, ``#`` comments) overridden by repeatable ``--set
 key=value`` flags; ``--out`` and ``--seed`` are shorthands for ``out.dir`` and
 a single-seed sweep.  ``verify`` takes only ``--full``.  ``resolve_config``
-checks every key once, before any command writes, and the fully resolved
-configuration is echoed to ``<out.dir>/config.resolved`` next to the outputs.
+checks every key once and builds the run's channel, composed ``--compose``
+times, before any command writes; a composition is checked with the other
+channel rules.  The fully resolved configuration is echoed to
+``<out.dir>/config.resolved`` next to the outputs; ``channel.txt`` names the
+channel by the profile and parameter read from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error; a command that exits 2 has written nothing.
@@ -22,7 +25,6 @@ from .activations import sigmoid
 from .spectral import Grid, continuum_spectrum, gap_samples, write_columns, write_spectrum_csv
 from .bogoliubov import (
     BogoliubovChannel,
-    channel_descriptor,
     commutator_residual,
     lowpass_channel,
     reconstruct,
@@ -72,11 +74,13 @@ def parse_config_file(path) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved ``key = value`` strings of a run, and every one parsed and checked."""
+    """The resolved ``key = value`` strings of a run, and every one parsed and checked.
+    ``params`` names the channel: its profile's parameter, and ``compose`` if n >= 2."""
 
     values: dict
     grid: Grid
     channel: BogoliubovChannel
+    params: dict
     levels: list
     seeds: list
     task: str
@@ -92,7 +96,8 @@ def _comma_list(values, key, convert):
 
 def resolve_config(args) -> RunConfig:
     """Merge defaults, ``--config``, ``--set``, ``--out`` and ``--seed``, then
-    parse and check every key; raises ``ConfigError`` on the first bad one."""
+    parse and check every key and compose the channel ``--compose`` times (once
+    for commands without the option); raises ``ConfigError`` on the first bad one."""
     values = dict(DEFAULTS)
     if args.config:
         file_values = parse_config_file(args.config)
@@ -119,17 +124,21 @@ def resolve_config(args) -> RunConfig:
 
     # Built per call, so that a maker rebound on this module (as the
     # benchmark's span tracer does) is the one called.
-    makers = {"uniform": (uniform_channel, "channel.iota"),
-              "lowpass": (lowpass_channel, "channel.kc"),
-              "thermal": (thermal_channel, "channel.T")}
+    makers = {"uniform": (uniform_channel, "iota"),
+              "lowpass": (lowpass_channel, "kc"),
+              "thermal": (thermal_channel, "T")}
     profile = values["channel.profile"]
     if profile not in makers:
         raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
-    maker, key = makers[profile]
+    maker, name = makers[profile]
+    compose_n = getattr(args, "compose", 1)
     try:
-        channel = maker(grid, float(values[key]))
+        params = {name: float(values[f"channel.{name}"])}
+        channel = self_compose(maker(grid, params[name]), compose_n)
     except ValueError as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
+    if compose_n > 1:
+        params["compose"] = compose_n
 
     levels = _comma_list(values, "sweep.levels", float)
     if not levels or levels != sorted(levels) or not all(0.0 <= v <= 1.0 for v in levels):
@@ -141,7 +150,7 @@ def resolve_config(args) -> RunConfig:
     task = values["task.name"].lower()
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")
-    return RunConfig(values, grid, channel, levels, seeds, task)
+    return RunConfig(values, grid, channel, params, levels, seeds, task)
 
 
 def prepare_out(run: RunConfig) -> Path:
@@ -153,6 +162,18 @@ def prepare_out(run: RunConfig) -> Path:
     except OSError as exc:
         raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
     return out_dir
+
+
+def write_channel_txt(out_dir: Path, run: RunConfig):
+    """One ``key = value`` line each: the profile, ``run.params``, the grid,
+    ``max_iota`` and ``max_squeeze`` of the run's channel."""
+    channel = run.channel
+    lines = [f"profile = {run.values['channel.profile']}"]
+    lines += [f"{key} = {val}" for key, val in sorted(run.params.items())]
+    lines += [f"grid.L = {run.grid.half_width}", f"grid.N = {run.grid.n_points}",
+              f"max_iota = {float(np.max(channel.iota))}",
+              f"max_squeeze = {float(np.max(channel.squeeze))}"]
+    (out_dir / "channel.txt").write_text("\n".join(lines) + "\n")
 
 
 def print_checks(results) -> int:
@@ -187,35 +208,35 @@ def cmd_spectrum(run: RunConfig) -> int:
     return 0
 
 
-def cmd_channel(run: RunConfig, compose_n: int) -> int:
+def cmd_channel(run: RunConfig) -> int:
+    channel = run.channel
     out_dir = prepare_out(run)
-    channel = self_compose(run.channel, compose_n)
 
     beta = channel.beta
     write_columns(out_dir / "channel_modes.csv", ["k", "alpha", "beta", "eta", "occupation"],
                   [run.grid.k, channel.alpha, beta, channel.eta, beta**2])
-    (out_dir / "channel.txt").write_text(channel_descriptor(channel))
+    write_channel_txt(out_dir, run)
     print(f"commutator residual: {commutator_residual(channel):.12g}")
     return 0
 
 
 def cmd_degrade(run: RunConfig) -> int:
-    grid, channel = run.grid, run.channel
+    grid, profile = run.grid, run.values["channel.profile"]
     out_dir = prepare_out(run)
-    activation = reconstruct(channel)
+    activation = reconstruct(run.channel)
 
     write_activation_csv(out_dir / "degraded_activation.csv", activation)
-    (out_dir / "channel.txt").write_text(channel_descriptor(channel))
+    write_channel_txt(out_dir, run)
 
     zs = np.linspace(-10.0, 10.0, 801)
     curves = []
-    if channel.profile == "uniform":
+    if profile == "uniform":
         for iota in run.levels:
-            act = activation if iota == channel.params["iota"] \
+            act = activation if iota == run.params["iota"] \
                 else reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
     else:
-        curves.append((channel.profile, zs, activation.evaluate(zs)))
+        curves.append((profile, zs, activation.evaluate(zs)))
     line_plot(out_dir / "degraded_activation.svg", curves,
               "Degraded activations", "z", "f(z)")
 
@@ -285,17 +306,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "verify":
         return cmd_verify(args.full)
+    # Built per call, like resolve_config's makers, so that a rebound command is called.
+    commands = {"spectrum": cmd_spectrum, "channel": cmd_channel,
+                "degrade": cmd_degrade, "train-sweep": cmd_train_sweep}
     try:
-        run = resolve_config(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(run)
-        if args.command == "channel":
-            if args.compose < 1:
-                raise ConfigError("--compose must be >= 1")
-            return cmd_channel(run, args.compose)
-        if args.command == "degrade":
-            return cmd_degrade(run)
-        return cmd_train_sweep(run)
+        return commands[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

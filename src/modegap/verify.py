@@ -183,24 +183,17 @@ def check_gradient_correctness():
         grads = loss_gradients(SIGMOID, weights, inputs, labels)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                                    for dw, db in grads])
-
-        def loss_at(flat):
-            out, i = [], 0
-            for w, b in weights:
-                w2 = flat[i:i + w.size].reshape(w.shape); i += w.size
-                b2 = flat[i:i + b.size]; i += b.size
-                out.append((w2, b2))
-            _, _, y = network.forward(SIGMOID, out, inputs)
-            return network.bce_loss(y, labels)
-
-        flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                               for w, b in weights])
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += h
-            dn[i] -= h
-            numeric[i] = (loss_at(up) - loss_at(dn)) / (2.0 * h)
+        numeric = []
+        for array in [a for layer in weights for a in layer]:
+            for idx in np.ndindex(array.shape):
+                saved, losses = array[idx], []
+                for value in (saved + h, saved - h):
+                    array[idx] = value
+                    _, _, y = network.forward(SIGMOID, weights, inputs)
+                    losses.append(network.bce_loss(y, labels))
+                array[idx] = saved
+                numeric.append((losses[0] - losses[1]) / (2.0 * h))
+        numeric = np.array(numeric)
         rel = float(np.linalg.norm(analytic - numeric)
                     / max(np.linalg.norm(analytic), np.linalg.norm(numeric)))
         worst = max(worst, rel)
@@ -237,7 +230,7 @@ def check_grad_norm_monotone(reports, levels=SWEEP_LEVELS):
     return monotone, "medians=" + ",".join(f"{m:.3e}" for m in medians)
 
 
-def scaling_fixed_point_ratios():
+def check_gradient_scaling():
     """Hidden-gradient norms at a weight point where the scaling is isolated.
 
     First-layer weights and all biases zero: every pre-activation is 0, so
@@ -253,11 +246,6 @@ def scaling_fixed_point_ratios():
         act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
         grads = loss_gradients(act, weights, inputs, labels)
         norms[iota] = hidden_gradient_norm(grads)
-    return norms
-
-
-def check_gradient_scaling():
-    norms = scaling_fixed_point_ratios()
     base = norms[0.0]
     worst = 0.0
     for iota in (0.25, 0.5, 0.75):

@@ -25,7 +25,7 @@ from modegap import (
     uniform_channel,
 )
 from modegap.bogoliubov import (
-    channel_descriptor,
+    MAX_SQUEEZE,
     gap_power_split,
     read_activation_csv,
     write_activation_csv,
@@ -60,6 +60,13 @@ class TestChannelCoefficients:
             make_channel(SMALL, lambda k: 0.0, lambda k: -1.0)
         with pytest.raises(ProfileError):
             make_channel(SMALL, lambda k: math.nan, lambda k: 0.0)
+        with pytest.raises(ProfileError):
+            make_channel(SMALL, lambda k: 0.0, lambda k: np.nextafter(MAX_SQUEEZE, math.inf))
+        # At the bound arcsinh(sqrt(DBL_MAX)), alpha, beta and beta^2 are finite.
+        assert MAX_SQUEEZE == pytest.approx(355.58450362725193, rel=1e-15)
+        ch = make_channel(SMALL, lambda k: 0.0, lambda k: MAX_SQUEEZE)
+        assert np.all(np.isfinite(ch.alpha))
+        assert np.all(np.isfinite(ch.beta**2))
 
     def test_thermal_finite_at_k_zero(self):
         ch = thermal_channel(SMALL, 1.0)
@@ -267,10 +274,3 @@ class TestSerialization:
         np.testing.assert_array_equal(z, GRID.z)
         np.testing.assert_array_equal(f, act.samples)
         np.testing.assert_array_equal(fp, act.derivative_samples)
-
-    def test_descriptor(self):
-        text = channel_descriptor(thermal_channel(SMALL, 2.0))
-        assert "profile = thermal" in text
-        assert "T = 2.0" in text
-        assert "grid.L = 20.0" in text
-        assert "grid.N = 256" in text

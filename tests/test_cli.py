@@ -90,6 +90,9 @@ class TestConfigResolution:
          "--seed", "0"],
         ["degrade", "--set", "grid.L=1e300"],
         ["channel", "--set", "grid.L=3000", "--set", "grid.N=8"],
+        ["channel", "--set", "grid.N=8", "--set", "channel.profile=thermal", "--compose", "20"],
+        ["channel", "--set", "grid.N=8", "--set", "channel.profile=thermal", "--compose", "38"],
+        ["channel", "--compose", "0"],
     ])
     @pytest.mark.filterwarnings("error")  # no warning may precede the error line
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -154,7 +157,7 @@ class TestConfigFuzz:
            st.dictionaries(st.sampled_from(FUZZED_KEYS), CONFIG_VALUES, max_size=3),
            st.one_of(st.sampled_from([2**e for e in range(13)]),
                      st.integers(-2**12, 2**12)),
-           st.integers(0, 3))
+           st.sampled_from([0, 1, 2, 3, 19, 20]))
     @settings(max_examples=50, deadline=None)
     def test_cli_exits_0_or_2(self, command, values, n_points, compose):
         values["grid.N"] = n_points
@@ -244,6 +247,27 @@ class TestChannelCommand:
         assert values["profile"] == "uniform"
         assert values["compose"] == "1000"
         assert values["iota"] == "0.5"
+
+    def test_descriptor(self, tmp_path):
+        out = tmp_path / "ch"
+        assert run_cli(["channel", "--out", str(out), "--set", "channel.profile=thermal",
+                        "--set", "channel.T=2", "--set", "grid.L=20",
+                        "--set", "grid.N=256"]) == 0
+        text = (out / "channel.txt").read_text()
+        assert "profile = thermal" in text
+        assert "T = 2.0" in text
+        assert "grid.L = 20.0" in text
+        assert "grid.N = 256" in text
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_temperature_without_warning(self, tmp_path):
+        """|k|/2T overflows for T = 1e-320; exp(-inf) = 0 is the exact limit."""
+        out = tmp_path / "ch"
+        assert run_cli(["channel", "--out", str(out), "--set", "channel.profile=thermal",
+                        "--set", "channel.T=1e-320"]) == 0
+        rows = (out / "channel_modes.csv").read_text().splitlines()[1:]
+        occupations = [float(row.split(",")[4]) for row in rows]
+        assert sum(occ != 0.0 for occ in occupations) == 1  # only the capped k = 0 mode
 
     def test_thermal_occupation_column(self, tmp_path):
         out = tmp_path / "ch"
