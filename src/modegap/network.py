@@ -12,8 +12,17 @@ full loss and would mask the freeze.
 
 A hidden activation is any object with ``evaluate(z)`` and
 ``evaluate_derivative(z)``: a ``reconstruct(...)`` result, or the
-closed-form ``SIGMOID`` or ``STEP``.  ``train(task, activation, seed)``
+closed-form ``SIGMOID`` or ``STEP``.  ``train(task, activation, seeds)``
 reads everything else from the task's row of ``TASKS``.
+
+The network math takes a (batch, d) input, or a (seeds, batch, d) stack
+with a matching leading seed axis on every weight and bias, through one
+body.  ``train`` runs all its seeds as one stack, so the Python cost of a
+step is paid once per step, not once per seed.  Each seed's slice sees the
+same products and sums, in the same order, as it would alone: stacked
+``@`` computes slice by slice like the 2-D ``@``, and every per-seed
+reduction runs along a contiguous last axis.  A report is therefore
+bit-identical to the one that seed gives when trained alone.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +32,7 @@ import numpy as np
 
 from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
-from .spectral import read_columns, write_columns
+from .spectral import read_rows, write_columns
 
 
 OUTPUT_CLAMP = 1e-7
@@ -33,9 +42,9 @@ OUTPUT_CLAMP = 1e-7
 class Task:
     """A task's fixed hyperparameters and its threshold rule.
 
-    ``reached(loss, accuracy)`` judges the full data at an epoch end.  Fields
-    only: the benchmark's tracer wraps class methods, and refuses two spans
-    with one name.
+    ``reached(loss, accuracy)`` judges the full data at an epoch end, one
+    seed per element of its array arguments.  Fields only: the benchmark's
+    tracer wraps class methods, and refuses two spans with one name.
     """
 
     layer_sizes: tuple
@@ -94,123 +103,147 @@ def init_weights(layer_sizes, rng):
 def forward(activation, weights, inputs):
     """All layer pre-activations and activations, plus the sigmoid output.
 
-    ``inputs`` is a (batch, d) array; the output column of the last layer is
-    squeezed to (batch,).  Each layer's W must have as many columns as the
-    width before it, starting from d.
+    ``inputs`` is a (batch, d) array, or a (seeds, batch, d) stack whose
+    weights carry the same leading seed axis; the output column of the last
+    layer is squeezed to (..., batch).  Each layer's W must have as many
+    columns as the width before it, starting from d.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"inputs must be a (batch, d) array, got shape {x.shape}")
-    width = x.shape[1]
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"inputs must be a (batch, d) or (seeds, batch, d) array, "
+                             f"got shape {x.shape}")
+    width = x.shape[-1]
     for w, _ in weights:
-        if w.shape[1] != width:
+        if w.shape[-1] != width:
             raise DimensionError(f"width {width} does not match weight shape {w.shape}")
-        width = w.shape[0]
+        width = w.shape[-2]
 
     pre, post = [], [x]
     for w, b in weights[:-1]:
-        z = post[-1] @ w.T + b
+        z = post[-1] @ np.swapaxes(w, -1, -2) + b[..., None, :]
         pre.append(z)
         post.append(activation.evaluate(z))
     w, b = weights[-1]
-    z = post[-1] @ w.T + b
+    z = post[-1] @ np.swapaxes(w, -1, -2) + b[..., None, :]
     pre.append(z)
-    out = sigmoid(z[:, 0])
+    out = sigmoid(z[..., 0])
     post.append(out)
     return pre, post, out
 
 
-def bce_loss(outputs, labels) -> float:
-    """Summed cross-entropy with outputs clamped to [1e-7, 1-1e-7]."""
+def bce_loss(outputs, labels):
+    """Cross-entropy summed over the batch (the last axis), with outputs
+    clamped to [1e-7, 1-1e-7]: one loss per seed of a stack."""
     y = np.clip(outputs, OUTPUT_CLAMP, 1.0 - OUTPUT_CLAMP)
-    return float(-np.sum(labels * np.log(y) + (1.0 - labels) * np.log(1.0 - y)))
+    return -np.sum(labels * np.log(y) + (1.0 - labels) * np.log(1.0 - y), axis=-1)
 
 
-def loss_gradients(activation, weights, inputs, labels):
+def loss_gradients(activation, weights, passes, labels):
     """Backprop gradients of the summed clamped cross-entropy.
 
-    Returns a list of (dW, db) matching ``weights``.  Where the output has
-    saturated past the clamp the error signal is exactly zero (the clamped
-    loss is flat there).
+    ``passes`` is ``forward(activation, weights, inputs)``.  Returns a list
+    of (dW, db) matching ``weights``, per seed for a stack.  Where the output
+    has saturated past the clamp the error signal is exactly zero (the
+    clamped loss is flat there).
     """
-    pre, post, out = forward(activation, weights, inputs)
+    pre, post, out = passes
     labels = np.asarray(labels, dtype=float)
 
     clipped = (out <= OUTPUT_CLAMP) | (out >= 1.0 - OUTPUT_CLAMP)
-    delta = np.where(clipped, 0.0, out - labels)[:, None]
+    delta = np.where(clipped, 0.0, out - labels)[..., None]
     grads = []
     for layer in range(len(weights) - 1, -1, -1):
-        grads.append((delta.T @ post[layer], delta.sum(axis=0)))
+        grads.append((np.swapaxes(delta, -1, -2) @ post[layer], delta.sum(axis=-2)))
         if layer > 0:
             delta = (delta @ weights[layer][0]) * activation.evaluate_derivative(pre[layer - 1])
     return grads[::-1]
 
 
-def hidden_gradient_norm(grads) -> float:
-    """L2 norm over every layer's gradient except the output layer's."""
+def hidden_gradient_norm(grads):
+    """L2 norm over every layer's gradient except the output layer's, per
+    seed for a stack."""
     total = 0.0
     for dw, db in grads[:-1]:
-        total += float(np.sum(dw**2) + np.sum(db**2))
-    return float(np.sqrt(total))
+        total += np.sum(dw**2, axis=(-2, -1)) + np.sum(db**2, axis=-1)
+    return np.sqrt(total)
 
 
-def train(task: str, activation, seed: int) -> TrainReport:
-    """Plain gradient descent on ``make_dataset(task, seed)`` with the task's
-    row of ``TASKS``; deterministic given the seed.  An unknown task raises
-    ``make_dataset``'s ``ValueError``.
+def _stack(per_seed):
+    """One array per position of the per-seed tuples, stacked along a new
+    leading seed axis."""
+    return tuple(np.stack(arrays) for arrays in zip(*per_seed))
 
-    Full batch when batch_size >= n, otherwise minibatches reshuffled each
-    epoch from the same generator that initialized the weights.  The
-    threshold rule is evaluated on the full dataset at each epoch end.  The
-    report carries the final weights.
+
+def train(task: str, activation, seeds) -> list[TrainReport]:
+    """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
+    with the task's row of ``TASKS``; one report per seed, in order.  An
+    unknown task raises ``make_dataset``'s ``ValueError``.
+
+    The seeds train side by side as one stack, each on its own data and
+    weights, so a report does not depend on which seeds share the call.
+    Full batch when batch_size >= n; the evaluation pass that ends an epoch
+    is then the next epoch's training pass.  Otherwise minibatches are
+    reshuffled each epoch from the generator that initialized that seed's
+    weights.  The threshold rule is evaluated on the full dataset at each
+    epoch end.  Each report carries its own copy of its final weights.
     """
-    x, y = make_dataset(task, seed)
+    seeds = list(seeds)
+    x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]
-    rng = np.random.default_rng(seed)
-    weights = init_weights(spec.layer_sizes, rng)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    weights = [_stack(layer) for layer in zip(*[init_weights(spec.layer_sizes, rng)
+                                                for rng in rngs])]
 
-    n = len(x)
+    n_seeds, n = y.shape
     batch = spec.batch_size
     full_batch = batch >= n
     lr = spec.learning_rate
+    rows = np.arange(n_seeds)[:, None]
 
-    epochs_to_threshold = None
-    grad_norms = []
-    final_loss = final_acc = 0.0
+    reached_at = np.zeros(n_seeds, dtype=int)            # 0: not reached yet
+    early_norms = np.empty((n_seeds, min(100, spec.max_epochs)))
+    passes = forward(activation, weights, x) if full_batch else None  # epoch 1's training pass
     for epoch in range(1, spec.max_epochs + 1):
-        order = np.arange(n) if full_batch else rng.permutation(n)
+        if not full_batch:
+            order = np.stack([rng.permutation(n) for rng in rngs])
         epoch_norms = []
         for start in range(0, n, batch):
-            sel = order[start:start + batch]
-            grads = loss_gradients(activation, weights, x[sel], y[sel])
+            if full_batch:
+                batch_passes, labels = passes, y
+            else:
+                sel = order[:, start:start + batch]
+                batch_passes, labels = forward(activation, weights, x[rows, sel]), y[rows, sel]
+            grads = loss_gradients(activation, weights, batch_passes, labels)
             epoch_norms.append(hidden_gradient_norm(grads))
             for (w, b), (dw, db) in zip(weights, grads):
                 w -= lr * dw
                 b -= lr * db
         if epoch <= 100:
-            grad_norms.append(float(np.mean(epoch_norms)))
+            early_norms[:, epoch - 1] = np.mean(np.stack(epoch_norms, axis=-1), axis=-1)
 
-        _, _, out = forward(activation, weights, x)
+        passes = forward(activation, weights, x)
+        out = passes[2]
         final_loss = bce_loss(out, y)
-        final_acc = float(np.mean((out > 0.5).astype(float) == y))
-        if epochs_to_threshold is None and spec.reached(final_loss, final_acc):
-            epochs_to_threshold = epoch
+        final_acc = np.mean((out > 0.5).astype(float) == y, axis=-1)
+        reached_at[(reached_at == 0) & spec.reached(final_loss, final_acc)] = epoch
 
-    return TrainReport(
-        final_accuracy=final_acc,
-        final_loss=final_loss,
-        epochs_to_threshold=epochs_to_threshold,
-        mean_grad_norm_first100=float(np.mean(grad_norms)),
+    mean_norms = np.mean(early_norms, axis=-1)
+    return [TrainReport(
+        final_accuracy=float(final_acc[i]),
+        final_loss=float(final_loss[i]),
+        epochs_to_threshold=None if reached_at[i] == 0 else int(reached_at[i]),
+        mean_grad_norm_first100=float(mean_norms[i]),
         seed=seed,
-        weights=weights,
-    )
+        weights=[(w[i].copy(), b[i].copy()) for w, b in weights],
+    ) for i, seed in enumerate(seeds)]
 
 
 def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
     """Train one cell per (loss level, seed); levels must be ascending.
 
-    One degraded activation is reconstructed on ``grid`` per level and shared
-    across seeds.  Reports come back in deterministic (level, seed) order.
+    One degraded activation is reconstructed on ``grid`` per level, and one
+    ``train`` call trains all the level's seeds on it.  Reports come back in
+    deterministic (level, seed) order.
     """
     levels = [float(v) for v in loss_levels]
     if sorted(levels) != levels:
@@ -219,8 +252,7 @@ def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
     reports = []
     for iota in levels:
         activation = reconstruct(uniform_channel(grid, iota))
-        for seed in seeds:
-            report = train(task, activation, int(seed))
+        for report in train(task, activation, [int(seed) for seed in seeds]):
             report.iota = iota
             reports.append(report)
     return reports
@@ -248,8 +280,9 @@ def write_report_csv(path, reports):
 
 
 def read_report_csv(path) -> list[TrainReport]:
-    rows = read_columns(path, REPORT_HEADER).T.tolist()
-    return [TrainReport(final_accuracy=acc, final_loss=loss,
-                        epochs_to_threshold=None if epochs == -1 else int(epochs),
-                        mean_grad_norm_first100=grad, seed=int(seed), iota=iota)
-            for iota, seed, acc, loss, epochs, grad in rows]
+    """The reports of ``write_report_csv``; seeds and epochs are read as
+    integers, so a seed past 2**53 comes back exactly."""
+    return [TrainReport(final_accuracy=float(acc), final_loss=float(loss),
+                        epochs_to_threshold=None if int(epochs) == -1 else int(epochs),
+                        mean_grad_norm_first100=float(grad), seed=int(seed), iota=float(iota))
+            for iota, seed, acc, loss, epochs, grad in read_rows(path, REPORT_HEADER)]

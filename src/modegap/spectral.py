@@ -245,14 +245,20 @@ def write_columns(path, header, columns):
             fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
-def read_columns(path, header) -> np.ndarray:
-    """The columns of a table written by write_columns, as float rows of a
-    (len(header), n) array; raises ValueError unless the header matches."""
+def read_rows(path, header) -> list:
+    """The rows of a table written by write_columns, each a list of its
+    values' text; raises ValueError unless the header matches."""
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
     if lines[:1] != [",".join(header)]:
         raise ValueError(f"unexpected CSV header in {path}: {lines[:1]}")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return [line.split(",") for line in lines[1:]]
+
+
+def read_columns(path, header) -> np.ndarray:
+    """The columns of a table written by write_columns, as float rows of a
+    (len(header), n) array; raises ValueError unless the header matches."""
+    rows = [[float(v) for v in row] for row in read_rows(path, header)]
     return np.array(rows, dtype=float).reshape(len(rows), len(header)).T
 
 

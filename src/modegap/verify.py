@@ -180,7 +180,8 @@ def check_gradient_correctness():
     for _ in range(100):
         weights = [(rng.uniform(-1.0, 1.0, (4, 2)), rng.uniform(-1.0, 1.0, 4)),
                    (rng.uniform(-1.0, 1.0, (1, 4)), rng.uniform(-1.0, 1.0, 1))]
-        grads = loss_gradients(SIGMOID, weights, inputs, labels)
+        grads = loss_gradients(SIGMOID, weights, network.forward(SIGMOID, weights, inputs),
+                               labels)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                                    for dw, db in grads])
         numeric = []
@@ -244,7 +245,7 @@ def check_gradient_scaling():
     norms = {}
     for iota in SWEEP_LEVELS:
         act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
-        grads = loss_gradients(act, weights, inputs, labels)
+        grads = loss_gradients(act, weights, network.forward(act, weights, inputs), labels)
         norms[iota] = hidden_gradient_norm(grads)
     base = norms[0.0]
     worst = 0.0
@@ -257,7 +258,7 @@ def check_gradient_scaling():
 
 def check_perceptron_limit_freeze():
     initial = network.init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
-    report = network.train("xor", reconstruct(uniform_channel(DEFAULT_GRID, 1.0)), 3)
+    report, = network.train("xor", reconstruct(uniform_channel(DEFAULT_GRID, 1.0)), [3])
     final = report.weights
     frozen = all(np.array_equal(initial[i][0], final[i][0])
                  and np.array_equal(initial[i][1], final[i][1])

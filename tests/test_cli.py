@@ -21,6 +21,12 @@ def run_cli(args):
     return cli.main(args)
 
 
+def checkout_env():
+    """The environment with this checkout's ``src`` on PYTHONPATH: pytest's
+    ``pythonpath`` setting does not reach a subprocess."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 class TestConfigResolution:
     def test_defaults_file_set_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -239,7 +245,7 @@ class TestChannelCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "modegap", "channel", "--out", str(out),
              "--compose", "1000", "--set", "grid.N=8"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = (out / "channel.txt").read_text().splitlines()
@@ -417,7 +423,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "modegap", "channel", "--out",
              str(tmp_path / "o"), "--set", "grid.N=128"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=checkout_env())
         assert proc.returncode == 0
         assert "commutator residual" in proc.stdout
 

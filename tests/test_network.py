@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from modegap import (
     TASKS,
     DimensionError,
     Grid,
+    TrainReport,
     forward,
     loss_gradients,
     make_dataset,
@@ -16,6 +18,7 @@ from modegap import (
     train,
     uniform_channel,
 )
+from modegap import network
 from modegap.network import (
     bce_loss,
     hidden_gradient_norm,
@@ -55,7 +58,7 @@ class TestDatasets:
         with pytest.raises(ValueError):
             make_dataset("mnist")
         with pytest.raises(ValueError):
-            train("XOR", SIGMOID, 0)
+            train("XOR", SIGMOID, [0])
 
 
 class TestForward:
@@ -111,7 +114,7 @@ class TestGradients:
         for _ in range(5):
             weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                        (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-            grads = loss_gradients(SIGMOID, weights, inputs, labels)
+            grads = loss_gradients(SIGMOID, weights, forward(SIGMOID, weights, inputs), labels)
             flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                                    for w, b in weights])
             analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
@@ -146,8 +149,9 @@ class TestGradients:
                    (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
         norms = {}
         for iota in (0.0, 0.25, 0.5, 0.75):
+            act = degraded(iota)
             norms[iota] = hidden_gradient_norm(
-                loss_gradients(degraded(iota), weights, inputs, labels))
+                loss_gradients(act, weights, forward(act, weights, inputs), labels))
         for iota in (0.25, 0.5, 0.75):
             ratio = norms[iota] / norms[0.0]
             assert ratio == pytest.approx(math.sqrt(1 - iota), rel=1e-3)
@@ -155,13 +159,12 @@ class TestGradients:
 
 class TestTrain:
     def test_deterministic(self):
-        a = train("xor", SIGMOID, 4)
-        b = train("xor", SIGMOID, 4)
+        (a,), (b,) = train("xor", SIGMOID, [4]), train("xor", SIGMOID, [4])
         assert a == b
 
     def test_total_loss_freezes_hidden_layers(self):
         initial = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
-        report = train("xor", degraded(1.0), 3)
+        report, = train("xor", degraded(1.0), [3])
         final = report.weights
         assert report.mean_grad_norm_first100 == 0.0
         for (w0, b0), (w1, b1) in zip(initial[:-1], final[:-1]):
@@ -169,26 +172,82 @@ class TestTrain:
             np.testing.assert_array_equal(b0, b1)
 
     def test_report_fields(self):
-        report = train("xor", SIGMOID, 0)
+        report, = train("xor", SIGMOID, [0])
         assert 0.0 <= report.final_accuracy <= 1.0
         assert report.final_loss >= 0.0
         if report.epochs_to_threshold is not None:
             assert report.epochs_to_threshold <= TASKS["xor"].max_epochs
 
     def test_moons_smoke(self):
-        report = train("moons", degraded(0.0), 0)
+        report, = train("moons", degraded(0.0), [0])
         assert report.epochs_to_threshold is not None
         assert report.final_accuracy >= 0.9
 
     def test_xor_reference_fixture(self):
-        """Frozen from a reference run: seeds 0 and 1 converge at exactly
-        these epochs (full ten-seed outcome: 658, 678, 620, 821, 782, 637,
-        783, 657, 825, 683 -- all ten under the 2000-epoch budget)."""
-        expected = {0: 658, 1: 678}
-        for seed, epochs in expected.items():
-            report = train("xor", SIGMOID, seed)
-            assert report.epochs_to_threshold == epochs
-            assert report.final_loss < 0.05
+        """Frozen from a reference run: seeds 0-9 converge at exactly these
+        epochs, all ten under the 2000-epoch budget."""
+        expected = [658, 678, 620, 821, 782, 637, 783, 657, 825, 683]
+        reports = train("xor", SIGMOID, range(10))
+        assert [r.seed for r in reports] == list(range(10))
+        assert [r.epochs_to_threshold for r in reports] == expected
+        assert all(r.final_loss < 0.05 for r in reports)
+
+
+def assert_same_report(a, b):
+    """Every field equal, the weights bit for bit; repr is exact for floats
+    and reads nan (an untagged iota) as equal to itself."""
+    for f in dataclasses.fields(TrainReport):
+        if f.name != "weights":
+            assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+    assert len(a.weights) == len(b.weights)
+    for (wa, ba), (wb, bb) in zip(a.weights, b.weights):
+        assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+
+
+class TestBatchedTrain:
+    """``train`` runs its seeds as one stack; each report must be the one
+    that seed gives when trained alone."""
+
+    @pytest.mark.parametrize("task, iota, seeds", [
+        ("xor", 0.0, [0, 1]), ("xor", 0.5, [0, 1]), ("xor", 0.5, [7, 0, 0]),
+        ("moons", 0.0, [0, 1]), ("moons", 1.0, [0, 1]),
+    ])
+    def test_report_does_not_depend_on_its_batch(self, task, iota, seeds):
+        act = degraded(iota)
+        batched = train(task, act, seeds)
+        assert [r.seed for r in batched] == seeds
+        for seed, report in zip(seeds, batched):
+            assert_same_report(report, train(task, act, [seed])[0])
+        arrays = [[a for layer in r.weights for a in layer] for r in batched]
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1:]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        """The list each call of ``network.<name>`` appends its arguments to."""
+        calls, real = [], getattr(network, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(network, name, counting)
+        return calls
+
+    def test_sweep_trains_each_level_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "train")
+        reports = sweep("xor", [0.0, 1.0], [0, 1, 2], GRID)
+        assert len(calls) == 2
+        assert [(r.iota, r.seed) for r in reports] == [
+            (iota, seed) for iota in (0.0, 1.0) for seed in (0, 1, 2)]
+
+    def test_full_batch_reuses_the_evaluation_pass(self, monkeypatch):
+        """One forward pass per epoch plus the first: the pass that judges an
+        epoch is the next epoch's training pass."""
+        calls = self.count_calls(monkeypatch, "forward")
+        train("xor", SIGMOID, [0, 1])
+        assert len(calls) == TASKS["xor"].max_epochs + 1
 
 
 class TestSweep:
@@ -196,7 +255,7 @@ class TestSweep:
         reports = sweep("xor", [0.0], [0, 1], GRID)
         act = degraded(0.0)
         for seed, report in zip((0, 1), reports):
-            direct = train("xor", act, seed)
+            direct, = train("xor", act, [seed])
             assert report.final_loss == direct.final_loss
             assert report.epochs_to_threshold == direct.epochs_to_threshold
 
@@ -236,6 +295,17 @@ class TestReportCsv:
             assert back.final_loss == orig.final_loss
             assert back.epochs_to_threshold == orig.epochs_to_threshold
             assert back.mean_grad_norm_first100 == orig.mean_grad_norm_first100
+
+    def test_seed_beyond_float_precision_round_trips(self, tmp_path):
+        seed = 2**53 + 1                           # a float would read 2**53
+        report = TrainReport(final_accuracy=1.0, final_loss=0.01, epochs_to_threshold=5,
+                             mean_grad_norm_first100=0.1, seed=seed, iota=0.5)
+        path = tmp_path / "big.csv"
+        write_report_csv(path, [report])
+        assert path.read_text().splitlines()[1].split(",")[1] == "9007199254740993"
+        back, = read_report_csv(path)
+        assert back.seed == seed
+        assert back == report
 
     def test_never_encoded_as_minus_one(self, tmp_path):
         reports = sweep("xor", [1.0], [0], GRID)
