@@ -29,7 +29,6 @@ from .spectral import (
     Grid,
     ModeSpectrum,
     inverse_transform,
-    read_columns,
     transform_gap,
     transform_samples,
     write_columns,
@@ -210,11 +209,6 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
 def write_activation_csv(path, activation: DegradedActivation):
     write_columns(path, ["z", "f", "fprime"],
                   [activation.grid.z, activation.samples, activation.derivative_samples])
-
-
-def read_activation_csv(path):
-    """Returns (z, f, fprime) arrays; the inverse of write_activation_csv."""
-    return tuple(read_columns(path, ["z", "f", "fprime"]))
 
 
 def gap_power_split(channel: BogoliubovChannel):

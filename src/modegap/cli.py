@@ -38,14 +38,14 @@ from .svgplot import line_plot
 from . import verify as verify_mod
 
 DEFAULTS = {
-    "grid.L": "40",
-    "grid.N": "4096",
+    "grid.L": f"{verify_mod.DEFAULT_GRID.half_width:g}",
+    "grid.N": str(verify_mod.DEFAULT_GRID.n_points),
     "channel.profile": "uniform",
     "channel.iota": "0.5",
     "channel.kc": "2.0",
     "channel.T": "1.0",
-    "sweep.levels": "0,0.25,0.5,0.75,1",
-    "sweep.seeds": "0,1,2,3,4,5,6,7,8,9",
+    "sweep.levels": ",".join(f"{v:g}" for v in verify_mod.SWEEP_LEVELS),
+    "sweep.seeds": ",".join(map(str, verify_mod.SWEEP_SEEDS)),
     "task.name": "xor",
     "out.dir": "out",
 }

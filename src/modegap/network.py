@@ -32,7 +32,7 @@ import numpy as np
 
 from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
-from .spectral import read_rows, write_columns
+from .spectral import write_columns
 
 
 OUTPUT_CLAMP = 1e-7
@@ -188,6 +188,8 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     epoch end.  Each report carries its own copy of its final weights.
     """
     seeds = list(seeds)
+    if not seeds:
+        return []
     x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -277,12 +279,3 @@ def write_report_csv(path, reports):
         [-1 if r.epochs_to_threshold is None else r.epochs_to_threshold for r in reports],
         [float(r.mean_grad_norm_first100) for r in reports],
     ])
-
-
-def read_report_csv(path) -> list[TrainReport]:
-    """The reports of ``write_report_csv``; seeds and epochs are read as
-    integers, so a seed past 2**53 comes back exactly."""
-    return [TrainReport(final_accuracy=float(acc), final_loss=float(loss),
-                        epochs_to_threshold=None if int(epochs) == -1 else int(epochs),
-                        mean_grad_norm_first100=float(grad), seed=int(seed), iota=float(iota))
-            for iota, seed, acc, loss, epochs, grad in read_rows(path, REPORT_HEADER)]

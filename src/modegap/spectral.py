@@ -245,28 +245,6 @@ def write_columns(path, header, columns):
             fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
-def read_rows(path, header) -> list:
-    """The rows of a table written by write_columns, each a list of its
-    values' text; raises ValueError unless the header matches."""
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if lines[:1] != [",".join(header)]:
-        raise ValueError(f"unexpected CSV header in {path}: {lines[:1]}")
-    return [line.split(",") for line in lines[1:]]
-
-
-def read_columns(path, header) -> np.ndarray:
-    """The columns of a table written by write_columns, as float rows of a
-    (len(header), n) array; raises ValueError unless the header matches."""
-    rows = [[float(v) for v in row] for row in read_rows(path, header)]
-    return np.array(rows, dtype=float).reshape(len(rows), len(header)).T
-
-
 def write_spectrum_csv(path, spectrum: ModeSpectrum):
     a = spectrum.amplitudes
     write_columns(path, ["k", "re", "im"], [spectrum.grid.k, a.real, a.imag])
-
-
-def read_spectrum_csv(path, grid: Grid) -> ModeSpectrum:
-    _, re, im = read_columns(path, ["k", "re", "im"])
-    return ModeSpectrum(grid, list(map(complex, re, im)))

@@ -103,9 +103,9 @@ def test_c8_gradient_scaling_fixed_point():
     assert passed, measured
 
 
-def test_c8_perceptron_limit_freeze():
+def test_c8_perceptron_limit_freeze(xor_reports):
     passed, measured = report("c8d perceptron-limit-freeze",
-                              *verify.check_perceptron_limit_freeze())
+                              *verify.check_perceptron_limit_freeze(xor_reports))
     assert passed, measured
 
 

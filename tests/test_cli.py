@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modegap import cli
-from modegap.bogoliubov import read_activation_csv, planck_occupation
-from modegap.network import read_report_csv
+from modegap.bogoliubov import planck_occupation
+from modegap.network import sweep, write_report_csv
+from modegap.spectral import Grid
 from modegap import verify as verify_mod
 
 
@@ -46,6 +47,15 @@ class TestConfigResolution:
         resolved = cli.resolve_config(args)
         assert resolved.values["sweep.seeds"] == "7"
         assert resolved.seeds == [7]
+
+    def test_defaults_are_verify_configuration(self):
+        resolved = cli.resolve_config(cli.build_parser().parse_args(["train-sweep"]))
+        assert resolved.grid == verify_mod.DEFAULT_GRID
+        assert resolved.levels == list(verify_mod.SWEEP_LEVELS)
+        assert resolved.seeds == list(verify_mod.SWEEP_SEEDS)
+        assert [resolved.values[key] for key in ("grid.L", "grid.N", "sweep.levels",
+                                                 "sweep.seeds")] == [
+            "40", "4096", "0,0.25,0.5,0.75,1", "0,1,2,3,4,5,6,7,8,9"]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -318,8 +328,9 @@ class TestDegradeCommand:
     def test_csv_and_svg_family(self, tmp_path):
         out = tmp_path / "deg"
         assert run_cli(["degrade", "--out", str(out)]) == 0
-        z, f, fp = read_activation_csv(out / "degraded_activation.csv")
-        assert len(z) == 4096
+        lines = (out / "degraded_activation.csv").read_text().splitlines()
+        assert lines[0] == "z,f,fprime"
+        assert len(lines) == 1 + 4096
         svg = (out / "degraded_activation.svg").read_text()
         assert svg.count("<polyline") == 5  # one curve per default sweep level
 
@@ -331,7 +342,10 @@ class TestTrainSweepCommand:
                         "--set", "sweep.levels=0,1",
                         "--set", "sweep.seeds=0,1"]) == 0
         printed = capsys.readouterr().out
-        reports = read_report_csv(out / "train_reports.csv")
+        reports = sweep("xor", [0, 1], [0, 1], Grid(40, 4096))
+        write_report_csv(tmp_path / "expected.csv", reports)
+        assert ((out / "train_reports.csv").read_bytes()
+                == (tmp_path / "expected.csv").read_bytes())
         checks = verify_mod.sweep_checks("xor", reports, [0.0, 1.0])
         assert [name for name, _, _ in checks] == ["xor-trainability-endpoints",
                                                    "grad-norm-monotone"]

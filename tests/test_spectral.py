@@ -20,9 +20,7 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
-from modegap.bogoliubov import read_activation_csv
-from modegap.network import read_report_csv
-from modegap.spectral import read_columns, read_spectrum_csv, write_columns, write_spectrum_csv
+from modegap.spectral import write_columns, write_spectrum_csv
 
 GRID = Grid(40.0, 4096)
 
@@ -278,14 +276,16 @@ class TestSpectrumCsv:
         spec = transform_gap(GRID)
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
-        header = path.read_text().splitlines()[0]
-        assert header == "k,re,im"
-        again = read_spectrum_csv(path, GRID)
-        np.testing.assert_array_equal(again.amplitudes, spec.amplitudes)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "k,re,im"
+        assert len(lines) == 1 + GRID.n_points
+        a = spec.amplitudes
+        assert lines[1:] == [f"{k!r},{re!r},{im!r}" for k, re, im
+                             in zip(GRID.k.tolist(), a.real.tolist(), a.imag.tolist())]
 
 
 class TestColumns:
-    """write_columns/read_columns: the one CSV format of every table."""
+    """write_columns: the one CSV format of every table."""
 
     @staticmethod
     def table():
@@ -307,33 +307,12 @@ class TestColumns:
                 w.writerow([repr(float(a)), repr(float(b)), int(c)])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_round_trip_is_exact(self, tmp_path):
-        x, y, m = self.table()
-        write_columns(tmp_path / "t.csv", ["x", "y", "m"], [x, y, m])
-        again = read_columns(tmp_path / "t.csv", ["x", "y", "m"])
-        assert again.shape == (3, len(x))
-        for col, orig in zip(again, (x, y, m)):
-            np.testing.assert_array_equal(col, orig)
-            np.testing.assert_array_equal(np.signbit(col), np.signbit(orig))
-
     def test_header_only_table(self, tmp_path):
         write_columns(tmp_path / "t.csv", ["a", "b"], [[], []])
         assert (tmp_path / "t.csv").read_bytes() == b"a,b\r\n"
-        assert read_columns(tmp_path / "t.csv", ["a", "b"]).shape == (2, 0)
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError):
             write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0]])
-
-    @pytest.mark.parametrize("read", [lambda p: read_spectrum_csv(p, GRID),
-                                      read_activation_csv, read_report_csv],
-                             ids=["spectrum", "activation", "report"])
-    @pytest.mark.parametrize("text", ["", "k,re,im,extra\r\n1,2,3,4\r\n"],
-                             ids=["empty", "wrong-header"])
-    def test_readers_reject_wrong_header_and_empty_file(self, tmp_path, read, text):
-        path = tmp_path / "t.csv"
-        path.write_bytes(text.encode())
-        with pytest.raises(ValueError, match="header"):
-            read(path)
