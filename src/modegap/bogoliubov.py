@@ -33,7 +33,7 @@ from .spectral import (
     transform_samples,
     write_columns,
 )
-from .activations import sigmoid_prime, step
+from .activations import DimensionError, sigmoid_prime, step
 
 
 class ProfileError(ValueError):
@@ -164,23 +164,83 @@ def apply_channel(channel: BogoliubovChannel, spectrum: ModeSpectrum) -> ModeSpe
 
 @dataclass
 class DegradedActivation:
-    """Step carrier plus attenuated gap, tabulated for interpolation."""
+    """Step carrier plus attenuated gap, tabulated on the grid's lattice.
+
+    The tables are (N,) for one activation, or an (L, N) stack of L
+    activations on one grid, with ``loss_fraction`` then one per level.  A
+    stack reads a ``z`` whose leading axis has length L: level i of ``z`` is
+    looked up in table i.  ``levels`` is 1 for a single table.
+    """
 
     grid: Grid
     samples: np.ndarray
     derivative_samples: np.ndarray
-    loss_fraction: float
+    loss_fraction: float | np.ndarray
+
+    @property
+    def levels(self) -> int:
+        return len(self.samples) if self.samples.ndim == 2 else 1
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
-        z = np.asarray(z, dtype=float)
-        out = np.interp(z, self.grid.z, self.samples, left=0.0, right=1.0)
-        return out if out.ndim else float(out)
+        return self._lookup(self.samples, z, 0.0, 1.0)
 
     def evaluate_derivative(self, z):
         """Linear interpolation of the derivative table; 0 outside the grid."""
+        return self._lookup(self.derivative_samples, z, 0.0, 0.0)
+
+    def _lookup(self, table, z, left, right):
+        """``np.interp(z, grid.z, table, left, right)`` bit for bit, per level.
+
+        On a uniform lattice the nearest point to z is ``round((z - z_0)/dz)``,
+        which is off by less than a half, so the cell j with x_j <= z <
+        x_{j+1} is that point or the one below it: one comparison with
+        ``grid.z`` decides.  The value is numpy's own formula on the gathered
+        cell ends, ``slope*(z - x_j) + y_j`` with ``slope = (y_{j+1} -
+        y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z == x_j``.
+        Points outside [z_0, z_{N-1}), +-inf and NaN are left to
+        ``np.interp``.  Bit equality holds for finite tables, which every
+        ``reconstruct`` gives.
+        """
         z = np.asarray(z, dtype=float)
-        out = np.interp(z, self.grid.z, self.derivative_samples, left=0.0, right=0.0)
+        x, n = self.grid.z, self.grid.n_points
+        levels = self.levels
+        if table.ndim == 2 and z.shape[:1] != (levels,):
+            raise DimensionError(f"a stack of {levels} tables reads z with a leading axis "
+                                 f"of {levels}, got shape {z.shape}")
+        rows = z.reshape(levels, -1)
+
+        # Clamped to the lattice, so the arithmetic below stays finite; the
+        # points that were moved are overwritten at the end.
+        zc = np.fmax(rows, x[0])
+        np.fmin(zc, x[-1], out=zc)
+        nearest = zc - x[0]
+        nearest /= self.grid.dz
+        nearest += 0.5
+        j = nearest.astype(np.intp)
+        del nearest
+        j -= x[j] > zc
+        np.minimum(j, n - 2, out=j)
+
+        x_j, dx = x[j], x[1:][j]
+        dx -= x_j
+        past_x_j = np.subtract(zc, x_j, out=zc)
+        del x_j
+        j += np.arange(0, levels * n, n)[:, None]  # level i starts at i*N
+        flat = table.reshape(-1)
+        y_j, out = flat[j], flat[1:][j]
+        del j
+        out -= y_j
+        out /= dx  # the slope
+        out *= past_x_j
+        out += y_j
+        np.copyto(out, y_j, where=past_x_j == 0.0)
+
+        if not (rows.min(initial=np.inf) >= x[0] and rows.max(initial=-np.inf) < x[-1]):
+            off = ~((rows >= x[0]) & (rows < x[-1]))
+            for out_row, off_row, z_row, table_row in zip(out, off, rows, table.reshape(levels, n)):
+                out_row[off_row] = np.interp(z_row[off_row], x, table_row, left, right)
+        out = out.reshape(z.shape)
         return out if out.ndim else float(out)
 
 

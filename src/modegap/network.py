@@ -12,17 +12,19 @@ full loss and would mask the freeze.
 
 A hidden activation is any object with ``evaluate(z)`` and
 ``evaluate_derivative(z)``: a ``reconstruct(...)`` result, or the
-closed-form ``SIGMOID`` or ``STEP``.  ``train(task, activation, seeds)``
-reads everything else from the task's row of ``TASKS``.
+closed-form ``SIGMOID`` or ``STEP``.  A ``DegradedActivation`` whose tables
+are stacked as (levels, N) also says how many ``levels`` it holds, and reads
+level i of a ``z`` from table i.  ``train(task, activation, seeds)`` reads
+everything else from the task's row of ``TASKS``.
 
-The network math takes a (batch, d) input, or a (seeds, batch, d) stack
-with a matching leading seed axis on every weight and bias, through one
-body.  ``train`` runs all its seeds as one stack, so the Python cost of a
-step is paid once per step, not once per seed.  Each seed's slice sees the
-same products and sums, in the same order, as it would alone: stacked
-``@`` computes slice by slice like the 2-D ``@``, and every per-seed
-reduction runs along a contiguous last axis.  A report is therefore
-bit-identical to the one that seed gives when trained alone.
+The network math takes a (..., batch, d) input, with the same leading axes
+on every weight and bias, through one body: a (batch, d) batch, or the
+(levels, seeds, batch, d) stack of cells that ``train`` runs, so the Python
+cost of a step is paid once per step, not once per cell.  Each cell's slice
+sees the same products and sums, in the same order, as it would alone:
+stacked ``@`` computes slice by slice like the 2-D ``@``, and every
+per-cell reduction runs along a contiguous last axis.  A report is
+therefore bit-identical to the one that cell gives when trained alone.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .activations import DimensionError, sigmoid
-from .bogoliubov import reconstruct, uniform_channel
+from .bogoliubov import DegradedActivation, reconstruct, uniform_channel
 from .spectral import write_columns
 
 
@@ -43,7 +45,7 @@ class Task:
     """A task's fixed hyperparameters and its threshold rule.
 
     ``reached(loss, accuracy)`` judges the full data at an epoch end, one
-    seed per element of its array arguments.  Fields only: the benchmark's
+    cell per element of its array arguments.  Fields only: the benchmark's
     tracer wraps class methods, and refuses two spans with one name.
     """
 
@@ -103,15 +105,14 @@ def init_weights(layer_sizes, rng):
 def forward(activation, weights, inputs):
     """All layer pre-activations and activations, plus the sigmoid output.
 
-    ``inputs`` is a (batch, d) array, or a (seeds, batch, d) stack whose
-    weights carry the same leading seed axis; the output column of the last
-    layer is squeezed to (..., batch).  Each layer's W must have as many
-    columns as the width before it, starting from d.
+    ``inputs`` is a (..., batch, d) array whose weights and biases carry
+    the same leading axes; the output column of the last layer is squeezed
+    to (..., batch).  Each layer's W must have as many columns as the width
+    before it, starting from d.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"inputs must be a (batch, d) or (seeds, batch, d) array, "
-                             f"got shape {x.shape}")
+    if x.ndim < 2:
+        raise DimensionError(f"inputs must be a (..., batch, d) array, got shape {x.shape}")
     width = x.shape[-1]
     for w, _ in weights:
         if w.shape[-1] != width:
@@ -133,7 +134,7 @@ def forward(activation, weights, inputs):
 
 def bce_loss(outputs, labels):
     """Cross-entropy summed over the batch (the last axis), with outputs
-    clamped to [1e-7, 1-1e-7]: one loss per seed of a stack."""
+    clamped to [1e-7, 1-1e-7]: one loss per cell of a stack."""
     y = np.clip(outputs, OUTPUT_CLAMP, 1.0 - OUTPUT_CLAMP)
     return -np.sum(labels * np.log(y) + (1.0 - labels) * np.log(1.0 - y), axis=-1)
 
@@ -142,7 +143,7 @@ def loss_gradients(activation, weights, passes, labels):
     """Backprop gradients of the summed clamped cross-entropy.
 
     ``passes`` is ``forward(activation, weights, inputs)``.  Returns a list
-    of (dW, db) matching ``weights``, per seed for a stack.  Where the output
+    of (dW, db) matching ``weights``, per cell for a stack.  Where the output
     has saturated past the clamp the error signal is exactly zero (the
     clamped loss is flat there).
     """
@@ -161,68 +162,76 @@ def loss_gradients(activation, weights, passes, labels):
 
 def hidden_gradient_norm(grads):
     """L2 norm over every layer's gradient except the output layer's, per
-    seed for a stack."""
+    cell for a stack."""
     total = 0.0
     for dw, db in grads[:-1]:
         total += np.sum(dw**2, axis=(-2, -1)) + np.sum(db**2, axis=-1)
     return np.sqrt(total)
 
 
-def _stack(per_seed):
-    """One array per position of the per-seed tuples, stacked along a new
-    leading seed axis."""
-    return tuple(np.stack(arrays) for arrays in zip(*per_seed))
+def _stack(per_cell):
+    """One array per position of the per-cell tuples, stacked along a new
+    leading axis."""
+    return tuple(np.stack(arrays) for arrays in zip(*per_cell))
 
 
 def train(task: str, activation, seeds) -> list[TrainReport]:
     """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
-    with the task's row of ``TASKS``; one report per seed, in order.  An
-    unknown task raises ``make_dataset``'s ``ValueError``.
+    with the task's row of ``TASKS``; one report per (level, seed) cell, in
+    that order, where ``activation.levels`` (1 if absent) counts the levels
+    of a stacked activation.  An unknown task raises ``make_dataset``'s
+    ``ValueError``.
 
-    The seeds train side by side as one stack, each on its own data and
-    weights, so a report does not depend on which seeds share the call.
-    Full batch when batch_size >= n; the evaluation pass that ends an epoch
-    is then the next epoch's training pass.  Otherwise minibatches are
-    reshuffled each epoch from the generator that initialized that seed's
-    weights.  The threshold rule is evaluated on the full dataset at each
-    epoch end.  Each report carries its own copy of its final weights.
+    The cells train side by side as one (levels, seeds) stack, each on its
+    own data and weights, so a report does not depend on which cells share
+    the call.  Full batch when batch_size >= n; the evaluation pass that
+    ends an epoch is then the next epoch's training pass.  Otherwise
+    minibatches are reshuffled each epoch from the generator that
+    initialized that cell's weights.  The threshold rule is evaluated on the
+    full dataset at each epoch end.  Each report carries its own copy of its
+    final weights.
     """
     seeds = list(seeds)
     if not seeds:
         return []
     x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    weights = [_stack(layer) for layer in zip(*[init_weights(spec.layer_sizes, rng)
-                                                for rng in rngs])]
+    levels = getattr(activation, "levels", 1)
+    cells = (levels, len(seeds))
+    rngs = [np.random.default_rng(seed) for _ in range(levels) for seed in seeds]
+    weights = [tuple(a.reshape(cells + a.shape[1:]) for a in _stack(layer))
+               for layer in zip(*[init_weights(spec.layer_sizes, rng) for rng in rngs])]
 
-    n_seeds, n = y.shape
+    n = y.shape[-1]
+    x, y = np.broadcast_to(x, cells + x.shape[1:]), np.broadcast_to(y, cells + (n,))
     batch = spec.batch_size
     full_batch = batch >= n
     lr = spec.learning_rate
-    rows = np.arange(n_seeds)[:, None]
+    level_rows, seed_rows = np.arange(levels)[:, None, None], np.arange(len(seeds))[:, None]
 
-    reached_at = np.zeros(n_seeds, dtype=int)            # 0: not reached yet
-    early_norms = np.empty((n_seeds, min(100, spec.max_epochs)))
+    reached_at = np.zeros(cells, dtype=int)              # 0: not reached yet
+    early_norms = np.empty(cells + (min(100, spec.max_epochs),))
     passes = forward(activation, weights, x) if full_batch else None  # epoch 1's training pass
     for epoch in range(1, spec.max_epochs + 1):
         if not full_batch:
-            order = np.stack([rng.permutation(n) for rng in rngs])
+            order = np.stack([rng.permutation(n) for rng in rngs]).reshape(cells + (n,))
         epoch_norms = []
         for start in range(0, n, batch):
             if full_batch:
                 batch_passes, labels = passes, y
             else:
-                sel = order[:, start:start + batch]
-                batch_passes, labels = forward(activation, weights, x[rows, sel]), y[rows, sel]
+                sel = level_rows, seed_rows, order[..., start:start + batch]
+                batch_passes, labels = forward(activation, weights, x[sel]), y[sel]
             grads = loss_gradients(activation, weights, batch_passes, labels)
             epoch_norms.append(hidden_gradient_norm(grads))
             for (w, b), (dw, db) in zip(weights, grads):
                 w -= lr * dw
                 b -= lr * db
         if epoch <= 100:
-            early_norms[:, epoch - 1] = np.mean(np.stack(epoch_norms, axis=-1), axis=-1)
+            early_norms[..., epoch - 1] = np.mean(np.stack(epoch_norms, axis=-1), axis=-1)
 
+        # The gradients are taken: free the last pass before the next one is made.
+        passes = batch_passes = None
         passes = forward(activation, weights, x)
         out = passes[2]
         final_loss = bce_loss(out, y)
@@ -231,32 +240,37 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 
     mean_norms = np.mean(early_norms, axis=-1)
     return [TrainReport(
-        final_accuracy=float(final_acc[i]),
-        final_loss=float(final_loss[i]),
-        epochs_to_threshold=None if reached_at[i] == 0 else int(reached_at[i]),
-        mean_grad_norm_first100=float(mean_norms[i]),
+        final_accuracy=float(final_acc[cell]),
+        final_loss=float(final_loss[cell]),
+        epochs_to_threshold=None if reached_at[cell] == 0 else int(reached_at[cell]),
+        mean_grad_norm_first100=float(mean_norms[cell]),
         seed=seed,
-        weights=[(w[i].copy(), b[i].copy()) for w, b in weights],
-    ) for i, seed in enumerate(seeds)]
+        weights=[(w[cell].copy(), b[cell].copy()) for w, b in weights],
+    ) for cell, seed in zip(np.ndindex(cells), seeds * levels)]
 
 
 def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
     """Train one cell per (loss level, seed); levels must be ascending.
 
-    One degraded activation is reconstructed on ``grid`` per level, and one
-    ``train`` call trains all the level's seeds on it.  Reports come back in
-    deterministic (level, seed) order.
+    One degraded activation is reconstructed on ``grid`` per level, their
+    tables are stacked, and one ``train`` call trains every cell on the
+    stack.  Reports come back in deterministic (level, seed) order.
     """
     levels = [float(v) for v in loss_levels]
     if sorted(levels) != levels:
         raise ValueError("loss levels must be sorted ascending")
+    if not levels:
+        return []
 
-    reports = []
-    for iota in levels:
-        activation = reconstruct(uniform_channel(grid, iota))
-        for report in train(task, activation, [int(seed) for seed in seeds]):
-            report.iota = iota
-            reports.append(report)
+    activations = [reconstruct(uniform_channel(grid, iota)) for iota in levels]
+    stack = DegradedActivation(
+        grid, np.stack([a.samples for a in activations]),
+        np.stack([a.derivative_samples for a in activations]),
+        np.array([a.loss_fraction for a in activations]))
+    seeds = [int(seed) for seed in seeds]
+    reports = train(task, stack, seeds)
+    for report, iota in zip(reports, [iota for iota in levels for _ in seeds]):
+        report.iota = iota
     return reports
 
 

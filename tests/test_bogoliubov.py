@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modegap import (
+    DegradedActivation,
+    DimensionError,
     Grid,
     GridError,
     ProfileError,
@@ -261,6 +263,69 @@ class TestEvaluate:
         # linear interpolation error ~ dz^2/8 * curvature, plus the ramp cell
         off_jump = np.abs(z) > 2 * GRID.dz
         assert np.abs(act.evaluate(z)[off_jump] - closed[off_jump]).max() < 1e-5
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestLatticeLookup:
+    """``evaluate`` and ``evaluate_derivative`` index the lattice by
+    arithmetic; they must return ``np.interp``'s bits, which this compares
+    against directly, so a numpy change that moves either side shows."""
+
+    @pytest.mark.parametrize("half_width, n_points", [
+        (40.0, 4096), (40.0, 512), (7.3, 64), (40.0, 262144), (1e-3, 8)])
+    def test_bits_match_np_interp(self, half_width, n_points):
+        grid = Grid(half_width, n_points)
+        x = grid.z
+        rng = np.random.default_rng(n_points)
+        points = np.concatenate([
+            rng.normal(0.0, 3.0, 64), rng.uniform(-2 * half_width, 2 * half_width, 64),
+            x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+            [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, np.nan]])
+        triples = points[:len(points) // 12 * 12].reshape(3, -1, 4)   # (seeds, batch, w)
+        acts = [reconstruct(ch) for ch in (
+            uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
+            thermal_channel(grid, 1.0), lowpass_channel(grid, 2.0))]
+        # A signed-zero table: numpy gives y_j itself, -0.0, where z == x_j.
+        acts.append(DegradedActivation(grid, -np.zeros(n_points), -np.zeros(n_points), 0.0))
+        stack = DegradedActivation(grid, np.stack([a.samples for a in acts]),
+                                   np.stack([a.derivative_samples for a in acts]),
+                                   np.array([a.loss_fraction for a in acts]))
+        for table, right, lookup, stacked in [
+                ("samples", 1.0, "evaluate", stack.evaluate),
+                ("derivative_samples", 0.0, "evaluate_derivative",
+                 stack.evaluate_derivative)]:
+            levels = stacked(np.stack([points] * len(acts)))
+            for level, act in enumerate(acts):
+                fp = getattr(act, table)
+                ref = np.interp(points, x, fp, left=0.0, right=right)
+                assert same_bits(getattr(act, lookup)(points), ref)
+                assert same_bits(getattr(act, lookup)(triples),
+                                 np.interp(triples, x, fp, left=0.0, right=right))
+                assert same_bits(levels[level], ref)
+                assert same_bits(getattr(act, lookup)(x), fp)
+                for z in points[[0, 64, 128, 129, 127 + n_points, -8, -7, -6, -3, -1]]:
+                    value = getattr(act, lookup)(z)
+                    assert type(value) is float
+                    assert same_bits(value, np.interp(z, x, fp, left=0.0, right=right))
+
+    def test_stack_rejects_a_mismatched_level_axis(self):
+        acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
+        stack = DegradedActivation(SMALL, np.stack([a.samples for a in acts]),
+                                   np.stack([a.derivative_samples for a in acts]),
+                                   np.array([0.0, 1.0]))
+        assert stack.levels == 2 and acts[0].levels == 1
+        z = np.linspace(-3.0, 3.0, 10)
+        for bad in (np.stack([z] * 3), z, np.float64(0.5), z.reshape(1, 10)):
+            with pytest.raises(DimensionError):
+                stack.evaluate(bad)
+            with pytest.raises(DimensionError):
+                stack.evaluate_derivative(bad)
+        assert same_bits(stack.evaluate(np.stack([z, z])),
+                         np.stack([a.evaluate(z) for a in acts]))
 
 
 class TestSerialization:

@@ -429,7 +429,7 @@ class TestBenchmarkTracing:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 256 256"
-        assert proc.stdout.splitlines()[-2] == "0 2"
+        assert proc.stdout.splitlines()[-2] == "0 1"
 
 
 class TestEntryPoint:

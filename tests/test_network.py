@@ -204,19 +204,41 @@ def assert_same_report(a, b):
 
 
 class TestBatchedTrain:
-    """``train`` runs its seeds as one stack; each report must be the one
-    that seed gives when trained alone."""
+    """``train`` runs its (level, seed) cells as one stack; each report must
+    be the one that cell gives when trained alone."""
 
     @pytest.mark.parametrize("task, iota, seeds", [
         ("xor", 0.0, [0, 1]), ("xor", 0.5, [0, 1]), ("xor", 0.5, [7, 0, 0]),
         ("moons", 0.0, [0, 1]), ("moons", 1.0, [0, 1]),
     ])
     def test_report_does_not_depend_on_its_batch(self, task, iota, seeds):
-        act = degraded(iota)
-        batched = train(task, act, seeds)
+        batched = train(task, degraded(iota), seeds)
         assert [r.seed for r in batched] == seeds
-        for seed, report in zip(seeds, batched):
-            assert_same_report(report, train(task, act, [seed])[0])
+        for report in batched:
+            report.iota = iota
+        self.assert_cells_trained_alone(task, batched)
+
+    @pytest.mark.parametrize("task, levels, seeds", [
+        ("xor", [0.5, 1.0], [7, 0, 0]), ("moons", [0.0, 1.0], [0, 1]),
+    ])
+    def test_level_stack_report_does_not_depend_on_its_batch(self, task, levels, seeds):
+        """``sweep`` trains every (level, seed) cell in one stack."""
+        batched = sweep(task, levels, seeds, GRID)
+        assert [(r.iota, r.seed) for r in batched] == [
+            (iota, seed) for iota in levels for seed in seeds]
+        self.assert_cells_trained_alone(task, batched)
+
+    @staticmethod
+    def assert_cells_trained_alone(task, batched):
+        """Each report equals ``train(task, degraded(iota), [seed])``, and no
+        two reports share weight memory."""
+        alone = {}
+        for report in batched:
+            cell = report.iota, report.seed
+            if cell not in alone:
+                alone[cell], = train(task, degraded(report.iota), [report.seed])
+                alone[cell].iota = report.iota
+            assert_same_report(report, alone[cell])
         arrays = [[a for layer in r.weights for a in layer] for r in batched]
         for i, mine in enumerate(arrays):
             for theirs in arrays[i + 1:]:
@@ -234,10 +256,10 @@ class TestBatchedTrain:
         monkeypatch.setattr(network, name, counting)
         return calls
 
-    def test_sweep_trains_each_level_once(self, monkeypatch):
+    def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
         reports = sweep("xor", [0.0, 1.0], [0, 1, 2], GRID)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert [(r.iota, r.seed) for r in reports] == [
             (iota, seed) for iota in (0.0, 1.0) for seed in (0, 1, 2)]
 
