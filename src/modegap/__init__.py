@@ -9,7 +9,6 @@ from .activations import (
     NonDifferentiableError,
     PerceptronConfig,
     perceptron_decide,
-    sensitivity_predict,
     sigmoid,
     sigmoid_prime,
     step,
@@ -25,7 +24,6 @@ from .spectral import (
     gap,
     gap_samples,
     inverse_transform,
-    parseval_check,
     transform_gap,
     transform_samples,
 )

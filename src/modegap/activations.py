@@ -1,4 +1,4 @@
-"""Closed-form activations, the perceptron decision rule, and first-order sensitivity.
+"""Closed-form activations and the perceptron decision rule.
 
 Two step conventions coexist on purpose: as a field sample the step takes the
 value 1/2 at z=0 (which makes the sigmoid-minus-step gap an odd function, the
@@ -99,18 +99,3 @@ class ClosedFormActivation:
 SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime)
 STEP = ClosedFormActivation(step, _no_derivative)
 
-
-def sensitivity_predict(activation, cfg: PerceptronConfig,
-                        inputs, deltas_w, delta_b: float) -> float:
-    """First-order output change under weight/bias perturbations.
-
-    With m = f(sum_j w_j x_j + b) the chain rule gives
-    dm = f'(z) * (sum_j x_j dw_j + db); the derivative is analytic for the
-    sigmoid and table-interpolated for degraded activations.
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    deltas_w = np.asarray(deltas_w, dtype=float)
-    if inputs.shape != cfg.weights.shape or deltas_w.shape != cfg.weights.shape:
-        raise DimensionError("inputs, perturbations and weights must have equal length")
-    z = float(cfg.weights @ inputs) + cfg.bias
-    return float(activation.evaluate_derivative(z)) * (float(inputs @ deltas_w) + delta_b)

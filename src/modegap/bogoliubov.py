@@ -50,7 +50,7 @@ MAX_SQUEEZE = float(np.arcsinh(np.sqrt(np.finfo(float).max)))
 
 @dataclass
 class BogoliubovChannel:
-    """Mode-diagonal channel with per-mode squeeze and loss."""
+    """Mode-diagonal channel with per-mode squeeze and loss: (N,) profiles or an (L, N) stack."""
 
     grid: Grid
     iota: np.ndarray
@@ -59,9 +59,9 @@ class BogoliubovChannel:
     def __post_init__(self):
         self.iota = np.asarray(self.iota, dtype=float)
         self.squeeze = np.asarray(self.squeeze, dtype=float)
-        n = self.grid.n_points
-        if self.iota.shape != (n,) or self.squeeze.shape != (n,):
-            raise ProfileError("profiles must cover the full wavenumber lattice")
+        shape = self.iota.shape
+        if self.squeeze.shape != shape or shape[-1:] != (self.grid.n_points,) or len(shape) > 2:
+            raise ProfileError("profiles must share one (N,) or (L, N) shape on the lattice")
         if not np.all((self.iota >= 0.0) & (self.iota <= 1.0)):
             raise ProfileError("loss profile must lie in [0, 1]")
         if not np.all((self.squeeze >= 0.0) & (self.squeeze <= MAX_SQUEEZE)):
@@ -94,9 +94,10 @@ def make_channel(grid: Grid, loss_profile, squeeze_profile) -> BogoliubovChannel
     return BogoliubovChannel(grid, iota, squeeze)
 
 
-def uniform_channel(grid: Grid, iota: float) -> BogoliubovChannel:
-    """Constant loss, no squeeze."""
-    return BogoliubovChannel(grid, np.full(grid.n_points, float(iota)), np.zeros(grid.n_points))
+def uniform_channel(grid: Grid, iota) -> BogoliubovChannel:
+    """Constant loss, no squeeze; a sequence of L losses gives an (L, N) stack."""
+    iota = np.full(np.shape(iota) + (grid.n_points,), np.asarray(iota, dtype=float)[..., None])
+    return BogoliubovChannel(grid, iota, np.zeros_like(iota))
 
 
 def lowpass_channel(grid: Grid, k_cut: float) -> BogoliubovChannel:
@@ -166,10 +167,10 @@ def apply_channel(channel: BogoliubovChannel, spectrum: ModeSpectrum) -> ModeSpe
 class DegradedActivation:
     """Step carrier plus attenuated gap, tabulated on the grid's lattice.
 
-    The tables are (N,) for one activation, or an (L, N) stack of L
-    activations on one grid, with ``loss_fraction`` then one per level.  A
-    stack reads a ``z`` whose leading axis has length L: level i of ``z`` is
-    looked up in table i.  ``levels`` is 1 for a single table.
+    ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
+    for a stack of L channels on one grid, with ``loss_fraction`` then one per
+    level.  A stack reads a ``z`` whose leading axis has length L: level i of
+    ``z`` is looked up in table i.  ``levels`` is 1 for a single table.
     """
 
     grid: Grid
@@ -247,11 +248,13 @@ class DegradedActivation:
 def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     """Degraded activation of a channel: theta(z) + surviving gap modes.
 
-    The loss fraction weights the per-mode loss by the gap's spectral power:
-    sum(iota_k |g_k|^2) / sum(|g_k|^2), which reduces to iota itself for
-    uniform channels.  The amplitudes are scaled by the largest before they
-    are squared: on a coarse lattice they are small enough (about 1e-160 at
-    dz = 375) that their squares would fall into the subnormals.
+    One table row per channel row, bit for bit that row's own reconstruction;
+    the gap and sigma' are transformed once per call.  The loss fraction, a
+    float or one per row, weights the per-mode loss by the gap's spectral power:
+    sum(iota_k |g_k|^2) / sum(|g_k|^2), which reduces to iota itself for uniform
+    channels.  The amplitudes are scaled by the largest before they are squared:
+    on a coarse lattice they are small enough (about 1e-160 at dz = 375) that
+    their squares would fall into the subnormals.
     """
     grid = channel.grid
     gap_spec = transform_gap(grid)
@@ -262,22 +265,13 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
 
     magnitudes = np.abs(gap_spec.amplitudes)
     weights = (magnitudes / np.max(magnitudes)) ** 2
-    loss_fraction = float(np.sum(channel.iota * weights) / np.sum(weights))
-    return DegradedActivation(grid, samples, deriv, loss_fraction)
+    fraction = np.sum(channel.iota * weights, axis=-1) / np.sum(weights)
+    return DegradedActivation(grid, samples, deriv, fraction if fraction.ndim else float(fraction))
 
 
 def write_activation_csv(path, activation: DegradedActivation):
     write_columns(path, ["z", "f", "fprime"],
                   [activation.grid.z, activation.samples, activation.derivative_samples])
-
-
-def gap_power_split(channel: BogoliubovChannel):
-    """(kept, lost, total) spectral power of the gap under the channel."""
-    spec = transform_gap(channel.grid)
-    power = np.abs(spec.amplitudes) ** 2
-    kept = float(np.sum(channel.amplitude_factor**2 * power))
-    total = float(np.sum(power))
-    return kept, total - kept, total
 
 
 def planck_occupation(k: float, temperature: float) -> float:

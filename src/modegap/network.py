@@ -12,10 +12,10 @@ full loss and would mask the freeze.
 
 A hidden activation is any object with ``evaluate(z)`` and
 ``evaluate_derivative(z)``: a ``reconstruct(...)`` result, or the
-closed-form ``SIGMOID`` or ``STEP``.  A ``DegradedActivation`` whose tables
-are stacked as (levels, N) also says how many ``levels`` it holds, and reads
-level i of a ``z`` from table i.  ``train(task, activation, seeds)`` reads
-everything else from the task's row of ``TASKS``.
+closed-form ``SIGMOID`` or ``STEP``.  The reconstruction of an (L, N)
+channel stack also says how many ``levels`` it holds, and reads level i of
+a ``z`` from table i.  ``train(task, activation, seeds)`` reads everything
+else from the task's row of ``TASKS``.
 
 The network math takes a (..., batch, d) input, with the same leading axes
 on every weight and bias, through one body: a (batch, d) batch, or the
@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .activations import DimensionError, sigmoid
-from .bogoliubov import DegradedActivation, reconstruct, uniform_channel
+from .bogoliubov import reconstruct, uniform_channel
 from .spectral import write_columns
 
 
@@ -252,9 +252,9 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
     """Train one cell per (loss level, seed); levels must be ascending.
 
-    One degraded activation is reconstructed on ``grid`` per level, their
-    tables are stacked, and one ``train`` call trains every cell on the
-    stack.  Reports come back in deterministic (level, seed) order.
+    One ``reconstruct`` of the (levels, N) uniform channel stack on ``grid``
+    and one ``train`` call on the resulting activation stack train every
+    cell.  Reports come back in deterministic (level, seed) order.
     """
     levels = [float(v) for v in loss_levels]
     if sorted(levels) != levels:
@@ -262,13 +262,8 @@ def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
     if not levels:
         return []
 
-    activations = [reconstruct(uniform_channel(grid, iota)) for iota in levels]
-    stack = DegradedActivation(
-        grid, np.stack([a.samples for a in activations]),
-        np.stack([a.derivative_samples for a in activations]),
-        np.array([a.loss_fraction for a in activations]))
     seeds = [int(seed) for seed in seeds]
-    reports = train(task, stack, seeds)
+    reports = train(task, reconstruct(uniform_channel(grid, levels)), seeds)
     for report, iota in zip(reports, [iota for iota in levels for _ in seeds]):
         report.iota = iota
     return reports

@@ -75,30 +75,29 @@ class Grid:
 
 @dataclass
 class ModeSpectrum:
-    """Complex mode amplitudes on a grid's wavenumber lattice."""
+    """Complex mode amplitudes on a grid's wavenumber lattice: an (N,) row or an (L, N) stack."""
 
     grid: Grid
     amplitudes: np.ndarray
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.grid.n_points,):
-            raise GridError(
-                f"expected {self.grid.n_points} amplitudes, got {self.amplitudes.shape}"
-            )
+        shape = self.amplitudes.shape
+        if shape[-1:] != (self.grid.n_points,) or len(shape) > 2:
+            raise GridError(f"expected {self.grid.n_points} amplitudes per row, got {shape}")
 
     def conjugate_symmetry_defect(self) -> float:
-        """Max deviation from amplitude(-k) = conj(amplitude(k)).
+        """Max deviation from amplitude(-k) = conj(amplitude(k)), over every row.
 
         The n = -N/2 Nyquist entry has no partner and must be real, as must
         the k = 0 entry.
         """
         a = self.amplitudes
         half = self.grid.n_points // 2
-        paired = a[half + 1:]                      # n = 1 .. N/2-1
-        partners = a[1:half][::-1]                 # n = -1 .. -(N/2-1)
-        defect = float(np.max(np.abs(paired - np.conj(partners)))) if paired.size else 0.0
-        return max(defect, abs(a[half].imag), abs(a[0].imag))
+        paired = a[..., half + 1:]                 # n = 1 .. N/2-1
+        partners = a[..., half - 1:0:-1]           # n = -1 .. -(N/2-1)
+        defect = np.max(np.abs(paired - np.conj(partners)), initial=0.0)
+        return float(max(defect, np.max(np.abs(a[..., [half, 0]].imag), initial=0.0)))
 
 
 def gap(z):
@@ -169,11 +168,11 @@ SYMMETRY_TOL = 1e-6
 
 
 def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
-    """Real samples whose forward transform reproduces the spectrum exactly.
+    """Real samples whose forward transform reproduces each row of the spectrum exactly.
 
-    Refuses spectra that are not conjugate-symmetric to within SYMMETRY_TOL
-    (the field would not be real); the discarded imaginary residue is
-    checked against 1e-9.
+    Refuses spectra with a row that is not conjugate-symmetric to within
+    SYMMETRY_TOL (the field would not be real); the discarded imaginary
+    residue is checked against 1e-9.
     """
     defect = spectrum.conjugate_symmetry_defect()
     if defect > SYMMETRY_TOL:
@@ -181,7 +180,7 @@ def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
             f"conjugate symmetry violated by {defect:.3e} (tolerance {SYMMETRY_TOL:.1e})"
         )
     grid = spectrum.grid
-    rec = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes * grid.phase / grid.dz))
+    rec = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes * grid.phase / grid.dz, axes=-1))
     residue = float(np.max(np.abs(rec.imag)))
     if residue > 1e-9:
         raise SpectrumSymmetryError(f"imaginary reconstruction residue {residue:.3e}")
@@ -208,23 +207,6 @@ def analytic_gap_spectrum(k):
     sinh_term[safe] = np.pi / np.sinh(np.pi * kb[safe])
     out[big] = 1j * (1.0 / kb - sinh_term)
     return out if out.ndim else complex(out)
-
-
-def parseval_check(spectrum: ModeSpectrum, samples) -> float:
-    """Normalized defect between sample energy and spectral energy.
-
-    |dz*sum|f|^2 - (1/2L)*sum|F|^2| / (dz*sum|f|^2); 0 by convention for the
-    zero function.
-    """
-    samples = np.asarray(samples, dtype=float)
-    grid = spectrum.grid
-    if samples.shape != (grid.n_points,):
-        raise GridError("sample count does not match the grid")
-    sample_energy = grid.dz * float(np.sum(samples**2))
-    if sample_energy == 0.0:
-        return 0.0
-    spectral_energy = float(np.sum(np.abs(spectrum.amplitudes) ** 2)) / (2.0 * grid.half_width)
-    return abs(sample_energy - spectral_energy) / sample_energy
 
 
 # Rows per write in write_columns: bounds the row strings held at once.

@@ -149,13 +149,11 @@ def check_reconstruction_endpoints():
     sig = sigmoid(grid.z)
     stp = step(grid.z)
     g = gap_samples(grid)
-    recs = {iota: reconstruct(uniform_channel(grid, iota)) for iota in SWEEP_LEVELS}
-    dev_sig = float(np.max(np.abs(recs[0.0].samples - sig)))
-    step_exact = bool(np.array_equal(recs[1.0].samples, stp))
-    dev_closed = 0.0
-    for iota, rec in recs.items():
-        closed = stp + math.sqrt(1.0 - iota) * g
-        dev_closed = max(dev_closed, float(np.max(np.abs(rec.samples - closed))))
+    samples = reconstruct(uniform_channel(grid, SWEEP_LEVELS)).samples
+    dev_sig = float(np.max(np.abs(samples[SWEEP_LEVELS.index(0.0)] - sig)))
+    step_exact = bool(np.array_equal(samples[SWEEP_LEVELS.index(1.0)], stp))
+    closed = stp + np.sqrt(1.0 - np.array(SWEEP_LEVELS))[:, None] * g
+    dev_closed = float(np.max(np.abs(samples - closed)))
     ok = dev_sig < 1e-9 and step_exact and dev_closed < 1e-9
     return ok, (f"sigmoid_dev={dev_sig:.3e} step_exact={step_exact} "
                 f"closed_form_dev={dev_closed:.3e}")

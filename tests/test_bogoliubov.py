@@ -26,11 +26,7 @@ from modegap import (
     transform_gap,
     uniform_channel,
 )
-from modegap.bogoliubov import (
-    MAX_SQUEEZE,
-    gap_power_split,
-    write_activation_csv,
-)
+from modegap.bogoliubov import MAX_SQUEEZE, BogoliubovChannel, write_activation_csv
 
 GRID = Grid(40.0, 4096)
 SMALL = Grid(20.0, 256)
@@ -68,6 +64,22 @@ class TestChannelCoefficients:
         ch = make_channel(SMALL, lambda k: 0.0, lambda k: MAX_SQUEEZE)
         assert np.all(np.isfinite(ch.alpha))
         assert np.all(np.isfinite(ch.beta**2))
+
+    def test_stack_validation(self):
+        n = SMALL.n_points
+        stack = uniform_channel(SMALL, [0.0, 0.25, 1.0])
+        assert stack.iota.shape == stack.squeeze.shape == (3, n)
+        np.testing.assert_array_equal(stack.iota[1], uniform_channel(SMALL, 0.25).iota)
+        for iota, squeeze in [(np.zeros((2, n // 2)), np.zeros((2, n // 2))),
+                              (np.zeros((2, n)), np.zeros(n)),
+                              (np.zeros((2, n)), np.zeros((3, n))),
+                              (np.zeros((1, 2, n)), np.zeros((1, 2, n)))]:
+            with pytest.raises(ProfileError):
+                BogoliubovChannel(SMALL, iota, squeeze)
+        with pytest.raises(ProfileError):
+            uniform_channel(SMALL, [[0.0], [1.0]])
+        with pytest.raises(ProfileError):
+            uniform_channel(SMALL, [0.0, 1.5])
 
     def test_thermal_finite_at_k_zero(self):
         ch = thermal_channel(SMALL, 1.0)
@@ -224,10 +236,11 @@ class TestReconstruct:
     def test_energy_bookkeeping(self):
         ch = make_channel(GRID, lambda k: 0.3 if abs(k) < 3 else 0.8,
                           lambda k: 0.2)
-        kept, lost, total = gap_power_split(ch)
-        assert kept + lost == pytest.approx(total, rel=1e-9)
         spec = transform_gap(GRID)
         power = np.abs(spec.amplitudes) ** 2
+        out_power = np.abs(apply_channel(ch, spec).amplitudes) ** 2
+        kept, lost, total = (float(np.sum(p)) for p in (out_power, power - out_power, power))
+        assert kept + lost == pytest.approx(total, rel=1e-9)
         expected_lost = np.sum((1.0 - (1.0 - ch.iota) * np.exp(-2.0 * ch.squeeze))
                                * power)
         assert lost == pytest.approx(float(expected_lost), rel=1e-9)
@@ -238,6 +251,22 @@ class TestReconstruct:
             deriv = reconstruct(uniform_channel(GRID, iota)).derivative_samples
             np.testing.assert_allclose(deriv, math.sqrt(1.0 - iota) * base,
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("half_width, n_points", [
+        (40.0, 4096), (40.0, 512), (7.3, 64), (40.0, 262144), (1e-3, 8)])
+    def test_stack_rows_match_each_channel_alone(self, half_width, n_points):
+        grid = Grid(half_width, n_points)
+        channels = [uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
+                    lowpass_channel(grid, 2.0), thermal_channel(grid, 1.0)]
+        stack = reconstruct(BogoliubovChannel(grid, np.stack([ch.iota for ch in channels]),
+                                              np.stack([ch.squeeze for ch in channels])))
+        assert stack.levels == 4 and stack.loss_fraction.shape == (4,)
+        for level, channel in enumerate(channels):
+            alone = reconstruct(channel)
+            assert alone.levels == 1 and type(alone.loss_fraction) is float
+            assert same_bits(stack.samples[level], alone.samples)
+            assert same_bits(stack.derivative_samples[level], alone.derivative_samples)
+            assert same_bits(stack.loss_fraction[level], alone.loss_fraction)
 
 
 class TestEvaluate:
@@ -314,9 +343,7 @@ class TestLatticeLookup:
 
     def test_stack_rejects_a_mismatched_level_axis(self):
         acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
-        stack = DegradedActivation(SMALL, np.stack([a.samples for a in acts]),
-                                   np.stack([a.derivative_samples for a in acts]),
-                                   np.array([0.0, 1.0]))
+        stack = reconstruct(uniform_channel(SMALL, [0.0, 1.0]))
         assert stack.levels == 2 and acts[0].levels == 1
         z = np.linspace(-3.0, 3.0, 10)
         for bad in (np.stack([z] * 3), z, np.float64(0.5), z.reshape(1, 10)):

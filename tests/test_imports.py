@@ -90,3 +90,54 @@ def test_dead_public_name_is_found():
 def test_no_dead_public_names():
     modules = {path.stem: path.read_text() for path in MODULES}
     assert dead_public_names(modules, [path.read_text() for path in READERS]) == []
+
+
+SPAN_READERS = {"calls", "seconds", "calls_inside"}
+
+
+def read_span_names(source: str) -> set[str]:
+    """The span names a benchmark child reads: every string its ``calls``,
+    ``seconds`` and ``calls_inside`` calls are given, and every string of
+    the tuples its ``for`` loops run over."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.For) and isinstance(node.iter, (ast.Tuple, ast.List)):
+            found = node.iter.elts
+        elif isinstance(node, ast.Call) and getattr(node.func, "id",
+                                                    getattr(node.func, "attr", None)) in SPAN_READERS:
+            found = [c for arg in node.args for c in ast.walk(arg)]
+        else:
+            continue
+        names |= {c.value for c in found
+                  if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return names
+
+
+def span_names(modules: dict) -> set[str]:
+    """``module.name`` of every public top-level function and public method
+    of a top-level class of ``modules`` (name -> source): the spans a traced
+    round records."""
+    spans = set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            spans |= {f"{module}.{fn.name}" for fn in body
+                      if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    return spans
+
+
+def test_read_span_names_are_found():
+    child = ("for name in ('m.f', 'm.g'):\n    x[f'{name}.calls'] = calls(name)\n"
+             "y['m.h.calls'] = calls('m.h')\nseconds('m.C')\n"
+             "tracer.calls_inside(['m.i'], 'm.method')\nfor a, b in pairs:\n    pass\n")
+    assert read_span_names(child) == {"m.f", "m.g", "m.h", "m.C", "m.i", "m.method"}
+    module = "def f():\n    pass\ndef _g():\n    pass\nclass C:\n    def method(self):\n        pass\n"
+    assert span_names({"m": module}) == {"m.f", "m.method"}
+
+
+def test_benchmark_reads_only_spans_the_package_records():
+    """A traced benchmark round looks every span it reads up by name, and
+    a name the package no longer defines fails that round with a KeyError."""
+    read = read_span_names((ROOT / "perfbench" / "child.py").read_text())
+    assert "bogoliubov.reconstruct" in read and "spectral.gap_samples" in read
+    assert read - span_names({path.stem: path.read_text() for path in MODULES}) == set()

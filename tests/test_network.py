@@ -207,6 +207,10 @@ class TestBatchedTrain:
     """``train`` runs its (level, seed) cells as one stack; each report must
     be the one that cell gives when trained alone."""
 
+    # (task, iota, seed) -> the report of that cell trained alone, shared by
+    # the tests below, which meet the same cells more than once.
+    trained_alone = {}
+
     @pytest.mark.parametrize("task, iota, seeds", [
         ("xor", 0.0, [0, 1]), ("xor", 0.5, [0, 1]), ("xor", 0.5, [7, 0, 0]),
         ("moons", 0.0, [0, 1]), ("moons", 1.0, [0, 1]),
@@ -228,13 +232,13 @@ class TestBatchedTrain:
             (iota, seed) for iota in levels for seed in seeds]
         self.assert_cells_trained_alone(task, batched)
 
-    @staticmethod
-    def assert_cells_trained_alone(task, batched):
+    @classmethod
+    def assert_cells_trained_alone(cls, task, batched):
         """Each report equals ``train(task, degraded(iota), [seed])``, and no
         two reports share weight memory."""
-        alone = {}
+        alone = cls.trained_alone
         for report in batched:
-            cell = report.iota, report.seed
+            cell = task, report.iota, report.seed
             if cell not in alone:
                 alone[cell], = train(task, degraded(report.iota), [report.seed])
                 alone[cell].iota = report.iota
@@ -262,6 +266,14 @@ class TestBatchedTrain:
         assert len(calls) == 1
         assert [(r.iota, r.seed) for r in reports] == [
             (iota, seed) for iota in (0.0, 1.0) for seed in (0, 1, 2)]
+
+    def test_sweep_reconstructs_every_level_in_one_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "reconstruct")
+        reports = sweep("xor", [0.0, 0.5, 1.0], [0], GRID)
+        assert len(calls) == 1
+        channel, = calls[0]
+        assert channel.iota.shape == (3, GRID.n_points)
+        assert [r.iota for r in reports] == [0.0, 0.5, 1.0]
 
     def test_full_batch_reuses_the_evaluation_pass(self, monkeypatch):
         """One forward pass per epoch plus the first: the pass that judges an

@@ -16,7 +16,6 @@ from modegap import (
     gap,
     gap_samples,
     inverse_transform,
-    parseval_check,
     transform_gap,
     transform_samples,
 )
@@ -241,19 +240,43 @@ class TestInverseTransform:
         with pytest.raises(SpectrumSymmetryError):
             inverse_transform(ModeSpectrum(GRID, amps))
 
+    def test_one_asymmetric_row_rejects_the_stack(self):
+        amps = np.stack([transform_gap(GRID).amplitudes] * 3)
+        assert inverse_transform(ModeSpectrum(GRID, amps)).shape == (3, GRID.n_points)
+        amps[1, GRID.n_points // 2 + 5] += 1.0  # no conjugate partner in row 1
+        with pytest.raises(SpectrumSymmetryError):
+            inverse_transform(ModeSpectrum(GRID, amps))
+
+    def test_stack_shapes(self):
+        n = GRID.n_points
+        for bad in (np.zeros((2, n // 2)), np.zeros((2, 2, n)), np.zeros(())):
+            with pytest.raises(GridError):
+                ModeSpectrum(GRID, bad)
+
+
+def _parseval_check(spectrum, samples):
+    """Normalized defect between sample energy and spectral energy:
+    |dz*sum|f|^2 - (1/2L)*sum|F|^2| / (dz*sum|f|^2), 0 for the zero function."""
+    grid = spectrum.grid
+    sample_energy = grid.dz * float(np.sum(np.asarray(samples) ** 2))
+    if sample_energy == 0.0:
+        return 0.0
+    spectral_energy = float(np.sum(np.abs(spectrum.amplitudes) ** 2)) / (2.0 * grid.half_width)
+    return abs(sample_energy - spectral_energy) / sample_energy
+
 
 class TestParseval:
     def test_gap_defect(self):
         g = gap_samples(GRID)
-        assert parseval_check(transform_gap(GRID), g) < 1e-9
+        assert _parseval_check(transform_gap(GRID), g) < 1e-9
 
     def test_zero_function(self):
         zero = np.zeros(GRID.n_points)
-        assert parseval_check(transform_samples(GRID, zero), zero) == 0.0
+        assert _parseval_check(transform_samples(GRID, zero), zero) == 0.0
 
     def test_pure_harmonic(self):
         harmonic = np.cos(GRID.k[GRID.n_points // 2 + 17] * GRID.z)
-        assert parseval_check(transform_samples(GRID, harmonic), harmonic) < 1e-12
+        assert _parseval_check(transform_samples(GRID, harmonic), harmonic) < 1e-12
 
 
 class TestGapEnergy:
