@@ -35,7 +35,6 @@ from .bogoliubov import (
     commutator_residual,
     compose_channels,
     lowpass_channel,
-    make_channel,
     mode_occupation,
     planck_occupation,
     reconstruct,

@@ -87,13 +87,6 @@ class BogoliubovChannel:
         return np.sqrt(1.0 - self.iota) * np.exp(-self.squeeze)
 
 
-def make_channel(grid: Grid, loss_profile, squeeze_profile) -> BogoliubovChannel:
-    """Build a channel from callables k -> iota(k) and k -> r(k)."""
-    iota = np.array([float(loss_profile(k)) for k in grid.k])
-    squeeze = np.array([float(squeeze_profile(k)) for k in grid.k])
-    return BogoliubovChannel(grid, iota, squeeze)
-
-
 def uniform_channel(grid: Grid, iota) -> BogoliubovChannel:
     """Constant loss, no squeeze; a sequence of L losses gives an (L, N) stack."""
     iota = np.full(np.shape(iota) + (grid.n_points,), np.asarray(iota, dtype=float)[..., None])
@@ -140,13 +133,19 @@ def compose_channels(first: BogoliubovChannel, second: BogoliubovChannel) -> Bog
 
 
 def self_compose(channel: BogoliubovChannel, n: int) -> BogoliubovChannel:
-    """n copies of the channel in sequence (n >= 1)."""
+    """n copies of the channel in sequence (n >= 1), in closed form: loss
+    1 - (1 - iota)^n, squeeze n*r.  An n past the float range raises ProfileError."""
     if n < 1:
         raise ProfileError(f"composition count must be >= 1, got {n}")
-    out = channel
-    for _ in range(n - 1):
-        out = compose_channels(out, channel)
-    return out
+    if n == 1:
+        return channel  # 1 - (1 - iota)^1 is not iota's bits for every iota
+    try:
+        with np.errstate(over="ignore"):  # an infinite squeeze fails the channel's own check
+            iota, squeeze = 1.0 - (1.0 - channel.iota) ** n, n * channel.squeeze
+    except OverflowError as exc:
+        raise ProfileError(f"a composition count of {len(str(n))} digits "
+                           "exceeds the float range") from exc
+    return BogoliubovChannel(channel.grid, iota, squeeze)
 
 
 def mode_occupation(channel: BogoliubovChannel, k: float) -> float:

@@ -17,14 +17,14 @@ channel stack also says how many ``levels`` it holds, and reads level i of
 a ``z`` from table i.  ``train(task, activation, seeds)`` reads everything
 else from the task's row of ``TASKS``.
 
-The network math takes a (..., batch, d) input, with the same leading axes
-on every weight and bias, through one body: a (batch, d) batch, or the
-(levels, seeds, batch, d) stack of cells that ``train`` runs, so the Python
-cost of a step is paid once per step, not once per cell.  Each cell's slice
-sees the same products and sums, in the same order, as it would alone:
-stacked ``@`` computes slice by slice like the 2-D ``@``, and every
-per-cell reduction runs along a contiguous last axis.  A report is
-therefore bit-identical to the one that cell gives when trained alone.
+The network math takes a (..., batch, d) input whose leading axes
+broadcast against the weights' and biases': a (batch, d) batch, or the
+(seeds, batch, d) data of the (levels, seeds) stack of cells that ``train``
+runs, so the Python cost of a step is paid once per step, not once per
+cell.  Each cell's slice sees the same products and sums, in the same
+order, as it would alone: stacked ``@`` computes slice by slice like the
+2-D ``@``, and every per-cell reduction runs along a contiguous last axis.
+A report is therefore bit-identical to the one that cell gives alone.
 """
 
 from dataclasses import dataclass, field
@@ -105,10 +105,10 @@ def init_weights(layer_sizes, rng):
 def forward(activation, weights, inputs):
     """All layer pre-activations and activations, plus the sigmoid output.
 
-    ``inputs`` is a (..., batch, d) array whose weights and biases carry
-    the same leading axes; the output column of the last layer is squeezed
-    to (..., batch).  Each layer's W must have as many columns as the width
-    before it, starting from d.
+    ``inputs`` is a (..., batch, d) array whose leading axes broadcast
+    against the weights' and biases'; the output column of the last layer
+    is squeezed to (..., batch).  Each layer's W must have as many columns
+    as the width before it, starting from d.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim < 2:
@@ -184,12 +184,12 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 
     The cells train side by side as one (levels, seeds) stack, each on its
     own data and weights, so a report does not depend on which cells share
-    the call.  Full batch when batch_size >= n; the evaluation pass that
-    ends an epoch is then the next epoch's training pass.  Otherwise
-    minibatches are reshuffled each epoch from the generator that
-    initialized that cell's weights.  The threshold rule is evaluated on the
-    full dataset at each epoch end.  Each report carries its own copy of its
-    final weights.
+    the call.  Each seed has one generator: it draws the seed's initial
+    weights, which every level starts from, and then each epoch's
+    minibatch order, which every level shares.  Full batch when batch_size
+    >= n; the evaluation pass that ends an epoch is then the next epoch's
+    training pass.  The threshold rule is evaluated on the full dataset at
+    each epoch end.  Each report carries its own copy of its final weights.
     """
     seeds = list(seeds)
     if not seeds:
@@ -198,29 +198,28 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     spec = TASKS[task]
     levels = getattr(activation, "levels", 1)
     cells = (levels, len(seeds))
-    rngs = [np.random.default_rng(seed) for _ in range(levels) for seed in seeds]
-    weights = [tuple(a.reshape(cells + a.shape[1:]) for a in _stack(layer))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    weights = [tuple(np.repeat(a[None], levels, axis=0) for a in _stack(layer))
                for layer in zip(*[init_weights(spec.layer_sizes, rng) for rng in rngs])]
 
     n = y.shape[-1]
-    x, y = np.broadcast_to(x, cells + x.shape[1:]), np.broadcast_to(y, cells + (n,))
     batch = spec.batch_size
     full_batch = batch >= n
     lr = spec.learning_rate
-    level_rows, seed_rows = np.arange(levels)[:, None, None], np.arange(len(seeds))[:, None]
+    seed_rows = np.arange(len(seeds))[:, None]
 
     reached_at = np.zeros(cells, dtype=int)              # 0: not reached yet
     early_norms = np.empty(cells + (min(100, spec.max_epochs),))
     passes = forward(activation, weights, x) if full_batch else None  # epoch 1's training pass
     for epoch in range(1, spec.max_epochs + 1):
         if not full_batch:
-            order = np.stack([rng.permutation(n) for rng in rngs]).reshape(cells + (n,))
+            order = np.stack([rng.permutation(n) for rng in rngs])
         epoch_norms = []
         for start in range(0, n, batch):
             if full_batch:
                 batch_passes, labels = passes, y
             else:
-                sel = level_rows, seed_rows, order[..., start:start + batch]
+                sel = seed_rows, order[:, start:start + batch]
                 batch_passes, labels = forward(activation, weights, x[sel]), y[sel]
             grads = loss_gradients(activation, weights, batch_passes, labels)
             epoch_norms.append(hidden_gradient_norm(grads))

@@ -172,7 +172,7 @@ def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
 
     Refuses spectra with a row that is not conjugate-symmetric to within
     SYMMETRY_TOL (the field would not be real); the discarded imaginary
-    residue is checked against 1e-9.
+    residue is checked against 1e-9, and the real part is copied out.
     """
     defect = spectrum.conjugate_symmetry_defect()
     if defect > SYMMETRY_TOL:
@@ -180,11 +180,13 @@ def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
             f"conjugate symmetry violated by {defect:.3e} (tolerance {SYMMETRY_TOL:.1e})"
         )
     grid = spectrum.grid
-    rec = np.fft.ifft(np.fft.ifftshift(spectrum.amplitudes * grid.phase / grid.dz, axes=-1))
+    shifted = np.fft.ifftshift(spectrum.amplitudes * grid.phase, axes=-1)
+    shifted /= grid.dz
+    rec = np.fft.ifft(shifted)
     residue = float(np.max(np.abs(rec.imag)))
     if residue > 1e-9:
         raise SpectrumSymmetryError(f"imaginary reconstruction residue {residue:.3e}")
-    return rec.real
+    return rec.real.copy()
 
 
 def analytic_gap_spectrum(k):

@@ -18,7 +18,7 @@ honestly rather than loosened: the monotone early-gradient claim.  Its median
 early hidden-gradient norms measure 5.0e-3, 1.7e-2, 3.1e-2, 5.6e-2 and 0 over
 levels 0..1, while at a fixed weight point the hidden gradient scales as
 sqrt(1-iota) (gradient-scaling-fixed-point passes).  The cause of the rise is
-left open; ROADMAP item 3 holds what has been measured of it.
+left open; the ROADMAP item "Gradient anatomy traces" holds its measurements.
 """
 
 import contextlib
@@ -33,8 +33,8 @@ import numpy as np
 from .activations import SIGMOID, PerceptronConfig, perceptron_decide, sigmoid, step
 from .spectral import Grid, analytic_gap_spectrum, continuum_gap_spectrum, gap_samples
 from .bogoliubov import (
+    BogoliubovChannel,
     commutator_residual,
-    make_channel,
     mode_occupation,
     planck_occupation,
     reconstruct,
@@ -132,7 +132,7 @@ def check_grid_oracle_agreement():
 
 def check_commutator_dichotomy():
     grid = Grid(20.0, 256)
-    canonical = make_channel(grid, lambda k: 0.0, lambda k: 0.5 + abs(k) / 10.0)
+    canonical = BogoliubovChannel(grid, np.zeros(grid.n_points), 0.5 + np.abs(grid.k) / 10.0)
     res_canonical = commutator_residual(canonical)
     res_lossy = commutator_residual(uniform_channel(grid, 0.3))
     worst = 0.0

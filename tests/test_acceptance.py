@@ -17,7 +17,8 @@ target anyway:
   5.0e-3, 1.7e-2, 3.1e-2, 5.6e-2 and 0 over levels 0..1, while at a fixed
   weight point the hidden gradient scales as sqrt(1-iota)
   (gradient-scaling-fixed-point passes).  The cause of the rise is left
-  open; ROADMAP item 3 holds what has been measured of it.
+  open; the ROADMAP item "Gradient anatomy traces" holds what has been
+  measured of it.
 """
 
 import math

@@ -15,7 +15,6 @@ from modegap import (
     compose_channels,
     gap_samples,
     lowpass_channel,
-    make_channel,
     mode_occupation,
     planck_occupation,
     reconstruct,
@@ -26,10 +25,16 @@ from modegap import (
     transform_gap,
     uniform_channel,
 )
+from modegap import bogoliubov
 from modegap.bogoliubov import MAX_SQUEEZE, BogoliubovChannel, write_activation_csv
 
 GRID = Grid(40.0, 4096)
 SMALL = Grid(20.0, 256)
+
+
+def constant_channel(grid, iota, squeeze):
+    """The same loss and squeeze on every mode."""
+    return BogoliubovChannel(grid, np.full(grid.n_points, iota), np.full(grid.n_points, squeeze))
 
 
 class TestChannelCoefficients:
@@ -45,23 +50,23 @@ class TestChannelCoefficients:
 
     def test_transmissivity_identity(self):
         """alpha^2 - beta^2 = 1 - iota, checked numerically at moderate squeeze."""
-        ch = make_channel(SMALL, lambda k: 0.4, lambda k: 0.1 + abs(k) / 10.0)
+        ch = BogoliubovChannel(SMALL, np.full(SMALL.n_points, 0.4), 0.1 + np.abs(SMALL.k) / 10.0)
         np.testing.assert_allclose(ch.alpha**2 - ch.beta**2, 0.6, atol=1e-12)
 
     def test_profile_validation(self):
         with pytest.raises(ProfileError):
             uniform_channel(SMALL, 1.5)
         with pytest.raises(ProfileError):
-            make_channel(SMALL, lambda k: -0.1, lambda k: 0.0)
+            constant_channel(SMALL, -0.1, 0.0)
         with pytest.raises(ProfileError):
-            make_channel(SMALL, lambda k: 0.0, lambda k: -1.0)
+            constant_channel(SMALL, 0.0, -1.0)
         with pytest.raises(ProfileError):
-            make_channel(SMALL, lambda k: math.nan, lambda k: 0.0)
+            constant_channel(SMALL, math.nan, 0.0)
         with pytest.raises(ProfileError):
-            make_channel(SMALL, lambda k: 0.0, lambda k: np.nextafter(MAX_SQUEEZE, math.inf))
+            constant_channel(SMALL, 0.0, np.nextafter(MAX_SQUEEZE, math.inf))
         # At the bound arcsinh(sqrt(DBL_MAX)), alpha, beta and beta^2 are finite.
         assert MAX_SQUEEZE == pytest.approx(355.58450362725193, rel=1e-15)
-        ch = make_channel(SMALL, lambda k: 0.0, lambda k: MAX_SQUEEZE)
+        ch = constant_channel(SMALL, 0.0, MAX_SQUEEZE)
         assert np.all(np.isfinite(ch.alpha))
         assert np.all(np.isfinite(ch.beta**2))
 
@@ -89,7 +94,7 @@ class TestChannelCoefficients:
 
 class TestCommutatorResidual:
     def test_canonical_any_squeeze(self):
-        ch = make_channel(SMALL, lambda k: 0.0, lambda k: 2.0)
+        ch = constant_channel(SMALL, 0.0, 2.0)
         assert commutator_residual(ch) == 0.0
         assert commutator_residual(thermal_channel(SMALL, 0.5)) == 0.0
 
@@ -104,7 +109,7 @@ class TestCommutatorResidual:
 class TestCompose:
     def test_identity_element(self):
         identity = uniform_channel(SMALL, 0.0)
-        ch = make_channel(SMALL, lambda k: 0.2, lambda k: 0.7)
+        ch = constant_channel(SMALL, 0.2, 0.7)
         out = compose_channels(identity, ch)
         np.testing.assert_allclose(out.iota, ch.iota, atol=1e-15)
         np.testing.assert_array_equal(out.squeeze, ch.squeeze)
@@ -115,21 +120,63 @@ class TestCompose:
             assert eff.iota[0] == pytest.approx(1.0 - 0.7**n, abs=1e-12)
 
     def test_squeeze_adds(self):
-        ch = make_channel(SMALL, lambda k: 0.0, lambda k: 0.4)
+        ch = constant_channel(SMALL, 0.0, 0.4)
         assert self_compose(ch, 3).squeeze[0] == pytest.approx(1.2, abs=1e-12)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridError):
             compose_channels(uniform_channel(SMALL, 0.1), uniform_channel(GRID, 0.1))
 
+    @pytest.fixture
+    def no_chaining(self, monkeypatch):
+        """Fail the first ``compose_channels`` call, so that a per-copy loop
+        fails at once instead of running for every copy it is asked for."""
+        def refuse(*args):
+            raise AssertionError("self_compose chained compose_channels")
+
+        monkeypatch.setattr(bogoliubov, "compose_channels", refuse)
+
+    def test_deep_composition_is_one_closed_form(self, no_chaining):
+        ch = self_compose(uniform_channel(SMALL, 0.5), 10**11)
+        np.testing.assert_array_equal(ch.iota, 1.0)
+        np.testing.assert_array_equal(ch.squeeze, 0.0)
+
+    def test_single_copy_is_the_channel(self):
+        for ch in (uniform_channel(SMALL, 0.3), thermal_channel(SMALL, 1.0),
+                   uniform_channel(SMALL, [0.1, 0.7])):
+            once = self_compose(ch, 1)
+            assert same_bits(once.iota, ch.iota) and same_bits(once.squeeze, ch.squeeze)
+
+    def test_count_bounds(self, no_chaining):
+        for n in (0, -1):
+            with pytest.raises(ProfileError):
+                self_compose(uniform_channel(SMALL, 0.3), n)
+        for ch in (uniform_channel(SMALL, 0.3), thermal_channel(SMALL, 1.0)):
+            with pytest.raises(ProfileError):
+                self_compose(ch, 10**400)   # past the float range
+        with pytest.raises(ProfileError):
+            self_compose(thermal_channel(SMALL, 1.0), 10**11)  # squeeze past MAX_SQUEEZE
+        with pytest.raises(ProfileError):
+            self_compose(thermal_channel(SMALL, 1.0), 10**307)  # squeeze overflows to inf
+
+    @given(st.floats(0, 1), st.floats(0, 3), st.integers(2, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_matches_chained_composition(self, iota, squeeze, n):
+        grid = Grid(10.0, 16)
+        ch = constant_channel(grid, iota, squeeze)
+        chained = ch
+        for _ in range(n - 1):
+            chained = compose_channels(chained, ch)
+        closed = self_compose(ch, n)
+        np.testing.assert_allclose(closed.iota, chained.iota, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(closed.squeeze, chained.squeeze, rtol=0, atol=1e-12)
+
     @given(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
            st.floats(0, 3), st.floats(0, 3), st.floats(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_associative_commutative(self, i1, i2, i3, r1, r2, r3):
         grid = Grid(10.0, 16)
-        a = make_channel(grid, lambda k: i1, lambda k: r1)
-        b = make_channel(grid, lambda k: i2, lambda k: r2)
-        c = make_channel(grid, lambda k: i3, lambda k: r3)
+        a, b, c = (constant_channel(grid, i, r) for i, r in ((i1, r1), (i2, r2), (i3, r3)))
         left = compose_channels(compose_channels(a, b), c)
         right = compose_channels(a, compose_channels(b, c))
         np.testing.assert_allclose(left.eta, right.eta, atol=1e-12)
@@ -145,7 +192,7 @@ class TestModeOccupation:
         assert mode_occupation(ch, float(SMALL.k[10])) == 0.0
 
     def test_total_loss_kills_beta(self):
-        ch = make_channel(SMALL, lambda k: 1.0, lambda k: 2.0)
+        ch = constant_channel(SMALL, 1.0, 2.0)
         assert mode_occupation(ch, float(SMALL.k[10])) == 0.0
 
     def test_planck_factor_at_unit_k(self):
@@ -234,8 +281,8 @@ class TestReconstruct:
             assert samples.max() <= 1.02
 
     def test_energy_bookkeeping(self):
-        ch = make_channel(GRID, lambda k: 0.3 if abs(k) < 3 else 0.8,
-                          lambda k: 0.2)
+        ch = BogoliubovChannel(GRID, np.where(np.abs(GRID.k) < 3, 0.3, 0.8),
+                               np.full(GRID.n_points, 0.2))
         spec = transform_gap(GRID)
         power = np.abs(spec.amplitudes) ** 2
         out_power = np.abs(apply_channel(ch, spec).amplitudes) ** 2
@@ -267,6 +314,11 @@ class TestReconstruct:
             assert same_bits(stack.samples[level], alone.samples)
             assert same_bits(stack.derivative_samples[level], alone.derivative_samples)
             assert same_bits(stack.loss_fraction[level], alone.loss_fraction)
+
+    def test_derivative_table_owns_contiguous_memory(self):
+        for channel in (uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5])):
+            deriv = reconstruct(channel).derivative_samples
+            assert deriv.flags.c_contiguous and deriv.flags.owndata
 
 
 class TestEvaluate:

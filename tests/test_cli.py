@@ -109,6 +109,8 @@ class TestConfigResolution:
         ["channel", "--set", "grid.N=8", "--set", "channel.profile=thermal", "--compose", "20"],
         ["channel", "--set", "grid.N=8", "--set", "channel.profile=thermal", "--compose", "38"],
         ["channel", "--compose", "0"],
+        ["channel", "--compose", "1" + "0" * 400],
+        ["channel", "--set", "channel.profile=thermal", "--compose", "100000000000"],
     ])
     @pytest.mark.filterwarnings("error")  # no warning may precede the error line
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -173,7 +175,7 @@ class TestConfigFuzz:
            st.dictionaries(st.sampled_from(FUZZED_KEYS), CONFIG_VALUES, max_size=3),
            st.one_of(st.sampled_from([2**e for e in range(13)]),
                      st.integers(-2**12, 2**12)),
-           st.sampled_from([0, 1, 2, 3, 19, 20]))
+           st.sampled_from([0, 1, 2, 3, 19, 20, 10**11]))
     @settings(max_examples=50, deadline=None)
     def test_cli_exits_0_or_2(self, command, values, n_points, compose):
         values["grid.N"] = n_points
@@ -249,20 +251,23 @@ class TestChannelCommand:
         assert "commutator residual: 0.75" in capsys.readouterr().out
 
     def test_deep_composition_described_flat(self, tmp_path):
-        """A 1000-fold composition is described as its base channel plus
-        ``compose = 1000``, so writing channel.txt cannot recurse per level."""
+        """A 10^11-fold composition is described as its base channel plus
+        ``compose = 100000000000``, so writing channel.txt cannot recurse per
+        level; it is one closed form, so the command ends well within the
+        timeout, which turns a return to per-copy composition into a failure."""
         out = tmp_path / "ch"
         proc = subprocess.run(
             [sys.executable, "-m", "modegap", "channel", "--out", str(out),
-             "--compose", "1000", "--set", "grid.N=8"],
-            capture_output=True, text=True, env=checkout_env())
+             "--compose", "100000000000", "--set", "grid.N=8"],
+            capture_output=True, text=True, env=checkout_env(), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         lines = (out / "channel.txt").read_text().splitlines()
         values = dict(line.split(" = ", 1) for line in lines)
         assert values["profile"] == "uniform"
-        assert values["compose"] == "1000"
+        assert values["compose"] == "100000000000"
         assert values["iota"] == "0.5"
+        assert values["max_iota"] == "1.0"
 
     def test_descriptor(self, tmp_path):
         out = tmp_path / "ch"
