@@ -21,17 +21,15 @@ class DimensionError(ValueError):
 
 
 def sigmoid(z):
-    """Logistic function 1/(1+exp(-z)), stable for |z| up to ~700.
+    """Logistic function 1/(1+exp(-z)), stable for every float z.
 
-    Computed branch-wise so no large positive argument is ever exponentiated;
-    accepts scalars or arrays and returns the matching shape.
+    Written like ``spectral.gap``: e = exp(-|z|) never overflows, and
+    sigma(z) is 1/(1+e) for z >= 0 and e/(1+e) below; accepts scalars or
+    arrays and returns the matching shape.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 

@@ -1,14 +1,15 @@
 """Experiment runner: spectrum, channel, degrade, train-sweep, verify.
 
-Options follow the subcommand.  Configuration is a flat key-value file (one
-``key = value`` per line, ``#`` comments) overridden by repeatable ``--set
-key=value`` flags; ``--out`` and ``--seed`` are shorthands for ``out.dir`` and
-a single-seed sweep.  ``verify`` takes only ``--full``.  ``resolve_config``
-checks every key once and builds the run's channel, composed ``--compose``
-times, before any command writes; a composition is checked with the other
-channel rules.  The fully resolved configuration is echoed to
-``<out.dir>/config.resolved`` next to the outputs; ``channel.txt`` names the
-channel by the profile and parameter read from it.
+Options follow the subcommand.  A run's configuration is the defaults
+overridden, a later assignment winning, by each ``key = value`` line of the
+``--config`` file (``#`` comments), each ``--set key=value``, then ``--out``
+(``out.dir``) and ``--seed`` (a one-seed ``sweep.seeds``); an error about an
+assignment names its source, ``path:line`` or the flag.  ``verify`` takes only
+``--full``.  ``resolve_config`` checks every key before any command writes,
+each channel profile's parameter by that profile's maker whether the run uses
+it or not.  The resolved configuration is echoed to
+``<out.dir>/config.resolved``; ``channel.txt`` names the channel by the
+profile and parameter read from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error; a command that exits 2 has written nothing.
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .activations import sigmoid
-from .spectral import Grid, continuum_spectrum, gap_samples, write_columns, write_spectrum_csv
+from .spectral import (Grid, continuum_gap_spectrum, gap_samples, write_columns,
+                       write_spectrum_csv)
 from .bogoliubov import (
     BogoliubovChannel,
     commutator_residual,
@@ -49,27 +51,11 @@ DEFAULTS = {
     "task.name": "xor",
     "out.dir": "out",
 }
+CHECK_GRID = Grid(1.0, 8)  # the lattice on which the profiles a run does not use are built
 
 
 class ConfigError(ValueError):
     pass
-
-
-def parse_config_file(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
-    return values
 
 
 @dataclass(frozen=True)
@@ -95,46 +81,58 @@ def _comma_list(values, key, convert):
 
 
 def resolve_config(args) -> RunConfig:
-    """Merge defaults, ``--config``, ``--set``, ``--out`` and ``--seed``, then
-    parse and check every key and compose the channel ``--compose`` times (once
-    for commands without the option); raises ``ConfigError`` on the first bad one."""
-    values = dict(DEFAULTS)
+    """Apply the run's ``key=value`` assignments over the defaults, a later one
+    winning: each non-comment line of ``--config`` (source ``path:line``), each
+    ``--set``, then ``--out`` as ``out.dir`` and ``--seed`` as ``sweep.seeds``.
+    Then parse and check every key and compose the run's channel ``--compose``
+    times (once for commands without the option); raises ``ConfigError`` on
+    the first bad one."""
+    pairs = []
     if args.config:
-        file_values = parse_config_file(args.config)
-        unknown = set(file_values) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key: {key}")
-        values[key] = val
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+        pairs += [(f"{args.config}:{n}", line) for n, line in enumerate(lines, 1) if line]
+    pairs += [("--set", item) for item in args.set or []]
     if args.out:
-        values["out.dir"] = args.out
+        pairs.append(("--out", f"out.dir={args.out}"))
     if args.seed is not None:
-        values["sweep.seeds"] = str(args.seed)
+        pairs.append(("--seed", f"sweep.seeds={args.seed}"))
+
+    values = dict(DEFAULTS)
+    for source, text in pairs:
+        key, sep, val = (part.strip() for part in text.partition("="))
+        if not sep or key not in DEFAULTS:
+            raise ConfigError(f"{source}: expected 'key = value' with a known key, got {text!r}")
+        values[key] = val
 
     try:
         grid = Grid(float(values["grid.L"]), int(values["grid.N"]))
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
-    # Built per call, so that a maker rebound on this module (as the
-    # benchmark's span tracer does) is the one called.
+    # Built per call, so that a maker rebound on this module (as the benchmark's
+    # span tracer does) is the one called.  Each maker checks its own parameter,
+    # on the run's grid for the run's profile and on CHECK_GRID for the others.
     makers = {"uniform": (uniform_channel, "iota"),
               "lowpass": (lowpass_channel, "kc"),
               "thermal": (thermal_channel, "T")}
     profile = values["channel.profile"]
     if profile not in makers:
         raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
-    maker, name = makers[profile]
+    for name, (maker, param) in makers.items():
+        try:
+            value = float(values[f"channel.{param}"])
+            built = maker(grid if name == profile else CHECK_GRID, value)
+        except ValueError as exc:
+            raise ConfigError(f"bad channel.{param}: {exc}") from exc
+        if name == profile:
+            channel, params = built, {param: value}
     compose_n = getattr(args, "compose", 1)
     try:
-        params = {name: float(values[f"channel.{name}"])}
-        channel = self_compose(maker(grid, params[name]), compose_n)
+        channel = self_compose(channel, compose_n)
     except ValueError as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
     if compose_n > 1:
@@ -185,15 +183,14 @@ def print_checks(results) -> int:
 
 def cmd_spectrum(run: RunConfig) -> int:
     grid = run.grid
-    g = gap_samples(grid)
-    spec = continuum_spectrum(grid, g)
+    spec = continuum_gap_spectrum(grid)
     try:
         (ks, numeric, analytic, rel_err), oracle = verify_mod.oracle_comparison(spec)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
     out_dir = prepare_out(run)
 
-    write_columns(out_dir / "gap_samples.csv", ["z", "g"], [grid.z, g])
+    write_columns(out_dir / "gap_samples.csv", ["z", "g"], [grid.z, gap_samples(grid)])
     write_spectrum_csv(out_dir / "gap_spectrum.csv", spec)
     write_columns(out_dir / "oracle_comparison.csv", ["k", "numeric", "analytic", "rel_err"],
                   [ks, numeric.imag, analytic.imag, rel_err])

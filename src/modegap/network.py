@@ -214,6 +214,7 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     for epoch in range(1, spec.max_epochs + 1):
         if not full_batch:
             order = np.stack([rng.permutation(n) for rng in rngs])
+        early = epoch <= 100   # the report reads only the first 100 epochs' norms
         epoch_norms = []
         for start in range(0, n, batch):
             if full_batch:
@@ -222,11 +223,12 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
                 sel = seed_rows, order[:, start:start + batch]
                 batch_passes, labels = forward(activation, weights, x[sel]), y[sel]
             grads = loss_gradients(activation, weights, batch_passes, labels)
-            epoch_norms.append(hidden_gradient_norm(grads))
+            if early:
+                epoch_norms.append(hidden_gradient_norm(grads))
             for (w, b), (dw, db) in zip(weights, grads):
                 w -= lr * dw
                 b -= lr * db
-        if epoch <= 100:
+        if early:
             early_norms[..., epoch - 1] = np.mean(np.stack(epoch_norms, axis=-1), axis=-1)
 
         # The gradients are taken: free the last pass before the next one is made.

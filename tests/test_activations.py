@@ -15,7 +15,44 @@ from modegap import (
 )
 
 
+def _branchwise_sigmoid(z):
+    """The branch-wise logistic: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z))
+    elsewhere, so no positive argument is exponentiated."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 710.0, -710.0]
+
+
+def assert_same_bits(a, b):
+    """Bit for bit, except that a NaN matches any NaN: exp(-|nan|) carries
+    the sign bit, which is no value."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
 class TestSigmoid:
+    def test_bits_of_the_branchwise_formula_at_the_edges(self):
+        z = np.array(SIGMOID_EDGES)
+        assert_same_bits(sigmoid(z), _branchwise_sigmoid(z))
+        for value in SIGMOID_EDGES:
+            assert isinstance(sigmoid(value), float)
+            assert_same_bits(sigmoid(value), _branchwise_sigmoid(value))
+
+    @given(st.lists(st.one_of(st.floats(), st.floats(-50.0, 50.0)), max_size=16))
+    @settings(max_examples=300)
+    def test_bits_of_the_branchwise_formula(self, values):
+        z = np.array(values, dtype=float)
+        assert_same_bits(sigmoid(z), _branchwise_sigmoid(z))
+        assert_same_bits(sigmoid(z.reshape(-1, 1)), _branchwise_sigmoid(z).reshape(-1, 1))
+
     def test_symmetry_point(self):
         assert sigmoid(0.0) == 0.5
 

@@ -28,19 +28,52 @@ def checkout_env():
     return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
 
+COMMANDS = ["spectrum", "channel", "degrade", "train-sweep"]
+# One bad value per key but out.dir; the channel parameters are unread under the
+# default uniform profile, except channel.iota.
+BAD_VALUES = {"grid.L": "abc", "grid.N": "6", "channel.profile": "bandstop",
+              "channel.iota": "7", "channel.kc": "abc", "channel.T": "-5",
+              "sweep.levels": "0,2", "sweep.seeds": "-1", "task.name": "cifar"}
+
+
 class TestConfigResolution:
     def test_defaults_file_set_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nchannel.iota = 0.25\ngrid.N = 1024\n")
         args = cli.build_parser().parse_args(
-            ["degrade", "--config", str(cfg), "--set", "grid.N=512",
+            ["train-sweep", "--config", str(cfg), "--set", "grid.N=512",
+             "--set", "out.dir=a", "--set", "sweep.seeds=0,1", "--seed", "3",
              "--out", str(tmp_path / "o")])
         resolved = cli.resolve_config(args)
         assert resolved.values["channel.iota"] == "0.25"   # file beats default
         assert resolved.values["grid.N"] == "512"          # --set beats file
-        assert resolved.values["out.dir"] == str(tmp_path / "o")
+        assert resolved.values["out.dir"] == str(tmp_path / "o")  # --out beats --set
+        assert resolved.values["sweep.seeds"] == "3"       # --seed beats --set
         assert resolved.values["channel.profile"] == "uniform"  # default survives
         assert resolved.grid.n_points == 512
+
+    def test_every_profile_parameter_is_checked_by_its_maker(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """Every profile's maker checks its parameter, but only the run's
+        profile is built on the run's grid."""
+        assert run_cli(["channel", "--set", "channel.kc=abc", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad channel.kc: could not convert string to float: 'abc'\n")
+        grids = {}
+
+        def recording(name, real):
+            def maker(grid, value):
+                grids[name] = grid
+                return real(grid, value)
+            return maker
+
+        for name in ("uniform_channel", "lowpass_channel", "thermal_channel"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        run = cli.resolve_config(cli.build_parser().parse_args(
+            ["channel", "--set", "channel.profile=lowpass", "--set", "grid.N=1024"]))
+        assert grids == {"uniform_channel": cli.CHECK_GRID, "lowpass_channel": run.grid,
+                         "thermal_channel": cli.CHECK_GRID}
+        assert run.grid.n_points == 1024 and run.params == {"kc": 2.0}
 
     def test_seed_flag_overrides_sweep_seeds(self, tmp_path):
         args = cli.build_parser().parse_args(["train-sweep", "--seed", "7"])
@@ -57,19 +90,33 @@ class TestConfigResolution:
                                                  "sweep.seeds")] == [
             "40", "4096", "0,0.25,0.5,0.75,1", "0,1,2,3,4,5,6,7,8,9"]
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        """The error names the assignment's source: the file's path:line,
+        counting comment and blank lines, or the flag."""
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("grid.M = 3\n")
+        cfg.write_text("# comment\n\ngrid.N = 1024\ngrid.M = 3\n")
         assert run_cli(["spectrum", "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:4: expected 'key = value' with a known key, got 'grid.M = 3'\n")
         assert run_cli(["spectrum", "--set", "nope=1",
                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --set: expected 'key = value' with a known key, got 'nope=1'\n")
+        assert not (tmp_path / "o").exists()
 
-    def test_malformed_line_rejected(self, tmp_path):
+    def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("grid.N 1024\n")
+        cfg.write_text("grid.N 1024  # no equals sign\n")
         assert run_cli(["spectrum", "--config", str(cfg),
                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:1: expected 'key = value' with a known key, got 'grid.N 1024'\n")
+        assert run_cli(["spectrum", "--set", "grid.N",
+                        "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: --set: expected 'key = value' with a known key, got 'grid.N'\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli(["spectrum", "--config", str(tmp_path / "none.cfg"),
@@ -111,6 +158,14 @@ class TestConfigResolution:
         ["channel", "--compose", "0"],
         ["channel", "--compose", "1" + "0" * 400],
         ["channel", "--set", "channel.profile=thermal", "--compose", "100000000000"],
+        # Every key on every command, whether or not the command or the run's
+        # profile reads it.
+        *([command, "--set", f"{key}={val}"]
+          for command in COMMANDS for key, val in BAD_VALUES.items()),
+        *([command, "--set", profile, "--set", bad] for command in COMMANDS
+          for profile, bad in [("channel.profile=lowpass", "channel.iota=7"),
+                               ("channel.profile=thermal", "channel.kc=abc"),
+                               ("channel.profile=lowpass", "channel.T=-5")]),
     ])
     @pytest.mark.filterwarnings("error")  # no warning may precede the error line
     def test_bad_value_exits_2_with_one_line(self, tmp_path, capsys, argv):
@@ -120,6 +175,9 @@ class TestConfigResolution:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_bad_values_cover_every_key(self):
+        assert set(BAD_VALUES) == set(cli.DEFAULTS) - {"out.dir"}
 
     def test_options_belong_to_the_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -160,7 +218,7 @@ def set_flags(values):
 
 
 class TestConfigFuzz:
-    @given(st.sampled_from(["spectrum", "channel", "degrade", "train-sweep"]),
+    @given(st.sampled_from(COMMANDS),
            st.dictionaries(st.sampled_from(FUZZED_KEYS), CONFIG_VALUES, max_size=3))
     @settings(max_examples=50, deadline=None)
     def test_resolve_config_returns_or_raises_config_error(self, command, values):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -32,6 +33,16 @@ GRID = Grid(40.0, 4096)
 
 def degraded(iota):
     return reconstruct(uniform_channel(GRID, iota))
+
+
+@functools.cache
+def trained_alone(task, iota, seed):
+    """The report of the (task, iota, seed) cell trained alone, tagged with its
+    iota; shared by the tests that meet the same cell more than once, which
+    therefore must not change it."""
+    report, = train(task, degraded(iota), [seed])
+    report.iota = iota
+    return report
 
 
 class TestDatasets:
@@ -178,7 +189,7 @@ class TestTrain:
             assert report.epochs_to_threshold <= TASKS["xor"].max_epochs
 
     def test_moons_smoke(self):
-        report, = train("moons", degraded(0.0), [0])
+        report = trained_alone("moons", 0.0, 0)
         assert report.epochs_to_threshold is not None
         assert report.final_accuracy >= 0.9
 
@@ -203,13 +214,20 @@ def assert_same_report(a, b):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
 
+def assert_cells_trained_alone(task, batched):
+    """Each report equals ``trained_alone(task, iota, seed)``, and no two
+    reports share weight memory."""
+    for report in batched:
+        assert_same_report(report, trained_alone(task, report.iota, report.seed))
+    arrays = [[a for layer in r.weights for a in layer] for r in batched]
+    for i, mine in enumerate(arrays):
+        for theirs in arrays[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+
 class TestBatchedTrain:
     """``train`` runs its (level, seed) cells as one stack; each report must
     be the one that cell gives when trained alone."""
-
-    # (task, iota, seed) -> the report of that cell trained alone, shared by
-    # the tests below, which meet the same cells more than once.
-    trained_alone = {}
 
     @pytest.mark.parametrize("task, iota, seeds", [
         ("xor", 0.0, [0, 1]), ("xor", 0.5, [0, 1]), ("xor", 0.5, [7, 0, 0]),
@@ -220,7 +238,7 @@ class TestBatchedTrain:
         assert [r.seed for r in batched] == seeds
         for report in batched:
             report.iota = iota
-        self.assert_cells_trained_alone(task, batched)
+        assert_cells_trained_alone(task, batched)
 
     @pytest.mark.parametrize("task, levels, seeds", [
         ("xor", [0.5, 1.0], [7, 0, 0]), ("moons", [0.0, 1.0], [0, 1]),
@@ -230,23 +248,7 @@ class TestBatchedTrain:
         batched = sweep(task, levels, seeds, GRID)
         assert [(r.iota, r.seed) for r in batched] == [
             (iota, seed) for iota in levels for seed in seeds]
-        self.assert_cells_trained_alone(task, batched)
-
-    @classmethod
-    def assert_cells_trained_alone(cls, task, batched):
-        """Each report equals ``train(task, degraded(iota), [seed])``, and no
-        two reports share weight memory."""
-        alone = cls.trained_alone
-        for report in batched:
-            cell = task, report.iota, report.seed
-            if cell not in alone:
-                alone[cell], = train(task, degraded(report.iota), [report.seed])
-                alone[cell].iota = report.iota
-            assert_same_report(report, alone[cell])
-        arrays = [[a for layer in r.weights for a in layer] for r in batched]
-        for i, mine in enumerate(arrays):
-            for theirs in arrays[i + 1:]:
-                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        assert_cells_trained_alone(task, batched)
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -282,13 +284,21 @@ class TestBatchedTrain:
         train("xor", SIGMOID, [0, 1])
         assert len(calls) == TASKS["xor"].max_epochs + 1
 
+    @pytest.mark.parametrize("task, calls_per_epoch", [("xor", 1), ("moons", 7)])
+    def test_gradient_norms_only_for_the_reported_epochs(self, monkeypatch, task,
+                                                         calls_per_epoch):
+        """``mean_grad_norm_first100`` reads the first 100 epochs' hidden
+        gradient norms: one per minibatch step of those epochs, none later."""
+        calls = self.count_calls(monkeypatch, "hidden_gradient_norm")
+        train(task, SIGMOID, [0])
+        assert len(calls) == 100 * calls_per_epoch
+
 
 class TestSweep:
     def test_single_level_matches_direct_train(self):
         reports = sweep("xor", [0.0], [0, 1], GRID)
-        act = degraded(0.0)
         for seed, report in zip((0, 1), reports):
-            direct, = train("xor", act, [seed])
+            direct = trained_alone("xor", 0.0, seed)
             assert report.final_loss == direct.final_loss
             assert report.epochs_to_threshold == direct.epochs_to_threshold
 
