@@ -75,6 +75,11 @@ def perceptron_decide(cfg: PerceptronConfig, inputs) -> int:
     return 1 if float(cfg.weights @ inputs) + cfg.bias > 0 else 0
 
 
+def _sigmoid_with_derivative(z):
+    s = sigmoid(z)
+    return s, s * (1.0 - s)
+
+
 def _no_derivative(z):
     raise NonDifferentiableError("step activation has no derivative; finite input "
                                  "changes can produce drastic output changes")
@@ -82,8 +87,9 @@ def _no_derivative(z):
 
 @dataclass(frozen=True)
 class ClosedFormActivation:
-    """A closed-form hidden activation: the ``evaluate`` and
-    ``evaluate_derivative`` a network reads.
+    """A closed-form hidden activation: the ``evaluate``,
+    ``evaluate_derivative`` and fused ``evaluate_with_derivative`` (value and
+    derivative in one call, for a training pass) a network reads.
 
     The callables are fields, not methods: one class serves both constants
     without dispatch, and the benchmark's tracer, which names spans
@@ -92,8 +98,8 @@ class ClosedFormActivation:
 
     evaluate: Callable
     evaluate_derivative: Callable
+    evaluate_with_derivative: Callable
 
 
-SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime)
-STEP = ClosedFormActivation(step, _no_derivative)
-
+SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime, _sigmoid_with_derivative)
+STEP = ClosedFormActivation(step, _no_derivative, _no_derivative)

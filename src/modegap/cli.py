@@ -12,7 +12,8 @@ it or not.  The resolved configuration is echoed to
 profile and parameter read from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error; a command that exits 2 has written nothing.
+error, or a command out of memory; a command that exits 2 on its
+configuration has written nothing.
 """
 
 import argparse
@@ -311,6 +312,10 @@ def main(argv=None) -> int:
         return commands[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory; use fewer seeds, levels "
+              "or grid points", file=sys.stderr)
         return 2
 
 

@@ -10,12 +10,15 @@ batch gradient is the plain sum of per-example gradients.  Gradient-norm
 statistics cover the hidden layers only; the output layer keeps learning at
 full loss and would mask the freeze.
 
-A hidden activation is any object with ``evaluate(z)`` and
-``evaluate_derivative(z)``: a ``reconstruct(...)`` result, or the
-closed-form ``SIGMOID`` or ``STEP``.  The reconstruction of an (L, N)
-channel stack also says how many ``levels`` it holds, and reads level i of
-a ``z`` from table i.  ``train(task, activation, seeds)`` reads everything
-else from the task's row of ``TASKS``.
+A hidden activation is any object with ``evaluate(z)``,
+``evaluate_derivative(z)`` and the fused ``evaluate_with_derivative(z)``: a
+``reconstruct(...)`` result, or the closed-form ``SIGMOID`` or ``STEP``.
+The reconstruction of an (L, N) channel stack also says how many ``levels``
+it holds, and reads level i of a ``z`` from table i.  A pass that feeds a
+backward step reads each hidden pre-activation once, with the fused read,
+and keeps f'(z) for ``loss_gradients``; a pass that only judges the
+network reads values alone.  ``train(task, activation, seeds)`` reads
+everything else from the task's row of ``TASKS``.
 
 The network math takes a (..., batch, d) input whose leading axes
 broadcast against the weights' and biases': a (batch, d) batch, or the
@@ -102,8 +105,11 @@ def init_weights(layer_sizes, rng):
             for n_in, n_out in zip(layer_sizes, layer_sizes[1:])]
 
 
-def forward(activation, weights, inputs):
-    """All layer pre-activations and activations, plus the sigmoid output.
+def forward(activation, weights, inputs, derivatives=False):
+    """``(slopes, post, out)``: ``post`` holds each layer's input and then
+    the sigmoid output ``out``; ``slopes`` holds each hidden layer's f'(z),
+    which ``loss_gradients`` reads, when ``derivatives`` is true, else it is
+    None.  A hidden layer is read once, by the fused read or by ``evaluate``.
 
     ``inputs`` is a (..., batch, d) array whose leading axes broadcast
     against the weights' and biases'; the output column of the last layer
@@ -119,44 +125,48 @@ def forward(activation, weights, inputs):
             raise DimensionError(f"width {width} does not match weight shape {w.shape}")
         width = w.shape[-2]
 
-    pre, post = [], [x]
+    slopes, post = [] if derivatives else None, [x]
     for w, b in weights[:-1]:
-        z = post[-1] @ np.swapaxes(w, -1, -2) + b[..., None, :]
-        pre.append(z)
-        post.append(activation.evaluate(z))
+        z = post[-1] @ w.swapaxes(-1, -2) + b[..., None, :]
+        if derivatives:
+            f, f_prime = activation.evaluate_with_derivative(z)
+            slopes.append(f_prime)
+        else:
+            f = activation.evaluate(z)
+        post.append(f)
     w, b = weights[-1]
-    z = post[-1] @ np.swapaxes(w, -1, -2) + b[..., None, :]
-    pre.append(z)
-    out = sigmoid(z[..., 0])
+    out = sigmoid((post[-1] @ w.swapaxes(-1, -2) + b[..., None, :])[..., 0])
     post.append(out)
-    return pre, post, out
+    return slopes, post, out
 
 
 def bce_loss(outputs, labels):
     """Cross-entropy summed over the batch (the last axis), with outputs
     clamped to [1e-7, 1-1e-7]: one loss per cell of a stack."""
-    y = np.clip(outputs, OUTPUT_CLAMP, 1.0 - OUTPUT_CLAMP)
-    return -np.sum(labels * np.log(y) + (1.0 - labels) * np.log(1.0 - y), axis=-1)
+    y = np.minimum(np.maximum(outputs, OUTPUT_CLAMP), 1.0 - OUTPUT_CLAMP)
+    return -np.add.reduce(labels * np.log(y) + (1.0 - labels) * np.log(1.0 - y), axis=-1)
 
 
-def loss_gradients(activation, weights, passes, labels):
+def loss_gradients(weights, passes, labels):
     """Backprop gradients of the summed clamped cross-entropy.
 
-    ``passes`` is ``forward(activation, weights, inputs)``.  Returns a list
-    of (dW, db) matching ``weights``, per cell for a stack.  Where the output
-    has saturated past the clamp the error signal is exactly zero (the
-    clamped loss is flat there).
+    ``passes`` is ``forward(activation, weights, inputs, derivatives=True)``.
+    Returns a list of (dW, db) matching ``weights``, per cell for a stack.
+    Where the output has saturated past the clamp the error signal is
+    exactly zero (the clamped loss is flat there).
     """
-    pre, post, out = passes
+    slopes, post, out = passes
+    if slopes is None:
+        raise ValueError("loss_gradients needs a pass made with derivatives=True")
     labels = np.asarray(labels, dtype=float)
 
     clipped = (out <= OUTPUT_CLAMP) | (out >= 1.0 - OUTPUT_CLAMP)
     delta = np.where(clipped, 0.0, out - labels)[..., None]
     grads = []
     for layer in range(len(weights) - 1, -1, -1):
-        grads.append((np.swapaxes(delta, -1, -2) @ post[layer], delta.sum(axis=-2)))
+        grads.append((delta.swapaxes(-1, -2) @ post[layer], np.add.reduce(delta, axis=-2)))
         if layer > 0:
-            delta = (delta @ weights[layer][0]) * activation.evaluate_derivative(pre[layer - 1])
+            delta = (delta @ weights[layer][0]) * slopes[layer - 1]
     return grads[::-1]
 
 
@@ -210,7 +220,8 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 
     reached_at = np.zeros(cells, dtype=int)              # 0: not reached yet
     early_norms = np.empty(cells + (min(100, spec.max_epochs),))
-    passes = forward(activation, weights, x) if full_batch else None  # epoch 1's training pass
+    # Epoch 1's training pass.
+    passes = forward(activation, weights, x, derivatives=True) if full_batch else None
     for epoch in range(1, spec.max_epochs + 1):
         if not full_batch:
             order = np.stack([rng.permutation(n) for rng in rngs])
@@ -221,8 +232,9 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
                 batch_passes, labels = passes, y
             else:
                 sel = seed_rows, order[:, start:start + batch]
-                batch_passes, labels = forward(activation, weights, x[sel]), y[sel]
-            grads = loss_gradients(activation, weights, batch_passes, labels)
+                batch_passes = forward(activation, weights, x[sel], derivatives=True)
+                labels = y[sel]
+            grads = loss_gradients(weights, batch_passes, labels)
             if early:
                 epoch_norms.append(hidden_gradient_norm(grads))
             for (w, b), (dw, db) in zip(weights, grads):
@@ -233,10 +245,11 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 
         # The gradients are taken: free the last pass before the next one is made.
         passes = batch_passes = None
-        passes = forward(activation, weights, x)
+        # Full batch, the pass that judges this epoch trains the next.
+        passes = forward(activation, weights, x, derivatives=full_batch)
         out = passes[2]
         final_loss = bce_loss(out, y)
-        final_acc = np.mean((out > 0.5).astype(float) == y, axis=-1)
+        final_acc = np.add.reduce((out > 0.5) == y, axis=-1, dtype=float) / n
         reached_at[(reached_at == 0) & spec.reached(final_loss, final_acc)] = epoch
 
     mean_norms = np.mean(early_norms, axis=-1)

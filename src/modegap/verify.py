@@ -178,8 +178,8 @@ def check_gradient_correctness():
     for _ in range(100):
         weights = [(rng.uniform(-1.0, 1.0, (4, 2)), rng.uniform(-1.0, 1.0, 4)),
                    (rng.uniform(-1.0, 1.0, (1, 4)), rng.uniform(-1.0, 1.0, 1))]
-        grads = loss_gradients(SIGMOID, weights, network.forward(SIGMOID, weights, inputs),
-                               labels)
+        passes = network.forward(SIGMOID, weights, inputs, derivatives=True)
+        grads = loss_gradients(weights, passes, labels)
         analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                                    for dw, db in grads])
         numeric = []
@@ -243,7 +243,8 @@ def check_gradient_scaling():
     norms = {}
     for iota in SWEEP_LEVELS:
         act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
-        grads = loss_gradients(act, weights, network.forward(act, weights, inputs), labels)
+        passes = network.forward(act, weights, inputs, derivatives=True)
+        grads = loss_gradients(weights, passes, labels)
         norms[iota] = hidden_gradient_norm(grads)
     base = norms[0.0]
     worst = 0.0

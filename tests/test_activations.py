@@ -155,6 +155,19 @@ class TestClosedFormActivation:
     def test_step_derivative_raises(self):
         with pytest.raises(NonDifferentiableError):
             STEP.evaluate_derivative(0.0)
+        with pytest.raises(NonDifferentiableError):
+            STEP.evaluate_with_derivative(np.zeros(3))
+
+    def test_sigmoid_fused_read_gives_both_reads_bits(self):
+        """The fused read of a training pass: every bit of ``evaluate`` and
+        ``evaluate_derivative``, NaN's sign included, and their types."""
+        z = np.concatenate([SIGMOID_EDGES, np.linspace(-40.0, 40.0, 161)])
+        for arg in [z, z.reshape(-1, 1), *SIGMOID_EDGES]:
+            f, f_prime = SIGMOID.evaluate_with_derivative(arg)
+            for fused, alone in [(f, SIGMOID.evaluate(arg)),
+                                 (f_prime, SIGMOID.evaluate_derivative(arg))]:
+                assert type(fused) is type(alone)
+                assert np.asarray(fused).tobytes() == np.asarray(alone).tobytes()
 
 
 def _sensitivity_predict(activation, cfg, inputs, deltas_w, delta_b):

@@ -354,7 +354,8 @@ def same_bits(a, b):
 class TestLatticeLookup:
     """``evaluate`` and ``evaluate_derivative`` index the lattice by
     arithmetic; they must return ``np.interp``'s bits, which this compares
-    against directly, so a numpy change that moves either side shows."""
+    against directly, so a numpy change that moves either side shows.  The
+    fused ``evaluate_with_derivative`` must return both reads' bits."""
 
     @pytest.mark.parametrize("half_width, n_points", [
         (40.0, 4096), (40.0, 512), (7.3, 64), (40.0, 262144), (1e-3, 8)])
@@ -367,6 +368,7 @@ class TestLatticeLookup:
             x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
             [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, np.nan]])
         triples = points[:len(points) // 12 * 12].reshape(3, -1, 4)   # (seeds, batch, w)
+        scalars = points[[0, 64, 128, 129, 127 + n_points, -8, -7, -6, -3, -1]]
         acts = [reconstruct(ch) for ch in (
             uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
             thermal_channel(grid, 1.0), lowpass_channel(grid, 2.0))]
@@ -388,10 +390,17 @@ class TestLatticeLookup:
                                  np.interp(triples, x, fp, left=0.0, right=right))
                 assert same_bits(levels[level], ref)
                 assert same_bits(getattr(act, lookup)(x), fp)
-                for z in points[[0, 64, 128, 129, 127 + n_points, -8, -7, -6, -3, -1]]:
+                for z in scalars:
                     value = getattr(act, lookup)(z)
                     assert type(value) is float
                     assert same_bits(value, np.interp(z, x, fp, left=0.0, right=right))
+
+        for act, z in [(stack, np.stack([points] * len(acts)))] + [
+                (act, z) for act in acts for z in (points, triples, x, *scalars)]:
+            f, f_prime = act.evaluate_with_derivative(z)
+            assert type(f) is type(f_prime) is type(act.evaluate(z))
+            assert same_bits(f, act.evaluate(z))
+            assert same_bits(f_prime, act.evaluate_derivative(z))
 
     def test_stack_rejects_a_mismatched_level_axis(self):
         acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
@@ -403,8 +412,13 @@ class TestLatticeLookup:
                 stack.evaluate(bad)
             with pytest.raises(DimensionError):
                 stack.evaluate_derivative(bad)
+            with pytest.raises(DimensionError):
+                stack.evaluate_with_derivative(bad)
         assert same_bits(stack.evaluate(np.stack([z, z])),
                          np.stack([a.evaluate(z) for a in acts]))
+        f, f_prime = stack.evaluate_with_derivative(np.stack([z, z]))
+        assert same_bits(f, stack.evaluate(np.stack([z, z])))
+        assert same_bits(f_prime, np.stack([a.evaluate_derivative(z) for a in acts]))
 
 
 class TestSerialization:

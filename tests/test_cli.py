@@ -431,6 +431,19 @@ class TestTrainSweepCommand:
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--set", "task.name=cifar"]) == 2
 
+    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """A sweep too large for memory (a huge seed list) is reported, not
+        raised; the spy stands in for the allocation, so no large work starts."""
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sweep", no_memory)
+        assert run_cli(["train-sweep", "--out", str(tmp_path / "x")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: train-sweep ran out of memory; use fewer seeds, "
+                                "levels or grid points\n")
+
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--seed", "-1"]) == 2

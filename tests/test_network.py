@@ -7,11 +7,14 @@ import pytest
 
 from modegap import (
     SIGMOID,
+    STEP,
     TASKS,
+    DegradedActivation,
     DimensionError,
     Grid,
     TrainReport,
     forward,
+    NonDifferentiableError,
     loss_gradients,
     make_dataset,
     reconstruct,
@@ -124,7 +127,8 @@ class TestGradients:
         for _ in range(5):
             weights = [(rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, 4)),
                        (rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 1))]
-            grads = loss_gradients(SIGMOID, weights, forward(SIGMOID, weights, inputs), labels)
+            grads = loss_gradients(weights, forward(SIGMOID, weights, inputs, derivatives=True),
+                                   labels)
             flat = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
                                    for w, b in weights])
             analytic = np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
@@ -161,7 +165,7 @@ class TestGradients:
         for iota in (0.0, 0.25, 0.5, 0.75):
             act = degraded(iota)
             norms[iota] = hidden_gradient_norm(
-                loss_gradients(act, weights, forward(act, weights, inputs), labels))
+                loss_gradients(weights, forward(act, weights, inputs, derivatives=True), labels))
         for iota in (0.25, 0.5, 0.75):
             ratio = norms[iota] / norms[0.0]
             assert ratio == pytest.approx(math.sqrt(1 - iota), rel=1e-3)
@@ -180,6 +184,21 @@ class TestTrain:
         for (w0, b0), (w1, b1) in zip(initial[:-1], final[:-1]):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
+
+    def test_step_cannot_be_trained(self):
+        """The step has no derivative: a training pass raises, a value-only
+        pass evaluates, and backprop refuses a pass without slopes."""
+        for task in ("xor", "moons"):
+            with pytest.raises(NonDifferentiableError):
+                train(task, STEP, [0])
+        inputs, labels = make_dataset("xor")
+        weights = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(0))
+        with pytest.raises(NonDifferentiableError):
+            forward(STEP, weights, inputs, derivatives=True)
+        passes = forward(STEP, weights, inputs)
+        np.testing.assert_array_equal(passes[1][1], np.heaviside(inputs @ weights[0][0].T, 0.5))
+        with pytest.raises(ValueError):
+            loss_gradients(weights, passes, labels)
 
     def test_report_fields(self):
         report, = train("xor", SIGMOID, [0])
@@ -251,16 +270,34 @@ class TestBatchedTrain:
         assert_cells_trained_alone(task, batched)
 
     @staticmethod
-    def count_calls(monkeypatch, name):
-        """The list each call of ``network.<name>`` appends its arguments to."""
-        calls, real = [], getattr(network, name)
+    def count_calls(monkeypatch, name, owner=network):
+        """The list each call of ``owner.<name>`` appends its positional
+        arguments to; ``owner`` is a module or a class."""
+        calls, real = [], getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(network, name, counting)
+        monkeypatch.setattr(owner, name, counting)
         return calls
+
+    def test_one_cell_search_per_hidden_layer_per_pass(self, monkeypatch):
+        """A training pass reads each hidden layer once, with the fused read;
+        moons' epoch-end evaluation reads values only, and the xor one is
+        the next epoch's training pass.  The derivative table is never read
+        on its own."""
+        names = ["_locate", "evaluate", "evaluate_derivative", "evaluate_with_derivative"]
+        calls = [self.count_calls(monkeypatch, name, DegradedActivation) for name in names]
+        act = degraded(0.5)
+        train("moons", act, [0])
+        epochs = TASKS["moons"].max_epochs      # 7 minibatches and 2 hidden layers
+        assert [len(c) for c in calls] == [16 * epochs, 2 * epochs, 0, 14 * epochs]
+        for c in calls:
+            c.clear()
+        train("xor", act, [0])
+        passes = TASKS["xor"].max_epochs + 1
+        assert [len(c) for c in calls] == [passes, 0, 0, passes]
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
