@@ -87,9 +87,9 @@ def _no_derivative(z):
 
 @dataclass(frozen=True)
 class ClosedFormActivation:
-    """A closed-form hidden activation: the ``evaluate``,
-    ``evaluate_derivative`` and fused ``evaluate_with_derivative`` (value and
-    derivative in one call, for a training pass) a network reads.
+    """A closed-form hidden activation: a network reads any object with
+    ``evaluate`` and the fused ``evaluate_with_derivative`` (value and
+    derivative in one call, for a training pass), and ``levels`` for a stack.
 
     The callables are fields, not methods: one class serves both constants
     without dispatch, and the benchmark's tracer, which names spans
@@ -97,9 +97,8 @@ class ClosedFormActivation:
     """
 
     evaluate: Callable
-    evaluate_derivative: Callable
     evaluate_with_derivative: Callable
 
 
-SIGMOID = ClosedFormActivation(sigmoid, sigmoid_prime, _sigmoid_with_derivative)
-STEP = ClosedFormActivation(step, _no_derivative, _no_derivative)
+SIGMOID = ClosedFormActivation(sigmoid, _sigmoid_with_derivative)
+STEP = ClosedFormActivation(step, _no_derivative)

@@ -171,9 +171,10 @@ class DegradedActivation:
     level.  A stack reads a ``z`` whose leading axis has length L: level i of
     ``z`` is looked up in table i.  ``levels`` is 1 for a single table.
 
-    ``evaluate`` reads the value table, ``evaluate_derivative`` the
-    derivative table, and ``evaluate_with_derivative`` both from one cell
-    search; each gives ``np.interp``'s bits.
+    A hidden activation of ``network``: any object with ``evaluate`` and the
+    fused ``evaluate_with_derivative`` (and ``levels`` for a stack), which
+    here reads both tables from one cell search; ``evaluate_derivative``
+    reads the derivative table alone.  Each gives ``np.interp``'s bits.
     """
 
     grid: Grid
@@ -187,30 +188,30 @@ class DegradedActivation:
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
-        return self._read(self.samples, 1.0, self._locate(z))
+        return self._lookup(z, (self.samples, 1.0))[0]
 
     def evaluate_derivative(self, z):
         """Linear interpolation of the derivative table; 0 outside the grid."""
-        return self._read(self.derivative_samples, 0.0, self._locate(z))
+        return self._lookup(z, (self.derivative_samples, 0.0))[0]
 
     def evaluate_with_derivative(self, z):
         """``(evaluate(z), evaluate_derivative(z))`` bit for bit, from one
         cell search: the read of a pass that feeds a backward step."""
-        cell = self._locate(z)
-        return (self._read(self.samples, 1.0, cell),
-                self._read(self.derivative_samples, 0.0, cell))
+        return self._lookup(z, (self.samples, 1.0), (self.derivative_samples, 0.0))
 
-    def _locate(self, z):
-        """The lattice cell of each ``z``, per level, for ``_read``.
+    def _lookup(self, z, *tables):
+        """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per level,
+        for each ``(table, right)`` pair, from one search for z's cells.
 
         On a uniform lattice the nearest point to z is ``round((z - z_0)/dz)``,
         which is off by less than a half, so the cell j with x_j <= z <
         x_{j+1} is that point or the one below it: one comparison with
-        ``grid.z`` decides.  Returns z's shape, z as (levels, M) rows, the
-        cell indices into the flattened tables (level i starts at i*N),
-        ``z - x_j``, ``x_{j+1} - x_j``, the mask of z == x_j, and the mask of
-        points outside [z_0, z_{N-1}) (+-inf and NaN included), or None when
-        every point is inside.
+        ``grid.z`` decides.  The value is numpy's own formula on the gathered
+        cell ends, ``slope*(z - x_j) + y_j`` with ``slope = (y_{j+1} -
+        y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z == x_j``.  Points
+        outside [z_0, z_{N-1}) (+-inf and NaN included) are left to
+        ``np.interp``.  Bit equality holds for finite tables, which every
+        ``reconstruct`` gives.
         """
         z = np.asarray(z, dtype=float)
         x, n = self.grid.z, self.grid.n_points
@@ -221,7 +222,7 @@ class DegradedActivation:
         rows = z.reshape(levels, -1)
 
         # Clamped to the lattice, so the arithmetic below stays finite; the
-        # points that were moved are overwritten in ``_read``.
+        # points that were moved are read by ``np.interp`` instead.
         zc = np.fmax(rows, x[0])
         np.fmin(zc, x[-1], out=zc)
         nearest = zc - x[0]
@@ -237,39 +238,28 @@ class DegradedActivation:
         past_x_j = np.subtract(zc, x_j, out=zc)
         del x_j
         j += np.arange(0, levels * n, n)[:, None]
-
+        at_node = past_x_j == 0.0
         off = None
         if not (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
                 and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1]):
             off = ~((rows >= x[0]) & (rows < x[-1]))
-        return z.shape, rows, j, past_x_j, dx, past_x_j == 0.0, off
 
-    def _read(self, table, right, cell):
-        """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per level,
-        at a ``_locate`` cell.
-
-        The value is numpy's own formula on the gathered cell ends,
-        ``slope*(z - x_j) + y_j`` with ``slope = (y_{j+1} - y_j)/(x_{j+1} -
-        x_j)``, and ``y_j`` itself where ``z == x_j``.  Points outside the
-        lattice are left to ``np.interp``.  Bit equality holds for finite
-        tables, which every ``reconstruct`` gives.
-        """
-        shape, rows, j, past_x_j, dx, at_node, off = cell
-        flat = table.reshape(-1)
-        y_j, out = flat[j], flat[1:][j]
-        out -= y_j
-        out /= dx  # the slope
-        out *= past_x_j
-        out += y_j
-        np.copyto(out, y_j, where=at_node)
-
-        if off is not None:
-            x = self.grid.z
-            for out_row, off_row, z_row, table_row in zip(
-                    out, off, rows, table.reshape(len(rows), -1)):
-                out_row[off_row] = np.interp(z_row[off_row], x, table_row, 0.0, right)
-        out = out.reshape(shape)
-        return out if out.ndim else float(out)
+        reads = []
+        for table, right in tables:
+            flat = table.reshape(-1)
+            y_j, out = flat[j], flat[1:][j]
+            out -= y_j
+            out /= dx  # the slope
+            out *= past_x_j
+            out += y_j
+            np.copyto(out, y_j, where=at_node)
+            if off is not None:
+                for out_row, off_row, z_row, table_row in zip(
+                        out, off, rows, table.reshape(levels, -1)):
+                    out_row[off_row] = np.interp(z_row[off_row], x, table_row, 0.0, right)
+            out = out.reshape(z.shape)
+            reads.append(out if out.ndim else float(out))
+        return tuple(reads)
 
 
 def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:

@@ -12,8 +12,8 @@ it or not.  The resolved configuration is echoed to
 profile and parameter read from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, or a command out of memory; a command that exits 2 on its
-configuration has written nothing.
+error, a command out of memory, or an output it cannot write; a command
+that exits 2 on its configuration has written nothing.
 """
 
 import argparse
@@ -303,12 +303,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "verify":
-        return cmd_verify(args.full)
     # Built per call, like resolve_config's makers, so that a rebound command is called.
     commands = {"spectrum": cmd_spectrum, "channel": cmd_channel,
                 "degrade": cmd_degrade, "train-sweep": cmd_train_sweep}
     try:
+        if args.command == "verify":
+            return cmd_verify(args.full)
         return commands[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"error: {args.command} ran out of memory; use fewer seeds, levels "
               "or grid points", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {args.command} cannot write its output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,11 +10,11 @@ batch gradient is the plain sum of per-example gradients.  Gradient-norm
 statistics cover the hidden layers only; the output layer keeps learning at
 full loss and would mask the freeze.
 
-A hidden activation is any object with ``evaluate(z)``,
-``evaluate_derivative(z)`` and the fused ``evaluate_with_derivative(z)``: a
+A hidden activation is any object with ``evaluate(z)`` and the fused
+``evaluate_with_derivative(z)`` (and ``levels`` for a stack): a
 ``reconstruct(...)`` result, or the closed-form ``SIGMOID`` or ``STEP``.
-The reconstruction of an (L, N) channel stack also says how many ``levels``
-it holds, and reads level i of a ``z`` from table i.  A pass that feeds a
+The reconstruction of an (L, N) channel stack says how many ``levels`` it
+holds, and reads level i of a ``z`` from table i.  A pass that feeds a
 backward step reads each hidden pre-activation once, with the fused read,
 and keeps f'(z) for ``loss_gradients``; a pass that only judges the
 network reads values alone.  ``train(task, activation, seeds)`` reads
@@ -106,8 +106,8 @@ def init_weights(layer_sizes, rng):
 
 
 def forward(activation, weights, inputs, derivatives=False):
-    """``(slopes, post, out)``: ``post`` holds each layer's input and then
-    the sigmoid output ``out``; ``slopes`` holds each hidden layer's f'(z),
+    """``(slopes, post, out)``: ``post`` holds each layer's input, ``out``
+    the sigmoid output; ``slopes`` holds each hidden layer's f'(z),
     which ``loss_gradients`` reads, when ``derivatives`` is true, else it is
     None.  A hidden layer is read once, by the fused read or by ``evaluate``.
 
@@ -136,7 +136,6 @@ def forward(activation, weights, inputs, derivatives=False):
         post.append(f)
     w, b = weights[-1]
     out = sigmoid((post[-1] @ w.swapaxes(-1, -2) + b[..., None, :])[..., 0])
-    post.append(out)
     return slopes, post, out
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from modegap import (
     sigmoid_prime,
     step,
 )
+from modegap.activations import ClosedFormActivation
 
 
 def _branchwise_sigmoid(z):
@@ -150,22 +153,25 @@ class TestPerceptron:
 class TestClosedFormActivation:
     def test_sigmoid_dispatch(self):
         assert SIGMOID.evaluate(0.0) == 0.5
-        assert SIGMOID.evaluate_derivative(0.0) == 0.25
+        assert SIGMOID.evaluate_with_derivative(0.0) == (0.5, 0.25)
+
+    def test_fields_are_what_a_network_reads(self):
+        assert [f.name for f in dataclasses.fields(ClosedFormActivation)] == [
+            "evaluate", "evaluate_with_derivative"]
 
     def test_step_derivative_raises(self):
         with pytest.raises(NonDifferentiableError):
-            STEP.evaluate_derivative(0.0)
+            STEP.evaluate_with_derivative(0.0)
         with pytest.raises(NonDifferentiableError):
             STEP.evaluate_with_derivative(np.zeros(3))
 
     def test_sigmoid_fused_read_gives_both_reads_bits(self):
-        """The fused read of a training pass: every bit of ``evaluate`` and
-        ``evaluate_derivative``, NaN's sign included, and their types."""
+        """The fused read of a training pass: every bit of ``sigmoid`` and
+        ``sigmoid_prime``, NaN's sign included, and their types."""
         z = np.concatenate([SIGMOID_EDGES, np.linspace(-40.0, 40.0, 161)])
         for arg in [z, z.reshape(-1, 1), *SIGMOID_EDGES]:
             f, f_prime = SIGMOID.evaluate_with_derivative(arg)
-            for fused, alone in [(f, SIGMOID.evaluate(arg)),
-                                 (f_prime, SIGMOID.evaluate_derivative(arg))]:
+            for fused, alone in [(f, sigmoid(arg)), (f_prime, sigmoid_prime(arg))]:
                 assert type(fused) is type(alone)
                 assert np.asarray(fused).tobytes() == np.asarray(alone).tobytes()
 
@@ -181,7 +187,8 @@ def _sensitivity_predict(activation, cfg, inputs, deltas_w, delta_b):
     if inputs.shape != cfg.weights.shape or deltas_w.shape != cfg.weights.shape:
         raise DimensionError("inputs, perturbations and weights must have equal length")
     z = float(cfg.weights @ inputs) + cfg.bias
-    return float(activation.evaluate_derivative(z)) * (float(inputs @ deltas_w) + delta_b)
+    slope = float(activation.evaluate_with_derivative(z)[1])
+    return slope * (float(inputs @ deltas_w) + delta_b)
 
 
 class TestSensitivity:

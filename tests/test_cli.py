@@ -294,6 +294,20 @@ class TestSpectrumCommand:
     def test_unwritable_out_dir(self):
         assert run_cli(["spectrum", "--out", "/dev/null/nope"]) == 2
 
+    def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
+        """An output that cannot be written is reported, not raised; the
+        files written before it stay."""
+        out = tmp_path / "spec"
+        (out / "gap_samples.csv").mkdir(parents=True)
+        assert run_cli(["spectrum", "--out", str(out), "--set", "grid.N=1024"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: spectrum cannot write its output: ")
+        assert "gap_samples.csv" in captured.err
+        assert (out / "config.resolved").exists()
+        assert not (out / "gap_spectrum.csv").exists()
+
 
 class TestChannelCommand:
     def test_uniform_residual_printed(self, tmp_path, capsys):
@@ -444,6 +458,19 @@ class TestTrainSweepCommand:
         assert captured.err == ("error: train-sweep ran out of memory; use fewer seeds, "
                                 "levels or grid points\n")
 
+    def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "train_reports.csv").mkdir(parents=True)
+        assert run_cli(["train-sweep", "--out", str(out), "--set", "sweep.levels=0,1",
+                        "--seed", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: train-sweep cannot write its output: ")
+        assert "train_reports.csv" in captured.err
+        assert (out / "config.resolved").exists()
+        assert not (out / "train_sweep.svg").exists()
+
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--seed", "-1"]) == 2
@@ -465,6 +492,17 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify_mod, "run_criteria",
                             lambda full=False: [("alpha", True, "ok")])
         assert run_cli(["verify"]) == 0
+
+    def test_out_of_memory_exits_2_with_one_line(self, monkeypatch, capsys):
+        def no_memory(full=False):
+            raise MemoryError
+
+        monkeypatch.setattr(verify_mod, "run_criteria", no_memory)
+        assert run_cli(["verify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: verify ran out of memory; use fewer seeds, "
+                                "levels or grid points\n")
 
     def test_corrupted_build_fails_oracle(self, monkeypatch):
         """A sign flip injected into the gap must trip the oracle criterion."""

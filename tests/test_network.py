@@ -286,18 +286,22 @@ class TestBatchedTrain:
         """A training pass reads each hidden layer once, with the fused read;
         moons' epoch-end evaluation reads values only, and the xor one is
         the next epoch's training pass.  The derivative table is never read
-        on its own."""
-        names = ["_locate", "evaluate", "evaluate_derivative", "evaluate_with_derivative"]
+        on its own.  A fused lookup reads both tables, a value read one."""
+        names = ["_lookup", "evaluate", "evaluate_derivative", "evaluate_with_derivative"]
         calls = [self.count_calls(monkeypatch, name, DegradedActivation) for name in names]
+        lookups = calls[0]
         act = degraded(0.5)
         train("moons", act, [0])
         epochs = TASKS["moons"].max_epochs      # 7 minibatches and 2 hidden layers
         assert [len(c) for c in calls] == [16 * epochs, 2 * epochs, 0, 14 * epochs]
+        tables = [len(args) - 2 for args in lookups]   # args: self, z, *tables
+        assert (tables.count(2), tables.count(1)) == (14 * epochs, 2 * epochs)
         for c in calls:
             c.clear()
         train("xor", act, [0])
         passes = TASKS["xor"].max_epochs + 1
         assert [len(c) for c in calls] == [passes, 0, 0, passes]
+        assert all(len(args) - 2 == 2 for args in lookups)
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
