@@ -21,7 +21,7 @@ like sqrt(1 - iota) for uniform channels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,22 +169,40 @@ class DegradedActivation:
     ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
     for a stack of L channels on one grid, with ``loss_fraction`` then one per
     level.  A stack reads a ``z`` whose leading axis has length L: level i of
-    ``z`` is looked up in table i.  ``levels`` is 1 for a single table.
+    ``z`` is looked up in table i.  ``rows(index)`` is a view of the same
+    tables whose row i of ``z`` reads table ``index[i]``, so a subset of
+    cells is read with no table copied.  ``levels`` counts the rows a ``z``
+    has: 1 for a single table.
 
     A hidden activation of ``network``: any object with ``evaluate`` and the
-    fused ``evaluate_with_derivative`` (and ``levels`` for a stack), which
-    here reads both tables from one cell search; ``evaluate_derivative``
-    reads the derivative table alone.  Each gives ``np.interp``'s bits.
+    fused ``evaluate_with_derivative`` (and ``levels`` and ``rows`` for a
+    stack), which here reads both tables from one cell search;
+    ``evaluate_derivative`` reads the derivative table alone.  Each gives
+    ``np.interp``'s bits.
     """
 
     grid: Grid
     samples: np.ndarray
     derivative_samples: np.ndarray
     loss_fraction: float | np.ndarray
+    index: np.ndarray | None = None   # a view's table per row of z
 
     @property
     def levels(self) -> int:
+        if self.index is not None:
+            return len(self.index)
         return len(self.samples) if self.samples.ndim == 2 else 1
+
+    def rows(self, index):
+        """The view whose row i of ``z`` reads table ``index[i]``, sharing
+        these tables and their ``loss_fraction``.  An index that is not 1-D
+        or names no table raises ``DimensionError``."""
+        index = np.asarray(index, dtype=np.intp)
+        tables = len(self.samples) if self.samples.ndim == 2 else 1
+        if index.ndim != 1 or not np.all((index >= 0) & (index < tables)):
+            raise DimensionError(f"a view of {tables} tables reads a 1-D index of "
+                                 f"table numbers, got {index!r}")
+        return replace(self, index=index)
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
@@ -200,8 +218,9 @@ class DegradedActivation:
         return self._lookup(z, (self.samples, 1.0), (self.derivative_samples, 0.0))
 
     def _lookup(self, z, *tables):
-        """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per level,
-        for each ``(table, right)`` pair, from one search for z's cells.
+        """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per row
+        of a stack or view, for each ``(table, right)`` pair, from one search
+        for z's cells.
 
         On a uniform lattice the nearest point to z is ``round((z - z_0)/dz)``,
         which is off by less than a half, so the cell j with x_j <= z <
@@ -211,38 +230,43 @@ class DegradedActivation:
         y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z == x_j``.  Points
         outside [z_0, z_{N-1}) (+-inf and NaN included) are left to
         ``np.interp``.  Bit equality holds for finite tables, which every
-        ``reconstruct`` gives.
+        ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
         x, n = self.grid.z, self.grid.n_points
         levels = self.levels
-        if self.samples.ndim == 2 and z.shape[:1] != (levels,):
-            raise DimensionError(f"a stack of {levels} tables reads z with a leading axis "
+        if (self.samples.ndim == 2 or self.index is not None) and z.shape[:1] != (levels,):
+            raise DimensionError(f"a stack of {levels} rows reads z with a leading axis "
                                  f"of {levels}, got shape {z.shape}")
         rows = z.reshape(levels, -1)
+        index = np.arange(levels) if self.index is None else self.index
 
-        # Clamped to the lattice, so the arithmetic below stays finite; the
-        # points that were moved are read by ``np.interp`` instead.
-        zc = np.fmax(rows, x[0])
-        np.fmin(zc, x[-1], out=zc)
+        inside = (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
+                  and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1])
+        if inside:
+            zc, off = rows, None
+        else:
+            # Clamped to the lattice, so the arithmetic below stays finite; the
+            # points that were moved are read by ``np.interp`` instead.
+            zc = np.fmax(rows, x[0])
+            np.fmin(zc, x[-1], out=zc)
+            off = ~((rows >= x[0]) & (rows < x[-1]))
         nearest = zc - x[0]
         nearest /= self.grid.dz
         nearest += 0.5
         j = nearest.astype(np.intp)
         del nearest
         j -= x[j] > zc
-        np.minimum(j, n - 2, out=j)
+        if off is not None:   # on the grid, z < z_{N-1} keeps j at most N - 2
+            np.minimum(j, n - 2, out=j)
 
         x_j, dx = x[j], x[1:][j]
         dx -= x_j
-        past_x_j = np.subtract(zc, x_j, out=zc)
-        del x_j
-        j += np.arange(0, levels * n, n)[:, None]
+        past_x_j = np.subtract(zc, x_j, out=x_j)
+        j += (index * n)[:, None]
         at_node = past_x_j == 0.0
-        off = None
-        if not (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
-                and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1]):
-            off = ~((rows >= x[0]) & (rows < x[-1]))
+        if not at_node.any():
+            at_node = None
 
         reads = []
         for table, right in tables:
@@ -252,11 +276,12 @@ class DegradedActivation:
             out /= dx  # the slope
             out *= past_x_j
             out += y_j
-            np.copyto(out, y_j, where=at_node)
+            if at_node is not None:
+                np.copyto(out, y_j, where=at_node)
             if off is not None:
-                for out_row, off_row, z_row, table_row in zip(
-                        out, off, rows, table.reshape(levels, -1)):
-                    out_row[off_row] = np.interp(z_row[off_row], x, table_row, 0.0, right)
+                per_table = table.reshape(-1, n)
+                for out_row, off_row, z_row, t in zip(out, off, rows, index):
+                    out_row[off_row] = np.interp(z_row[off_row], x, per_table[t], 0.0, right)
             out = out.reshape(z.shape)
             reads.append(out if out.ndim else float(out))
         return tuple(reads)

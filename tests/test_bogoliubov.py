@@ -368,6 +368,9 @@ class TestLatticeLookup:
             x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
             [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, np.nan]])
         triples = points[:len(points) // 12 * 12].reshape(3, -1, 4)   # (seeds, batch, w)
+        # Every 8th point on the grid, nodes and points between them alike.
+        inside = points[(points >= x[0]) & (points < x[-1])][::8]
+        kept = inside.copy()
         scalars = points[[0, 64, 128, 129, 127 + n_points, -8, -7, -6, -3, -1]]
         acts = [reconstruct(ch) for ch in (
             uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
@@ -377,35 +380,58 @@ class TestLatticeLookup:
         stack = DegradedActivation(grid, np.stack([a.samples for a in acts]),
                                    np.stack([a.derivative_samples for a in acts]),
                                    np.array([a.loss_fraction for a in acts]))
-        for table, right, lookup, stacked in [
-                ("samples", 1.0, "evaluate", stack.evaluate),
-                ("derivative_samples", 0.0, "evaluate_derivative",
-                 stack.evaluate_derivative)]:
-            levels = stacked(np.stack([points] * len(acts)))
+        stacked_points = np.stack([points] * len(acts))
+        view_tables = [4, 0, 0, 2]
+        view = stack.rows(view_tables)
+        view_points = np.stack([points] * len(view_tables))
+        inputs = [points, triples, x, inside, *scalars]
+        reads = {}   # (activation, input) -> [value read, derivative read]
+        for table, right, lookup in [("samples", 1.0, "evaluate"),
+                                     ("derivative_samples", 0.0, "evaluate_derivative")]:
+            levels = getattr(stack, lookup)(stacked_points)
+            viewed = getattr(view, lookup)(view_points)
+            reads.setdefault(("stack", 0), []).append(levels)
+            reads.setdefault(("view", 0), []).append(viewed)
             for level, act in enumerate(acts):
                 fp = getattr(act, table)
                 ref = np.interp(points, x, fp, left=0.0, right=right)
-                assert same_bits(getattr(act, lookup)(points), ref)
-                assert same_bits(getattr(act, lookup)(triples),
-                                 np.interp(triples, x, fp, left=0.0, right=right))
+                values = [getattr(act, lookup)(z) for z in inputs]
+                for i, value in enumerate(values):
+                    reads.setdefault((level, i), []).append(value)
+                assert same_bits(values[0], ref)
+                assert same_bits(values[1], np.interp(triples, x, fp, left=0.0, right=right))
                 assert same_bits(levels[level], ref)
-                assert same_bits(getattr(act, lookup)(x), fp)
-                for z in scalars:
-                    value = getattr(act, lookup)(z)
+                assert same_bits(values[2], fp)
+                assert same_bits(values[3], np.interp(inside, x, fp, left=0.0, right=right))
+                for z, value in zip(scalars, values[4:]):
                     assert type(value) is float
                     assert same_bits(value, np.interp(z, x, fp, left=0.0, right=right))
+            for row, level in enumerate(view_tables):
+                assert same_bits(viewed[row], np.interp(points, x, getattr(acts[level], table),
+                                                        left=0.0, right=right))
+            with pytest.raises(DimensionError):
+                getattr(view, lookup)(stacked_points)
 
-        for act, z in [(stack, np.stack([points] * len(acts)))] + [
-                (act, z) for act in acts for z in (points, triples, x, *scalars)]:
+        with pytest.raises(DimensionError):
+            view.evaluate_with_derivative(stacked_points)
+        cases = [(stack, stacked_points, reads["stack", 0]), (view, view_points, reads["view", 0])]
+        cases += [(act, z, reads[level, i]) for level, act in enumerate(acts)
+                  for i, z in enumerate(inputs)]
+        for act, z, (value, derivative) in cases:
             f, f_prime = act.evaluate_with_derivative(z)
-            assert type(f) is type(f_prime) is type(act.evaluate(z))
-            assert same_bits(f, act.evaluate(z))
-            assert same_bits(f_prime, act.evaluate_derivative(z))
+            assert type(f) is type(f_prime) is type(value)
+            assert same_bits(f, value)
+            assert same_bits(f_prime, derivative)
+        assert same_bits(inside, kept)   # a lookup never writes the caller's z
 
     def test_stack_rejects_a_mismatched_level_axis(self):
         acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
         stack = reconstruct(uniform_channel(SMALL, [0.0, 1.0]))
         assert stack.levels == 2 and acts[0].levels == 1
+        assert stack.rows([1, 1, 0]).levels == 3 and acts[0].rows([0, 0]).levels == 2
+        for index in ([2], [-1], [[0, 1]], 0):
+            with pytest.raises(DimensionError):
+                stack.rows(index)
         z = np.linspace(-3.0, 3.0, 10)
         for bad in (np.stack([z] * 3), z, np.float64(0.5), z.reshape(1, 10)):
             with pytest.raises(DimensionError):

@@ -284,24 +284,51 @@ class TestBatchedTrain:
 
     def test_one_cell_search_per_hidden_layer_per_pass(self, monkeypatch):
         """A training pass reads each hidden layer once, with the fused read;
-        moons' epoch-end evaluation reads values only, and the xor one is
-        the next epoch's training pass.  The derivative table is never read
-        on its own.  A fused lookup reads both tables, a value read one."""
+        moons' epoch-end evaluation reads values only, up to the epoch after
+        the threshold is reached and at the last, and the xor one is the
+        next epoch's training pass.  The derivative table is never read on
+        its own.  A fused lookup reads both tables, a value read one."""
         names = ["_lookup", "evaluate", "evaluate_derivative", "evaluate_with_derivative"]
         calls = [self.count_calls(monkeypatch, name, DegradedActivation) for name in names]
         lookups = calls[0]
         act = degraded(0.5)
-        train("moons", act, [0])
+        report, = train("moons", act, [0])
         epochs = TASKS["moons"].max_epochs      # 7 minibatches and 2 hidden layers
-        assert [len(c) for c in calls] == [16 * epochs, 2 * epochs, 0, 14 * epochs]
+        reached = report.epochs_to_threshold
+        judged = epochs if reached is None else min(reached + 1, epochs)
+        assert [len(c) for c in calls] == [14 * epochs + 2 * judged, 2 * judged, 0, 14 * epochs]
         tables = [len(args) - 2 for args in lookups]   # args: self, z, *tables
-        assert (tables.count(2), tables.count(1)) == (14 * epochs, 2 * epochs)
+        assert (tables.count(2), tables.count(1)) == (14 * epochs, 2 * judged)
         for c in calls:
             c.clear()
         train("xor", act, [0])
         passes = TASKS["xor"].max_epochs + 1
         assert [len(c) for c in calls] == [passes, 0, 0, passes]
         assert all(len(args) - 2 == 2 for args in lookups)
+
+    def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch):
+        """Before the last epoch, moons judges each cell up to the epoch it
+        reaches the threshold, through a view whose rows read the open cells'
+        levels; the last epoch judges every cell, on the stack itself."""
+        reads, real = [], DegradedActivation.evaluate
+
+        def spy(act, z):
+            reads.append((act.index, z.shape))
+            return real(act, z)
+
+        monkeypatch.setattr(DegradedActivation, "evaluate", spy)
+        levels, seeds = [0.0, 1.0], [1, 4]
+        reports = sweep("moons", levels, seeds, GRID)
+        reached = [r.epochs_to_threshold for r in reports]    # (level, seed) order
+        assert None in reached and len(set(reached)) == 4
+        epochs = TASKS["moons"].max_epochs
+        expected = []
+        for epoch in range(1, epochs):
+            open_levels = [cell // len(seeds) for cell, e in enumerate(reached)
+                           if e is None or e >= epoch]
+            expected += [(open_levels, (len(open_levels), 200, 8))] * 2
+        assert [(list(index), shape) for index, shape in reads[:-2]] == expected
+        assert reads[-2:] == [(None, (len(levels), len(seeds), 200, 8))] * 2
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
