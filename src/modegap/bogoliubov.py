@@ -21,7 +21,7 @@ like sqrt(1 - iota) for uniform channels.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,11 +168,11 @@ class DegradedActivation:
 
     ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
     for a stack of L channels on one grid, with ``loss_fraction`` then one per
-    level.  A stack reads a ``z`` whose leading axis has length L: level i of
-    ``z`` is looked up in table i.  ``rows(index)`` is a view of the same
-    tables whose row i of ``z`` reads table ``index[i]``, so a subset of
-    cells is read with no table copied.  ``levels`` counts the rows a ``z``
-    has: 1 for a single table.
+    level.  Row i of a ``z`` reads table ``index[i]``: an (L, N) stack is the
+    view of all its tables, ``index = arange(L)``, and reads a ``z`` of
+    ``levels = len(index)`` rows; one table has ``index`` None and reads a
+    ``z`` of any shape (``levels`` 1).  ``rows(index)``, the only way to make
+    another view, shares the tables, so a subset of cells is read uncopied.
 
     A hidden activation of ``network``: any object with ``evaluate`` and the
     fused ``evaluate_with_derivative`` (and ``levels`` and ``rows`` for a
@@ -185,13 +185,14 @@ class DegradedActivation:
     samples: np.ndarray
     derivative_samples: np.ndarray
     loss_fraction: float | np.ndarray
-    index: np.ndarray | None = None   # a view's table per row of z
+    index: np.ndarray | None = field(init=False)   # the table per row of z
+
+    def __post_init__(self):
+        self.index = np.arange(len(self.samples)) if self.samples.ndim == 2 else None
 
     @property
     def levels(self) -> int:
-        if self.index is not None:
-            return len(self.index)
-        return len(self.samples) if self.samples.ndim == 2 else 1
+        return 1 if self.index is None else len(self.index)
 
     def rows(self, index):
         """The view whose row i of ``z`` reads table ``index[i]``, sharing
@@ -202,7 +203,9 @@ class DegradedActivation:
         if index.ndim != 1 or not np.all((index >= 0) & (index < tables)):
             raise DimensionError(f"a view of {tables} tables reads a 1-D index of "
                                  f"table numbers, got {index!r}")
-        return replace(self, index=index)
+        view = replace(self)
+        view.index = index
+        return view
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
@@ -233,13 +236,11 @@ class DegradedActivation:
         ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
-        x, n = self.grid.z, self.grid.n_points
-        levels = self.levels
-        if (self.samples.ndim == 2 or self.index is not None) and z.shape[:1] != (levels,):
+        x, n, index, levels = self.grid.z, self.grid.n_points, self.index, self.levels
+        if index is not None and z.shape[:1] != (levels,):
             raise DimensionError(f"a stack of {levels} rows reads z with a leading axis "
                                  f"of {levels}, got shape {z.shape}")
         rows = z.reshape(levels, -1)
-        index = np.arange(levels) if self.index is None else self.index
 
         inside = (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
                   and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1])
@@ -263,7 +264,8 @@ class DegradedActivation:
         x_j, dx = x[j], x[1:][j]
         dx -= x_j
         past_x_j = np.subtract(zc, x_j, out=x_j)
-        j += (index * n)[:, None]
+        if index is not None:
+            j += (index * n)[:, None]
         at_node = past_x_j == 0.0
         if not at_node.any():
             at_node = None
@@ -279,8 +281,8 @@ class DegradedActivation:
             if at_node is not None:
                 np.copyto(out, y_j, where=at_node)
             if off is not None:
-                per_table = table.reshape(-1, n)
-                for out_row, off_row, z_row, t in zip(out, off, rows, index):
+                per_table, read = table.reshape(-1, n), (0,) if index is None else index
+                for out_row, off_row, z_row, t in zip(out, off, rows, read):
                     out_row[off_row] = np.interp(z_row[off_row], x, per_table[t], 0.0, right)
             out = out.reshape(z.shape)
             reads.append(out if out.ndim else float(out))

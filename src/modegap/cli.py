@@ -3,17 +3,18 @@
 Options follow the subcommand.  A run's configuration is the defaults
 overridden, a later assignment winning, by each ``key = value`` line of the
 ``--config`` file (``#`` comments), each ``--set key=value``, then ``--out``
-(``out.dir``) and ``--seed`` (a one-seed ``sweep.seeds``); an error about an
-assignment names its source, ``path:line`` or the flag.  ``verify`` takes only
-``--full``.  ``resolve_config`` checks every key before any command writes,
-each channel profile's parameter by that profile's maker whether the run uses
-it or not.  The resolved configuration is echoed to
+(``out.dir``) and ``train-sweep``'s ``--seed`` (a one-seed ``sweep.seeds``);
+an error about an assignment names its source, ``path:line`` or the flag.
+``verify`` takes only ``--full``.  ``resolve_config`` checks every key before
+any command writes, each channel profile's parameter by that profile's maker
+whether the run uses it or not.  The resolved configuration is echoed to
 ``<out.dir>/config.resolved``; ``channel.txt`` names the channel by the
 profile and parameter read from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, a command out of memory, or an output it cannot write; a command
-that exits 2 on its configuration has written nothing.
+error, a command out of memory, or an output it cannot write
+(``config.resolved`` included); a command that exits 2 on its configuration
+has written nothing.
 """
 
 import argparse
@@ -84,10 +85,10 @@ def _comma_list(values, key, convert):
 def resolve_config(args) -> RunConfig:
     """Apply the run's ``key=value`` assignments over the defaults, a later one
     winning: each non-comment line of ``--config`` (source ``path:line``), each
-    ``--set``, then ``--out`` as ``out.dir`` and ``--seed`` as ``sweep.seeds``.
-    Then parse and check every key and compose the run's channel ``--compose``
-    times (once for commands without the option); raises ``ConfigError`` on
-    the first bad one."""
+    ``--set``, then ``--out`` as ``out.dir`` and ``train-sweep``'s ``--seed``
+    as ``sweep.seeds``.  Then parse and check every key and compose the run's
+    channel ``--compose`` times (once for commands without the option); raises
+    ``ConfigError`` on the first bad one."""
     pairs = []
     if args.config:
         try:
@@ -99,7 +100,7 @@ def resolve_config(args) -> RunConfig:
     pairs += [("--set", item) for item in args.set or []]
     if args.out:
         pairs.append(("--out", f"out.dir={args.out}"))
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         pairs.append(("--seed", f"sweep.seeds={args.seed}"))
 
     values = dict(DEFAULTS)
@@ -155,11 +156,8 @@ def resolve_config(args) -> RunConfig:
 def prepare_out(run: RunConfig) -> Path:
     out_dir = Path(run.values["out.dir"])
     lines = [f"{k} = {v}" for k, v in sorted(run.values.items())]
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write to {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
     return out_dir
 
 
@@ -271,11 +269,11 @@ def cmd_verify(full: bool) -> int:
 
 
 def build_parser():
-    """Each option is declared once, on the subcommands that read it."""
+    """Each option is declared once, on the subcommands that read it:
+    ``--seed`` on ``train-sweep`` alone, ``--compose`` on ``channel``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--out", help="output directory (out.dir)")
-    common.add_argument("--seed", type=int, help="run sweeps with this single seed")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
 
@@ -290,8 +288,9 @@ def build_parser():
                            help="apply the channel N times in sequence")
     sub.add_parser("degrade", parents=[common],
                    help="reconstruct the degraded activation")
-    sub.add_parser("train-sweep", parents=[common],
-                   help="trainability sweep over loss levels")
+    p_sweep = sub.add_parser("train-sweep", parents=[common],
+                             help="trainability sweep over loss levels")
+    p_sweep.add_argument("--seed", type=int, help="run the sweep with this single seed")
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--full", action="store_true",
                           help="include the moons sweep")

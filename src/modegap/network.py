@@ -13,16 +13,16 @@ full loss and would mask the freeze.
 A hidden activation is any object with ``evaluate(z)`` and the fused
 ``evaluate_with_derivative(z)`` (and ``levels`` and ``rows`` for a stack):
 a ``reconstruct(...)`` result, or the closed-form ``SIGMOID`` or ``STEP``.
-The reconstruction of an (L, N) channel stack says how many ``levels`` it
-holds, and reads level i of a ``z`` from table i; its ``rows(index)`` view
-reads row i of a ``z`` from table ``index[i]``.  A pass that feeds a
-backward step reads each hidden pre-activation once, with the fused read,
-and keeps f'(z) for ``loss_gradients``; a pass that only judges the
-network reads values alone.  ``train(task, activation, seeds)`` reads
-everything else from the task's row of ``TASKS``.  The epoch-end pass of a
-minibatch task judges only the open cells, those that have not reached the
-threshold yet, through a ``rows`` view of their levels, and every cell at
-the last epoch, whose pass gives the final loss and accuracy.
+The reconstruction of an (L, N) channel stack is the view of all its
+``levels`` tables, and reads row i of a ``z`` from table i; ``rows(index)``,
+the only way to make another view, reads row i from table ``index[i]``.  A
+pass that feeds a backward step reads each hidden pre-activation once, with
+the fused read, and keeps f'(z) for ``loss_gradients``; a pass that only
+judges the network reads values alone.  ``train(task, activation, seeds)``
+reads everything else from the task's row of ``TASKS``.  A full-batch task
+judges every cell on its stack; a minibatch task judges through a ``rows``
+view the open cells, those that have not reached the threshold yet, and
+every cell at the last epoch, whose pass gives the final loss and accuracy.
 
 The network math takes a (..., batch, d) input whose leading axes
 broadcast against the weights' and biases': a (batch, d) batch, or the
@@ -53,9 +53,9 @@ class Task:
 
     ``reached(loss, accuracy)`` judges the full data at an epoch end, one
     cell per element of its array arguments: every cell of a full-batch
-    task, and of a minibatch task the open cells (not reached yet), and
-    every cell at the last epoch.  Fields only: the benchmark's tracer wraps
-    class methods, and refuses two spans with one name.
+    task, and of a minibatch task the open cells (not reached yet), or every
+    cell at the last epoch.  Fields only: the benchmark's tracer wraps class
+    methods, and refuses two spans with one name.
     """
 
     layer_sizes: tuple
@@ -209,12 +209,12 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     weights, which every level starts from, and then each epoch's
     minibatch order, which every level shares.  Full batch when batch_size
     >= n; the evaluation pass that ends an epoch is then the next epoch's
-    training pass, and judges every cell.  With minibatches that pass
-    judges only the open cells, whose threshold epoch can still move, and
-    every cell at the last epoch, which gives the final loss and accuracy;
-    a report is the same either way.  The threshold rule is evaluated on
-    the full dataset.  Each report carries its own copy of its final
-    weights.
+    training pass, and judges every cell on the stack.  With minibatches
+    that pass reads, through a ``rows`` view of their levels, the open
+    cells, whose threshold epoch can still move, and every cell at the
+    last epoch, which gives the final loss and accuracy; a report is the
+    same either way.  The threshold rule is evaluated on the full dataset.
+    Each report carries its own copy of its final weights.
     """
     seeds = list(seeds)
     if not seeds:
@@ -261,24 +261,26 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
 
         # The gradients are taken: free the last pass before the next one is made.
         passes = batch_passes = None
-        if full_batch or epoch == spec.max_epochs:
-            # Every cell is judged: full batch, this pass trains the next
-            # epoch; at the last epoch the reports read its loss and accuracy.
-            passes = forward(activation, weights, x, derivatives=full_batch)
-            final_loss, final_acc = _judge(passes[2], y)
-            reached_at[(reached_at == 0) & spec.reached(final_loss, final_acc)] = epoch
+        if full_batch:
+            # Every cell is judged, on the stack: this pass trains the next epoch.
+            passes = forward(activation, weights, x, derivatives=True)
+            loss, acc = _judge(passes[2], y)
+            reached_at[(reached_at == 0) & spec.reached(loss, acc)] = epoch
         else:
-            # Minibatches: until the last epoch a report reads nothing of this
-            # pass but the epoch a cell first reaches the threshold, so only
-            # the open cells are judged.
-            level_of, seed_of = np.nonzero(reached_at == 0)   # in (level, seed) order
+            # Minibatches: a report reads the epoch a cell first reaches the
+            # threshold and the last epoch's loss and accuracy, so the open
+            # cells are judged, and every cell at the last epoch, in (level,
+            # seed) order.
+            level_of, seed_of = np.nonzero((reached_at == 0) | (epoch == spec.max_epochs))
             if level_of.size:
                 judge = activation if rows is None else rows(level_of)
                 out = forward(judge, [(w[level_of, seed_of], b[level_of, seed_of])
                                       for w, b in weights], x[seed_of])[2]
-                hit = spec.reached(*_judge(out, y[seed_of]))
+                loss, acc = _judge(out, y[seed_of])
+                hit = spec.reached(loss, acc) & (reached_at[level_of, seed_of] == 0)
                 reached_at[level_of[hit], seed_of[hit]] = epoch
 
+    final_loss, final_acc = loss.reshape(cells), acc.reshape(cells)
     mean_norms = np.mean(early_norms, axis=-1)
     return [TrainReport(
         final_accuracy=float(final_acc[cell]),

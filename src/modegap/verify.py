@@ -235,24 +235,19 @@ def check_gradient_scaling():
     First-layer weights and all biases zero: every pre-activation is 0, so
     the hidden values (0.5) and hence the output error are identical across
     loss levels and only the derivative table differentiates the gradients.
+    All levels are one stack: the zero first layer has one copy per level.
     """
     inputs, labels = make_dataset("xor")
     rng = np.random.default_rng(42)
-    weights = [(np.zeros((4, 2)), np.zeros(4)),
+    weights = [(np.zeros((len(SWEEP_LEVELS), 4, 2)), np.zeros(4)),
                (rng.uniform(-0.5, 0.5, (1, 4)), np.zeros(1))]
-    norms = {}
-    for iota in SWEEP_LEVELS:
-        act = reconstruct(uniform_channel(DEFAULT_GRID, iota))
-        passes = network.forward(act, weights, inputs, derivatives=True)
-        grads = loss_gradients(weights, passes, labels)
-        norms[iota] = hidden_gradient_norm(grads)
-    base = norms[0.0]
-    worst = 0.0
-    for iota in (0.25, 0.5, 0.75):
-        ratio = norms[iota] / base
-        worst = max(worst, abs(ratio - math.sqrt(1.0 - iota)) / math.sqrt(1.0 - iota))
-    ok = worst < 1e-3 and norms[1.0] == 0.0
-    return ok, f"max_rel_dev={worst:.3e} norm@1={norms[1.0]}"
+    stack = reconstruct(uniform_channel(DEFAULT_GRID, SWEEP_LEVELS))
+    passes = network.forward(stack, weights, inputs, derivatives=True)
+    norms = hidden_gradient_norm(loss_gradients(weights, passes, labels))
+    scale = np.sqrt(1.0 - np.array(SWEEP_LEVELS[1:-1]))   # between the ends 0 and 1
+    worst = float(np.max(np.abs(norms[1:-1] / norms[0] - scale) / scale))
+    ok = worst < 1e-3 and norms[-1] == 0.0
+    return ok, f"max_rel_dev={worst:.3e} norm@1={norms[-1]}"
 
 
 def check_perceptron_limit_freeze(reports):

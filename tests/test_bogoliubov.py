@@ -424,6 +424,23 @@ class TestLatticeLookup:
             assert same_bits(f_prime, derivative)
         assert same_bits(inside, kept)   # a lookup never writes the caller's z
 
+    def test_a_view_is_made_only_by_rows(self):
+        """A stack is the view of all its tables, one table reads any z, and
+        ``index`` is no constructor argument: ``rows`` checks every view."""
+        stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
+        alone = reconstruct(uniform_channel(SMALL, 0.5))
+        assert list(stack.index) == [0, 1, 2] and alone.index is None
+        hand_built = DegradedActivation(SMALL, stack.samples, stack.derivative_samples,
+                                        stack.loss_fraction)
+        assert hand_built.levels == 3 and list(hand_built.index) == [0, 1, 2]
+        for index in ([-1], [-3], [0, 1]):
+            with pytest.raises(TypeError):
+                DegradedActivation(SMALL, stack.samples, stack.derivative_samples,
+                                   stack.loss_fraction, index=index)
+        view = stack.rows([2, 0])
+        assert list(view.index) == [2, 0] and list(stack.index) == [0, 1, 2]
+        assert view.samples is stack.samples and view.levels == 2
+
     def test_stack_rejects_a_mismatched_level_axis(self):
         acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
         stack = reconstruct(uniform_channel(SMALL, [0.0, 1.0]))

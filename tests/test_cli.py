@@ -75,6 +75,12 @@ class TestConfigResolution:
                          "thermal_channel": cli.CHECK_GRID}
         assert run.grid.n_points == 1024 and run.params == {"kc": 2.0}
 
+    @pytest.mark.parametrize("command", ["spectrum", "channel", "degrade"])
+    def test_seed_only_on_train_sweep(self, tmp_path, command):
+        """``--seed`` is declared on the one command that reads ``sweep.seeds``."""
+        assert run_cli([command, "--seed", "3", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_overrides_sweep_seeds(self, tmp_path):
         args = cli.build_parser().parse_args(["train-sweep", "--seed", "7"])
         resolved = cli.resolve_config(args)
@@ -291,8 +297,12 @@ class TestSpectrumCommand:
 
         assert max_rel(8192) < max_rel(4096)
 
-    def test_unwritable_out_dir(self):
+    def test_unwritable_out_dir(self, capsys):
         assert run_cli(["spectrum", "--out", "/dev/null/nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: spectrum cannot write its output: [Errno 20] "
+                                "Not a directory: '/dev/null/nope'\n")
 
     def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
         """An output that cannot be written is reported, not raised; the

@@ -307,9 +307,9 @@ class TestBatchedTrain:
         assert all(len(args) - 2 == 2 for args in lookups)
 
     def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch):
-        """Before the last epoch, moons judges each cell up to the epoch it
-        reaches the threshold, through a view whose rows read the open cells'
-        levels; the last epoch judges every cell, on the stack itself."""
+        """Every epoch, moons judges through a view whose rows read the judged
+        cells' levels: before the last epoch each cell up to the epoch it
+        reaches the threshold, and at the last epoch every cell."""
         reads, real = [], DegradedActivation.evaluate
 
         def spy(act, z):
@@ -323,12 +323,12 @@ class TestBatchedTrain:
         assert None in reached and len(set(reached)) == 4
         epochs = TASKS["moons"].max_epochs
         expected = []
-        for epoch in range(1, epochs):
+        for epoch in range(1, epochs + 1):
             open_levels = [cell // len(seeds) for cell, e in enumerate(reached)
-                           if e is None or e >= epoch]
+                           if e is None or e >= epoch or epoch == epochs]
             expected += [(open_levels, (len(open_levels), 200, 8))] * 2
-        assert [(list(index), shape) for index, shape in reads[:-2]] == expected
-        assert reads[-2:] == [(None, (len(levels), len(seeds), 200, 8))] * 2
+        assert [(list(index), shape) for index, shape in reads] == expected
+        assert expected[-1] == ([0, 0, 1, 1], (4, 200, 8))
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
