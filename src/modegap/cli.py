@@ -227,7 +227,10 @@ def cmd_degrade(run: RunConfig) -> int:
     zs = np.linspace(-10.0, 10.0, 801)
     curves = []
     if profile == "uniform":
-        # One reconstruct per level, not a stack: at N = 262144, 5 levels peak at 76 MB, not 166.
+        # One reconstruct per level, not a stack: a standalone degrade at N = 262144
+        # peaks at 87.7 MB this way, at 169.7 MB with one stacked reconstruct of
+        # the 5 levels, and at 119.7 MB with the rows reconstructed one at a time
+        # into one stack.
         for iota in run.levels:
             act = activation if iota == run.params["iota"] \
                 else reconstruct(uniform_channel(grid, iota))
@@ -245,19 +248,15 @@ def cmd_degrade(run: RunConfig) -> int:
 
 def cmd_train_sweep(run: RunConfig) -> int:
     out_dir = prepare_out(run)
-    task, levels = run.task, run.levels
-    reports = sweep(task, levels, run.seeds, run.grid)
-    write_report_csv(out_dir / "train_reports.csv", reports)
+    report = sweep(run.task, run.levels, run.seeds, run.grid)
+    write_report_csv(out_dir / "train_reports.csv", report)
 
-    medians_g = verify_mod.grad_norm_medians(reports, levels)
-    medians_a = [float(np.median([r.final_accuracy for r in reports if r.iota == iota]))
-                 for iota in levels]
     line_plot(out_dir / "train_sweep.svg",
-              [("median hidden grad norm", levels, medians_g),
-               ("median final accuracy", levels, medians_a)],
-              f"Trainability vs loss level ({task})", "iota", "median metric")
+              [("median hidden grad norm", run.levels, verify_mod.grad_norm_medians(report)),
+               ("median final accuracy", run.levels, np.median(report.final_accuracy, axis=-1))],
+              f"Trainability vs loss level ({run.task})", "iota", "median metric")
 
-    print_checks(verify_mod.sweep_checks(task, reports, levels))
+    print_checks(verify_mod.sweep_checks(run.task, report))
     return 0
 
 

@@ -31,7 +31,7 @@ runs, so the Python cost of a step is paid once per step, not once per
 cell.  Each cell's slice sees the same products and sums, in the same
 order, as it would alone: stacked ``@`` computes slice by slice like the
 2-D ``@``, and every per-cell reduction runs along a contiguous last axis.
-A report is therefore bit-identical to the one that cell gives alone.
+Each cell of a report is therefore bit for bit that cell trained alone.
 """
 
 from dataclasses import dataclass, field
@@ -72,15 +72,22 @@ TASKS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainReport:
-    final_accuracy: float
-    final_loss: float
-    epochs_to_threshold: int | None
-    mean_grad_norm_first100: float
-    seed: int
-    iota: float = field(default=float("nan"))
-    weights: list = field(default=None, compare=False, repr=False)
+    """The trained (levels, seeds) stack of cells: cell (i, j) is level i
+    trained from ``seeds[j]`` (a tuple of ints).  ``final_accuracy``,
+    ``final_loss``, ``epochs_to_threshold`` (-1 for never, as the CSV
+    writes it) and ``mean_grad_norm_first100`` are (levels, seeds) arrays;
+    ``weights`` is the list of trained (W, b) with those two leading axes;
+    ``iota`` holds each level's loss, nan until ``sweep`` sets it."""
+
+    seeds: tuple
+    final_accuracy: np.ndarray
+    final_loss: np.ndarray
+    epochs_to_threshold: np.ndarray
+    mean_grad_norm_first100: np.ndarray
+    weights: list = field(repr=False)
+    iota: np.ndarray
 
 
 def make_dataset(name: str, seed: int = 0):
@@ -196,17 +203,18 @@ def _stack(per_cell):
     return tuple(np.stack(arrays) for arrays in zip(*per_cell))
 
 
-def train(task: str, activation, seeds) -> list[TrainReport]:
+def train(task: str, activation, seeds) -> TrainReport:
     """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
-    with the task's row of ``TASKS``; one report per (level, seed) cell, in
-    that order, where ``activation.levels`` (1 if absent) counts the levels
-    of a stacked activation.  An unknown task raises ``make_dataset``'s
-    ``ValueError``.
+    with the task's row of ``TASKS``; one report of the (levels, seeds)
+    stack of cells, where ``activation.levels`` (1 if absent) counts the
+    levels of a stacked activation.  An unknown task raises
+    ``make_dataset``'s ``ValueError``; an empty seed list raises
+    ``ValueError`` too.
 
     The cells train side by side as one (levels, seeds) stack, each on its
-    own data and weights, so a report does not depend on which cells share
-    the call.  Each seed has one generator: it draws the seed's initial
-    weights, which every level starts from, and then each epoch's
+    own data and weights, so a cell's results do not depend on which cells
+    share the call.  Each seed has one generator: it draws the seed's
+    initial weights, which every level starts from, and then each epoch's
     minibatch order, which every level shares.  Full batch when batch_size
     >= n; the evaluation pass that ends an epoch is then the next epoch's
     training pass, and judges every cell on the stack.  With minibatches
@@ -214,11 +222,11 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     cells, whose threshold epoch can still move, and every cell at the
     last epoch, which gives the final loss and accuracy; a report is the
     same either way.  The threshold rule is evaluated on the full dataset.
-    Each report carries its own copy of its final weights.
+    The report holds the trained weights of every cell, with no copy.
     """
-    seeds = list(seeds)
+    seeds = tuple(seeds)
     if not seeds:
-        return []
+        raise ValueError("train needs at least one seed")
     x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]
     levels = getattr(activation, "levels", 1)
@@ -233,7 +241,7 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
     lr = spec.learning_rate
     seed_rows = np.arange(len(seeds))[:, None]
 
-    reached_at = np.zeros(cells, dtype=int)              # 0: not reached yet
+    reached_at = np.full(cells, -1)                      # -1: not reached (yet)
     rows = getattr(activation, "rows", None)
     early_norms = np.empty(cells + (min(100, spec.max_epochs),))
     # Epoch 1's training pass.
@@ -265,69 +273,57 @@ def train(task: str, activation, seeds) -> list[TrainReport]:
             # Every cell is judged, on the stack: this pass trains the next epoch.
             passes = forward(activation, weights, x, derivatives=True)
             loss, acc = _judge(passes[2], y)
-            reached_at[(reached_at == 0) & spec.reached(loss, acc)] = epoch
+            reached_at[(reached_at < 0) & spec.reached(loss, acc)] = epoch
         else:
             # Minibatches: a report reads the epoch a cell first reaches the
             # threshold and the last epoch's loss and accuracy, so the open
             # cells are judged, and every cell at the last epoch, in (level,
             # seed) order.
-            level_of, seed_of = np.nonzero((reached_at == 0) | (epoch == spec.max_epochs))
+            level_of, seed_of = np.nonzero((reached_at < 0) | (epoch == spec.max_epochs))
             if level_of.size:
                 judge = activation if rows is None else rows(level_of)
                 out = forward(judge, [(w[level_of, seed_of], b[level_of, seed_of])
                                       for w, b in weights], x[seed_of])[2]
                 loss, acc = _judge(out, y[seed_of])
-                hit = spec.reached(loss, acc) & (reached_at[level_of, seed_of] == 0)
+                hit = spec.reached(loss, acc) & (reached_at[level_of, seed_of] < 0)
                 reached_at[level_of[hit], seed_of[hit]] = epoch
 
-    final_loss, final_acc = loss.reshape(cells), acc.reshape(cells)
-    mean_norms = np.mean(early_norms, axis=-1)
-    return [TrainReport(
-        final_accuracy=float(final_acc[cell]),
-        final_loss=float(final_loss[cell]),
-        epochs_to_threshold=None if reached_at[cell] == 0 else int(reached_at[cell]),
-        mean_grad_norm_first100=float(mean_norms[cell]),
-        seed=seed,
-        weights=[(w[cell].copy(), b[cell].copy()) for w, b in weights],
-    ) for cell, seed in zip(np.ndindex(cells), seeds * levels)]
+    return TrainReport(seeds, acc.reshape(cells), loss.reshape(cells), reached_at,
+                       np.mean(early_norms, axis=-1), weights, np.full(levels, np.nan))
 
 
-def sweep(task: str, loss_levels, seeds, grid) -> list[TrainReport]:
-    """Train one cell per (loss level, seed); levels must be ascending.
+def sweep(task: str, loss_levels, seeds, grid) -> TrainReport:
+    """Train one cell per (loss level, seed); levels must be non-empty and
+    ascending, and the report's ``iota`` holds them.
 
     One ``reconstruct`` of the (levels, N) uniform channel stack on ``grid``
     and one ``train`` call on the resulting activation stack train every
-    cell.  Reports come back in deterministic (level, seed) order.
+    cell, so row i of the report is level i.
     """
     levels = [float(v) for v in loss_levels]
-    if sorted(levels) != levels:
-        raise ValueError("loss levels must be sorted ascending")
-    if not levels:
-        return []
+    if not levels or sorted(levels) != levels:
+        raise ValueError(f"loss levels must be non-empty and ascending, got {levels}")
 
-    seeds = [int(seed) for seed in seeds]
-    reports = train(task, reconstruct(uniform_channel(grid, levels)), seeds)
-    for report, iota in zip(reports, [iota for iota in levels for _ in seeds]):
-        report.iota = iota
-    return reports
+    report = train(task, reconstruct(uniform_channel(grid, levels)), [int(s) for s in seeds])
+    report.iota = np.array(levels)
+    return report
 
 
-def median_epochs(reports) -> float:
-    """Median epochs_to_threshold with never encoded as +inf."""
-    vals = [float("inf") if r.epochs_to_threshold is None else float(r.epochs_to_threshold)
-            for r in reports]
-    return float(np.median(vals))
+def median_epochs(epochs) -> float:
+    """Median of ``epochs_to_threshold`` values with never (-1) read as +inf."""
+    return float(np.median(np.where(np.asarray(epochs) < 0, np.inf, epochs)))
 
 
 REPORT_HEADER = ["iota", "seed", "final_accuracy", "final_loss",
                  "epochs_to_threshold", "mean_grad_norm_first100"]
 
 
-def write_report_csv(path, reports):
-    """One row per report; a run that never reached the threshold has epochs -1."""
+def write_report_csv(path, report):
+    """One row per cell, in (level, seed) order; a cell that never reached
+    the threshold has epochs -1."""
+    levels, n_seeds = report.final_loss.shape
     write_columns(path, REPORT_HEADER, [
-        [float(r.iota) for r in reports], [r.seed for r in reports],
-        [float(r.final_accuracy) for r in reports], [float(r.final_loss) for r in reports],
-        [-1 if r.epochs_to_threshold is None else r.epochs_to_threshold for r in reports],
-        [float(r.mean_grad_norm_first100) for r in reports],
+        np.repeat(report.iota, n_seeds), list(report.seeds) * levels,
+        report.final_accuracy.ravel(), report.final_loss.ravel(),
+        report.epochs_to_threshold.ravel(), report.mean_grad_norm_first100.ravel(),
     ])

@@ -203,29 +203,28 @@ def run_xor_sweep():
     return sweep("xor", SWEEP_LEVELS, SWEEP_SEEDS, DEFAULT_GRID)
 
 
-def check_xor_endpoints(reports):
-    at0 = [r for r in reports if r.iota == 0.0]
-    at1 = [r for r in reports if r.iota == 1.0]
-    converged0 = sum(1 for r in at0 if r.epochs_to_threshold is not None)
-    med0 = median_epochs(at0)
-    med1 = median_epochs(at1)
-    zero_grads = all(r.mean_grad_norm_first100 == 0.0 for r in at1)
-    ok = (converged0 >= 0.8 * len(at0) and math.isfinite(med0) and math.isinf(med1)
+def check_xor_endpoints(report):
+    at0, at1 = report.iota == 0.0, report.iota == 1.0
+    epochs0 = report.epochs_to_threshold[at0]
+    converged0 = int(np.count_nonzero(epochs0 >= 0))
+    med0 = median_epochs(epochs0)
+    med1 = median_epochs(report.epochs_to_threshold[at1])
+    zero_grads = bool(np.all(report.mean_grad_norm_first100[at1] == 0.0))
+    ok = (converged0 >= 0.8 * epochs0.size and math.isfinite(med0) and math.isinf(med1)
           and zero_grads)
-    return ok, (f"conv@0={converged0}/{len(at0)} median@0={med0:.0f} "
+    return ok, (f"conv@0={converged0}/{epochs0.size} median@0={med0:.0f} "
                 f"median@1={'never' if math.isinf(med1) else med1} "
                 f"zero_hidden_grads@1={zero_grads}")
 
 
-def grad_norm_medians(reports, levels=SWEEP_LEVELS):
-    """Median early hidden-gradient norm of the cells at each loss level."""
-    return [float(np.median([r.mean_grad_norm_first100 for r in reports if r.iota == iota]))
-            for iota in levels]
+def grad_norm_medians(report):
+    """Median early hidden-gradient norm of each level's row of cells."""
+    return np.median(report.mean_grad_norm_first100, axis=-1)
 
 
-def check_grad_norm_monotone(reports, levels=SWEEP_LEVELS):
-    medians = grad_norm_medians(reports, levels)
-    monotone = all(a >= b for a, b in zip(medians, medians[1:]))
+def check_grad_norm_monotone(report):
+    medians = grad_norm_medians(report)
+    monotone = bool(np.all(medians[:-1] >= medians[1:]))
     return monotone, "medians=" + ",".join(f"{m:.3e}" for m in medians)
 
 
@@ -250,16 +249,15 @@ def check_gradient_scaling():
     return ok, f"max_rel_dev={worst:.3e} norm@1={norms[-1]}"
 
 
-def check_perceptron_limit_freeze(reports):
+def check_perceptron_limit_freeze(report):
     """The XOR sweep's level-1, seed-3 cell keeps its initial hidden weights."""
-    report, = [r for r in reports if r.iota == 1.0 and r.seed == 3]
+    cell = report.iota.tolist().index(1.0), report.seeds.index(3)
     initial = network.init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
-    final = report.weights
-    frozen = all(np.array_equal(initial[i][0], final[i][0])
-                 and np.array_equal(initial[i][1], final[i][1])
-                 for i in range(len(initial) - 1))
-    ok = frozen and report.mean_grad_norm_first100 == 0.0
-    return ok, f"hidden_frozen={frozen} mean_grad_norm={report.mean_grad_norm_first100}"
+    frozen = all(np.array_equal(w0, w[cell]) and np.array_equal(b0, b[cell])
+                 for (w0, b0), (w, b) in zip(initial[:-1], report.weights[:-1]))
+    norm = float(report.mean_grad_norm_first100[cell])
+    ok = frozen and norm == 0.0
+    return ok, f"hidden_frozen={frozen} mean_grad_norm={norm}"
 
 
 def check_determinism():
@@ -290,29 +288,29 @@ def check_determinism():
                             else "mismatched: " + ",".join(mismatches))
 
 
-def check_moons_band(reports):
+def check_moons_band(report):
     """Fixed from measurement: a fully degraded hidden stack still leaves the
     output layer an informative linear read-out on moons, so the realized
     band sits well above chance but below the learnable regime."""
-    at0 = [r for r in reports if r.iota == 0.0]
-    conv0 = sum(1 for r in at0 if r.epochs_to_threshold is not None)
-    accs1 = [r.final_accuracy for r in reports if r.iota == 1.0]
-    in_band = all(0.65 <= a <= 0.92 for a in accs1)
-    ok = conv0 >= 0.8 * len(at0) and in_band
-    return ok, (f"conv@0={conv0}/{len(at0)} acc@1=[{min(accs1):.3f},{max(accs1):.3f}] "
+    epochs0 = report.epochs_to_threshold[report.iota == 0.0]
+    conv0 = int(np.count_nonzero(epochs0 >= 0))
+    accs1 = report.final_accuracy[report.iota == 1.0]
+    in_band = bool(np.all((accs1 >= 0.65) & (accs1 <= 0.92)))
+    ok = conv0 >= 0.8 * epochs0.size and in_band
+    return ok, (f"conv@0={conv0}/{epochs0.size} acc@1=[{accs1.min():.3f},{accs1.max():.3f}] "
                 f"band=[0.65,0.92]")
 
 
-def sweep_checks(task, reports, levels=SWEEP_LEVELS):
-    """The checks a sweep over ``levels`` settles: the task's endpoint check
-    when both 0 and 1 were swept, then grad-norm-monotone."""
+def sweep_checks(task, report):
+    """The checks a sweep settles: the task's endpoint check when both
+    levels 0 and 1 were swept, then grad-norm-monotone."""
     results = []
-    if 0.0 in levels and 1.0 in levels:
+    if 0.0 in report.iota and 1.0 in report.iota:
         if task == "xor":
-            results.append(("xor-trainability-endpoints", *check_xor_endpoints(reports)))
+            results.append(("xor-trainability-endpoints", *check_xor_endpoints(report)))
         else:
-            results.append(("moons-band", *check_moons_band(reports)))
-    results.append(("grad-norm-monotone", *check_grad_norm_monotone(reports, levels)))
+            results.append(("moons-band", *check_moons_band(report)))
+    results.append(("grad-norm-monotone", *check_grad_norm_monotone(report)))
     return results
 
 

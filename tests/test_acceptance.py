@@ -29,7 +29,7 @@ from modegap import verify
 
 
 @pytest.fixture(scope="module")
-def xor_reports():
+def xor_report():
     return verify.run_xor_sweep()
 
 
@@ -86,15 +86,15 @@ def test_c7_gradient_correctness():
     assert passed, measured
 
 
-def test_c8_xor_trainability_endpoints(xor_reports):
+def test_c8_xor_trainability_endpoints(xor_report):
     passed, measured = report("c8a xor-trainability-endpoints",
-                              *verify.check_xor_endpoints(xor_reports))
+                              *verify.check_xor_endpoints(xor_report))
     assert passed, measured
 
 
-def test_c8_grad_norm_monotone(xor_reports):
+def test_c8_grad_norm_monotone(xor_report):
     passed, measured = report("c8b grad-norm-monotone",
-                              *verify.check_grad_norm_monotone(xor_reports))
+                              *verify.check_grad_norm_monotone(xor_report))
     assert passed, measured
 
 
@@ -104,9 +104,9 @@ def test_c8_gradient_scaling_fixed_point():
     assert passed, measured
 
 
-def test_c8_perceptron_limit_freeze(xor_reports):
+def test_c8_perceptron_limit_freeze(xor_report):
     passed, measured = report("c8d perceptron-limit-freeze",
-                              *verify.check_perceptron_limit_freeze(xor_reports))
+                              *verify.check_perceptron_limit_freeze(xor_report))
     assert passed, measured
 
 

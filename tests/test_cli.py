@@ -429,19 +429,19 @@ class TestTrainSweepCommand:
                         "--set", "sweep.levels=0,1",
                         "--set", "sweep.seeds=0,1"]) == 0
         printed = capsys.readouterr().out
-        reports = sweep("xor", [0, 1], [0, 1], Grid(40, 4096))
-        write_report_csv(tmp_path / "expected.csv", reports)
+        report = sweep("xor", [0, 1], [0, 1], Grid(40, 4096))
+        write_report_csv(tmp_path / "expected.csv", report)
         assert ((out / "train_reports.csv").read_bytes()
                 == (tmp_path / "expected.csv").read_bytes())
-        checks = verify_mod.sweep_checks("xor", reports, [0.0, 1.0])
+        checks = verify_mod.sweep_checks("xor", report)
         assert [name for name, _, _ in checks] == ["xor-trainability-endpoints",
                                                    "grad-norm-monotone"]
         assert printed.splitlines() == [
             f"{'PASS' if passed else 'FAIL'} {name}: {measured}"
             for name, passed, measured in checks]
-        assert len(reports) == 4
-        at1 = [r for r in reports if r.iota == 1.0]
-        assert all(r.mean_grad_norm_first100 == 0.0 for r in at1)
+        assert report.final_loss.shape == (2, 2)
+        assert report.iota.tolist() == [0.0, 1.0]
+        assert np.all(report.mean_grad_norm_first100[1] == 0.0)
         assert (out / "train_sweep.svg").exists()
 
     def test_one_level_prints_only_monotone(self, tmp_path, capsys):

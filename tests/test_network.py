@@ -40,12 +40,27 @@ def degraded(iota):
 
 @functools.cache
 def trained_alone(task, iota, seed):
-    """The report of the (task, iota, seed) cell trained alone, tagged with its
-    iota; shared by the tests that meet the same cell more than once, which
-    therefore must not change it."""
-    report, = train(task, degraded(iota), [seed])
-    report.iota = iota
+    """The one-cell report of the (task, iota, seed) cell trained alone, tagged
+    with its iota; shared by the tests that meet the same cell more than once,
+    which therefore must not change it."""
+    report = train(task, degraded(iota), [seed])
+    report.iota = np.array([iota])
     return report
+
+
+def cell(report, i=0, j=0):
+    """Field name -> value of cell (i, j) of a report, ``seed`` and ``iota``
+    included; every value as its repr, which is exact for floats and reads
+    nan (an untagged iota) as equal to itself."""
+    values = {f.name: getattr(report, f.name)[i, j] for f in dataclasses.fields(TrainReport)
+              if f.name not in ("seeds", "iota", "weights")}
+    values.update(seed=report.seeds[j], iota=report.iota[i])
+    return {name: repr(np.asarray(value).item()) for name, value in values.items()}
+
+
+def cell_weights(report, i=0, j=0):
+    """Cell (i, j)'s trained weights, one (W, b) per layer."""
+    return [(w[i, j], b[i, j]) for w, b in report.weights]
 
 
 class TestDatasets:
@@ -173,14 +188,13 @@ class TestGradients:
 
 class TestTrain:
     def test_deterministic(self):
-        (a,), (b,) = train("xor", SIGMOID, [4]), train("xor", SIGMOID, [4])
-        assert a == b
+        assert_same_report(train("xor", SIGMOID, [4]), train("xor", SIGMOID, [4]))
 
     def test_total_loss_freezes_hidden_layers(self):
         initial = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
-        report, = train("xor", degraded(1.0), [3])
-        final = report.weights
-        assert report.mean_grad_norm_first100 == 0.0
+        report = train("xor", degraded(1.0), [3])
+        final = cell_weights(report)
+        assert report.mean_grad_norm_first100[0, 0] == 0.0
         for (w0, b0), (w1, b1) in zip(initial[:-1], final[:-1]):
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
@@ -201,52 +215,58 @@ class TestTrain:
             loss_gradients(weights, passes, labels)
 
     def test_report_fields(self):
-        report, = train("xor", SIGMOID, [0])
-        assert 0.0 <= report.final_accuracy <= 1.0
-        assert report.final_loss >= 0.0
-        if report.epochs_to_threshold is not None:
-            assert report.epochs_to_threshold <= TASKS["xor"].max_epochs
+        report = train("xor", SIGMOID, [0])
+        assert report.seeds == (0,)
+        assert np.isnan(report.iota).tolist() == [True]
+        assert report.final_accuracy.shape == report.final_loss.shape == (1, 1)
+        assert report.epochs_to_threshold.shape == report.mean_grad_norm_first100.shape == (1, 1)
+        assert [(w.shape, b.shape) for w, b in report.weights] == [
+            ((1, 1, 4, 2), (1, 1, 4)), ((1, 1, 1, 4), (1, 1, 1))]
+        assert 0.0 <= report.final_accuracy[0, 0] <= 1.0
+        assert report.final_loss[0, 0] >= 0.0
+        assert -1 <= report.epochs_to_threshold[0, 0] <= TASKS["xor"].max_epochs
+        assert report.epochs_to_threshold[0, 0] != 0
 
     def test_moons_smoke(self):
         report = trained_alone("moons", 0.0, 0)
-        assert report.epochs_to_threshold is not None
-        assert report.final_accuracy >= 0.9
+        assert report.epochs_to_threshold[0, 0] > 0
+        assert report.final_accuracy[0, 0] >= 0.9
 
     def test_xor_reference_fixture(self):
         """Frozen from a reference run: seeds 0-9 converge at exactly these
         epochs, all ten under the 2000-epoch budget."""
         expected = [658, 678, 620, 821, 782, 637, 783, 657, 825, 683]
-        reports = train("xor", SIGMOID, range(10))
-        assert [r.seed for r in reports] == list(range(10))
-        assert [r.epochs_to_threshold for r in reports] == expected
-        assert all(r.final_loss < 0.05 for r in reports)
+        report = train("xor", SIGMOID, range(10))
+        assert report.seeds == tuple(range(10))
+        assert report.epochs_to_threshold.tolist() == [expected]
+        assert np.all(report.final_loss < 0.05)
 
 
-def assert_same_report(a, b):
-    """Every field equal, the weights bit for bit; repr is exact for floats
-    and reads nan (an untagged iota) as equal to itself."""
-    for f in dataclasses.fields(TrainReport):
-        if f.name != "weights":
-            assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
-    assert len(a.weights) == len(b.weights)
-    for (wa, ba), (wb, bb) in zip(a.weights, b.weights):
+def assert_same_cell(a, b, at_a=(0, 0), at_b=(0, 0)):
+    """Cell ``at_a`` of report ``a`` equals cell ``at_b`` of report ``b``:
+    every field, the weights bit for bit."""
+    assert cell(a, *at_a) == cell(b, *at_b)
+    for (wa, ba), (wb, bb) in zip(cell_weights(a, *at_a), cell_weights(b, *at_b), strict=True):
         assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
 
 
+def assert_same_report(a, b):
+    """The same (levels, seeds) shape, and every cell equal."""
+    assert a.final_loss.shape == b.final_loss.shape
+    for at in np.ndindex(a.final_loss.shape):
+        assert_same_cell(a, b, at, at)
+
+
 def assert_cells_trained_alone(task, batched):
-    """Each report equals ``trained_alone(task, iota, seed)``, and no two
-    reports share weight memory."""
-    for report in batched:
-        assert_same_report(report, trained_alone(task, report.iota, report.seed))
-    arrays = [[a for layer in r.weights for a in layer] for r in batched]
-    for i, mine in enumerate(arrays):
-        for theirs in arrays[i + 1:]:
-            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    """Each cell of a report equals ``trained_alone(task, iota, seed)``."""
+    for i, j in np.ndindex(batched.final_loss.shape):
+        alone = trained_alone(task, batched.iota[i].item(), batched.seeds[j])
+        assert_same_cell(batched, alone, (i, j))
 
 
 class TestBatchedTrain:
-    """``train`` runs its (level, seed) cells as one stack; each report must
-    be the one that cell gives when trained alone."""
+    """``train`` runs its (level, seed) cells as one stack; each cell of its
+    report must be the one that cell gives when trained alone."""
 
     @pytest.mark.parametrize("task, iota, seeds", [
         ("xor", 0.0, [0, 1]), ("xor", 0.5, [0, 1]), ("xor", 0.5, [7, 0, 0]),
@@ -254,9 +274,9 @@ class TestBatchedTrain:
     ])
     def test_report_does_not_depend_on_its_batch(self, task, iota, seeds):
         batched = train(task, degraded(iota), seeds)
-        assert [r.seed for r in batched] == seeds
-        for report in batched:
-            report.iota = iota
+        assert batched.seeds == tuple(seeds)
+        assert batched.final_loss.shape == (1, len(seeds))
+        batched.iota = np.array([iota])
         assert_cells_trained_alone(task, batched)
 
     @pytest.mark.parametrize("task, levels, seeds", [
@@ -265,8 +285,8 @@ class TestBatchedTrain:
     def test_level_stack_report_does_not_depend_on_its_batch(self, task, levels, seeds):
         """``sweep`` trains every (level, seed) cell in one stack."""
         batched = sweep(task, levels, seeds, GRID)
-        assert [(r.iota, r.seed) for r in batched] == [
-            (iota, seed) for iota in levels for seed in seeds]
+        assert (batched.iota.tolist(), batched.seeds) == (levels, tuple(seeds))
+        assert batched.final_loss.shape == (len(levels), len(seeds))
         assert_cells_trained_alone(task, batched)
 
     @staticmethod
@@ -292,10 +312,10 @@ class TestBatchedTrain:
         calls = [self.count_calls(monkeypatch, name, DegradedActivation) for name in names]
         lookups = calls[0]
         act = degraded(0.5)
-        report, = train("moons", act, [0])
+        report = train("moons", act, [0])
         epochs = TASKS["moons"].max_epochs      # 7 minibatches and 2 hidden layers
-        reached = report.epochs_to_threshold
-        judged = epochs if reached is None else min(reached + 1, epochs)
+        reached = report.epochs_to_threshold[0, 0]
+        judged = epochs if reached < 0 else min(reached + 1, epochs)
         assert [len(c) for c in calls] == [14 * epochs + 2 * judged, 2 * judged, 0, 14 * epochs]
         tables = [len(args) - 2 for args in lookups]   # args: self, z, *tables
         assert (tables.count(2), tables.count(1)) == (14 * epochs, 2 * judged)
@@ -318,32 +338,32 @@ class TestBatchedTrain:
 
         monkeypatch.setattr(DegradedActivation, "evaluate", spy)
         levels, seeds = [0.0, 1.0], [1, 4]
-        reports = sweep("moons", levels, seeds, GRID)
-        reached = [r.epochs_to_threshold for r in reports]    # (level, seed) order
-        assert None in reached and len(set(reached)) == 4
+        report = sweep("moons", levels, seeds, GRID)
+        reached = report.epochs_to_threshold.ravel().tolist()    # (level, seed) order
+        assert -1 in reached and len(set(reached)) == 4
         epochs = TASKS["moons"].max_epochs
         expected = []
         for epoch in range(1, epochs + 1):
             open_levels = [cell // len(seeds) for cell, e in enumerate(reached)
-                           if e is None or e >= epoch or epoch == epochs]
+                           if e < 0 or e >= epoch or epoch == epochs]
             expected += [(open_levels, (len(open_levels), 200, 8))] * 2
         assert [(list(index), shape) for index, shape in reads] == expected
         assert expected[-1] == ([0, 0, 1, 1], (4, 200, 8))
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")
-        reports = sweep("xor", [0.0, 1.0], [0, 1, 2], GRID)
+        report = sweep("xor", [0.0, 1.0], [0, 1, 2], GRID)
         assert len(calls) == 1
-        assert [(r.iota, r.seed) for r in reports] == [
-            (iota, seed) for iota in (0.0, 1.0) for seed in (0, 1, 2)]
+        assert (report.iota.tolist(), report.seeds) == ([0.0, 1.0], (0, 1, 2))
+        assert report.final_loss.shape == (2, 3)
 
     def test_sweep_reconstructs_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "reconstruct")
-        reports = sweep("xor", [0.0, 0.5, 1.0], [0], GRID)
+        report = sweep("xor", [0.0, 0.5, 1.0], [0], GRID)
         assert len(calls) == 1
         channel, = calls[0]
         assert channel.iota.shape == (3, GRID.n_points)
-        assert [r.iota for r in reports] == [0.0, 0.5, 1.0]
+        assert report.iota.tolist() == [0.0, 0.5, 1.0]
 
     def test_full_batch_reuses_the_evaluation_pass(self, monkeypatch):
         """One forward pass per epoch plus the first: the pass that judges an
@@ -364,65 +384,84 @@ class TestBatchedTrain:
 
 class TestSweep:
     def test_single_level_matches_direct_train(self):
-        reports = sweep("xor", [0.0], [0, 1], GRID)
-        for seed, report in zip((0, 1), reports):
+        report = sweep("xor", [0.0], [0, 1], GRID)
+        for j, seed in enumerate((0, 1)):
             direct = trained_alone("xor", 0.0, seed)
-            assert report.final_loss == direct.final_loss
-            assert report.epochs_to_threshold == direct.epochs_to_threshold
+            assert report.final_loss[0, j] == direct.final_loss[0, 0]
+            assert report.epochs_to_threshold[0, j] == direct.epochs_to_threshold[0, 0]
 
     def test_no_seeds_no_reports(self):
-        assert train("xor", SIGMOID, []) == []
-        assert sweep("xor", [0.0, 1.0], [], GRID) == []
+        """An empty seed or level list is refused, not trained into an empty
+        report."""
+        with pytest.raises(ValueError):
+            train("xor", SIGMOID, [])
+        with pytest.raises(ValueError):
+            sweep("xor", [0.0, 1.0], [], GRID)
+        with pytest.raises(ValueError):
+            sweep("xor", [], [0], GRID)
 
     def test_levels_must_ascend(self):
         with pytest.raises(ValueError):
             sweep("xor", [0.5, 0.0], [0], GRID)
 
     def test_median_epochs_never(self):
-        reports = sweep("xor", [1.0], list(range(4)), GRID)
-        assert sum(1 for r in reports if r.epochs_to_threshold is None) >= 2
-        assert math.isinf(median_epochs(reports))
+        report = sweep("xor", [1.0], list(range(4)), GRID)
+        assert np.count_nonzero(report.epochs_to_threshold == -1) >= 2
+        assert math.isinf(median_epochs(report.epochs_to_threshold))
+        assert median_epochs([[3, -1, 5]]) == 5.0
 
     def test_moons_total_loss_band(self):
         """Frozen from measurement: with all hidden layers frozen the output
         layer still reads the moons geometry off the random step features,
         landing well above chance but short of the learnable regime."""
-        reports = sweep("moons", [1.0], list(range(10)), GRID)
-        accs = [r.final_accuracy for r in reports]
-        assert min(accs) >= 0.65
-        assert max(accs) <= 0.92
-        assert all(r.mean_grad_norm_first100 == 0.0 for r in reports)
+        report = sweep("moons", [1.0], list(range(10)), GRID)
+        accs = report.final_accuracy
+        assert accs.min() >= 0.65
+        assert accs.max() <= 0.92
+        assert np.all(report.mean_grad_norm_first100 == 0.0)
 
 
-def report_row(r):
-    """The text of a report's row: every value's repr, epochs -1 for never."""
-    epochs = -1 if r.epochs_to_threshold is None else r.epochs_to_threshold
-    return ",".join(map(repr, (r.iota, r.seed, r.final_accuracy, r.final_loss, epochs,
-                               r.mean_grad_norm_first100)))
+def cell_row(report):
+    """The text of a one-cell report's row: every value's repr, epochs -1
+    for never."""
+    values = cell(report)
+    return ",".join(values[name] for name in network.REPORT_HEADER)
 
 
 class TestReportCsv:
     def test_round_trip_with_never(self, tmp_path):
-        reports = sweep("xor", [1.0], [0, 3], GRID)
+        """Rows come in (level, seed) order, iota repeated per seed, each the
+        row of that cell trained alone; never is -1 and a seed past float
+        precision is written exactly (a float would write 2**53)."""
+        levels, seeds = [0.0, 1.0], [3, 2**53 + 1]
+        report = sweep("xor", levels, seeds, GRID)
         path = tmp_path / "reports.csv"
-        write_report_csv(path, reports)
+        write_report_csv(path, report)
         lines = path.read_text().splitlines()
         assert lines[0] == ("iota,seed,final_accuracy,final_loss,"
                             "epochs_to_threshold,mean_grad_norm_first100")
-        assert lines[1:] == [report_row(r) for r in reports]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[:2] for row in rows] == [["0.0", "3"], ["0.0", "9007199254740993"],
+                                             ["1.0", "3"], ["1.0", "9007199254740993"]]
+        assert rows[2][4] == "-1"
+        assert lines[1:] == [cell_row(trained_alone("xor", iota, seed))
+                             for iota in levels for seed in seeds]
 
     def test_seed_beyond_float_precision_round_trips(self, tmp_path):
         seed = 2**53 + 1                           # a float would write 2**53
-        report = TrainReport(final_accuracy=1.0, final_loss=0.01, epochs_to_threshold=5,
-                             mean_grad_norm_first100=0.1, seed=seed, iota=0.5)
+        report = TrainReport(seeds=(seed,), final_accuracy=np.array([[1.0]]),
+                             final_loss=np.array([[0.01]]),
+                             epochs_to_threshold=np.array([[5]]),
+                             mean_grad_norm_first100=np.array([[0.1]]), weights=[],
+                             iota=np.array([0.5]))
         path = tmp_path / "big.csv"
-        write_report_csv(path, [report])
+        write_report_csv(path, report)
         assert path.read_text().splitlines()[1:] == ["0.5,9007199254740993,1.0,0.01,5,0.1"]
 
     def test_never_encoded_as_minus_one(self, tmp_path):
-        reports = sweep("xor", [1.0], [0], GRID)
-        assert any(r.epochs_to_threshold is None for r in reports)
+        report = sweep("xor", [1.0], [0], GRID)
+        assert report.epochs_to_threshold.tolist() == [[-1]]
         path = tmp_path / "never.csv"
-        write_report_csv(path, reports)
+        write_report_csv(path, report)
         row = path.read_text().splitlines()[1].split(",")
         assert row[4] == "-1"

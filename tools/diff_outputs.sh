@@ -1,0 +1,61 @@
+#!/bin/sh
+# Byte-identity check of a change against its parent checkout.
+#
+#   tools/diff_outputs.sh <parent checkout>
+#
+# Runs the same modegap commands with the parent's src/ and with this
+# checkout's src/, each in its own empty directory, then compares every
+# file written, stdout, stderr and exit code with `diff -r`; only
+# config.resolved, which names its own out.dir, is left out.  Prints
+# "no difference" and exits 0 when nothing differs, prints the diff and
+# exits 1 when something does, and exits 2 on a bad argument.  Needs python3
+# with numpy; writes only to a temporary directory that it removes.
+set -u
+
+if [ $# -ne 1 ] || [ ! -d "$1/src/modegap" ]; then
+    echo "usage: $0 <parent checkout>" >&2
+    exit 2
+fi
+parent=$(cd "$1" && pwd)
+change=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT INT TERM
+
+fine="--set grid.N=262144"
+commands="spectrum
+channel --set channel.profile=thermal --compose 4
+degrade
+degrade --set channel.profile=lowpass
+degrade --set channel.profile=thermal
+degrade $fine
+degrade --set channel.profile=lowpass $fine
+degrade --set channel.profile=thermal $fine
+train-sweep
+train-sweep --set task.name=moons --set sweep.levels=0,1
+verify
+verify --full"
+
+for side in parent change; do
+    if [ "$side" = parent ]; then src="$parent/src"; else src="$change/src"; fi
+    n=0
+    echo "$commands" | while read -r command; do
+        n=$((n + 1))
+        dir="$work/$side/$n"
+        mkdir -p "$dir"
+        echo "$command" >"$dir/command"
+        case $command in
+            verify*) out="" ;;
+            *) out="--out out" ;;
+        esac
+        # shellcheck disable=SC2086  # the command is a list of words
+        (cd "$dir" && PYTHONPATH="$src" python3 -m modegap $command $out \
+            >stdout 2>stderr; echo $? >code)
+        echo "$side: $command exited $(cat "$dir/code")" >&2
+    done
+done
+
+if diff -r -x config.resolved "$work/parent" "$work/change"; then
+    echo "no difference"
+else
+    exit 1
+fi
