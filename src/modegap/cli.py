@@ -141,12 +141,13 @@ def resolve_config(args) -> RunConfig:
         params["compose"] = compose_n
 
     levels = _comma_list(values, "sweep.levels", float)
-    if not levels or levels != sorted(levels) or not all(0.0 <= v <= 1.0 for v in levels):
-        raise ConfigError("sweep.levels must be non-empty, ascending and in [0, 1]: "
+    if not levels or levels != sorted(set(levels)) or not all(0.0 <= v <= 1.0 for v in levels):
+        raise ConfigError("sweep.levels must be non-empty, strictly ascending and in [0, 1]: "
                           f"{values['sweep.levels']!r}")
     seeds = _comma_list(values, "sweep.seeds", int)
-    if not seeds or any(s < 0 for s in seeds):
-        raise ConfigError(f"sweep.seeds must be non-negative integers: {values['sweep.seeds']!r}")
+    if not seeds or any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
+        raise ConfigError("sweep.seeds must be distinct non-negative integers: "
+                          f"{values['sweep.seeds']!r}")
     task = values["task.name"].lower()
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")

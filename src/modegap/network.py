@@ -294,15 +294,16 @@ def train(task: str, activation, seeds) -> TrainReport:
 
 def sweep(task: str, loss_levels, seeds, grid) -> TrainReport:
     """Train one cell per (loss level, seed); levels must be non-empty and
-    ascending, and the report's ``iota`` holds them.
+    strictly ascending, so no cell is trained twice, and the report's
+    ``iota`` holds them.
 
     One ``reconstruct`` of the (levels, N) uniform channel stack on ``grid``
     and one ``train`` call on the resulting activation stack train every
     cell, so row i of the report is level i.
     """
     levels = [float(v) for v in loss_levels]
-    if not levels or sorted(levels) != levels:
-        raise ValueError(f"loss levels must be non-empty and ascending, got {levels}")
+    if not levels or levels != sorted(set(levels)):
+        raise ValueError(f"loss levels must be non-empty and strictly ascending, got {levels}")
 
     report = train(task, reconstruct(uniform_channel(grid, levels)), [int(s) for s in seeds])
     report.iota = np.array(levels)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modegap import cli
+from modegap import cli, spectral
 from modegap.bogoliubov import planck_occupation
 from modegap.network import sweep, write_report_csv
 from modegap.spectral import Grid
@@ -139,6 +139,8 @@ class TestConfigResolution:
     @pytest.mark.parametrize("argv", [
         ["train-sweep", "--set", "sweep.levels=0,2"],
         ["train-sweep", "--set", "sweep.levels=1,0"],
+        ["train-sweep", "--set", "sweep.levels=0,0,1", "--set", "sweep.seeds=0,1"],
+        ["train-sweep", "--set", "sweep.seeds=0,1,0"],
         ["degrade", "--set", "sweep.levels=0,2"],
         ["degrade", "--set", "sweep.levels="],
         ["spectrum", "--set", "grid.N=4"],
@@ -420,6 +422,28 @@ class TestDegradeCommand:
         assert len(lines) == 1 + 4096
         svg = (out / "degraded_activation.svg").read_text()
         assert svg.count("<polyline") == 5  # one curve per default sweep level
+
+    def test_failed_writer_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """A 16,384-row table is written in two shares on two cores; the
+        worker formatting the second fails, and the command names the table."""
+        caller = os.getpid()
+        write_rows = spectral._write_rows
+
+        def broken_in_worker(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("formatting failed")
+            write_rows(*args)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(spectral, "_write_rows", broken_in_worker)
+        out = tmp_path / "deg"
+        assert run_cli(["degrade", "--out", str(out), "--set", "grid.N=16384"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: degrade cannot write its output: ")
+        assert "degraded_activation.csv" in captured.err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrainSweepCommand:

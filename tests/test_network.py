@@ -403,6 +403,8 @@ class TestSweep:
     def test_levels_must_ascend(self):
         with pytest.raises(ValueError):
             sweep("xor", [0.5, 0.0], [0], GRID)
+        with pytest.raises(ValueError):                 # a repeated level trains its cells twice
+            sweep("xor", [0.0, 0.0, 1.0], [0], GRID)
 
     def test_median_epochs_never(self):
         report = sweep("xor", [1.0], list(range(4)), GRID)

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
-from modegap.spectral import write_columns, write_spectrum_csv
+from modegap import spectral
+from modegap.spectral import _CHUNK_ROWS, write_columns, write_spectrum_csv
 
 GRID = Grid(40.0, 4096)
 
@@ -312,23 +314,81 @@ class TestColumns:
 
     @staticmethod
     def table():
-        n = 8193                                   # one row past a whole chunk
+        n = 2 * _CHUNK_ROWS + 1                    # three chunks, the last of one row
         special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, -1.5]
         x = np.linspace(-40.0, 40.0, n)
-        x[-len(special):] = special                # straddles the chunk boundary
+        # Straddles the chunk boundary at row 8192, which is a share boundary
+        # for 2 and 3 shares; the last row is a chunk and a share of its own.
+        x[_CHUNK_ROWS - 4:_CHUNK_ROWS + 4] = special
         y = np.resize(np.array(special), n)
         m = np.arange(n) - 1                       # integer column, -1 included
         return x, y, m
 
-    def test_bytes_match_csv_module(self, tmp_path):
-        x, y, m = self.table()
-        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+    @staticmethod
+    def csv_module_bytes(path, x, y, m):
+        with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "y", "m"])
             for a, b, c in zip(x, y, m):
                 w.writerow([repr(float(a)), repr(float(b)), int(c)])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_bytes_match_csv_module(self, tmp_path, monkeypatch, cores):
+        """One share per core, at most one per chunk: 3 chunks on 2 cores
+        split 1 + 2, on 3 cores 1 + 1 + 1, and the bytes do not change."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        x, y, m = self.table()
+        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
+        assert (tmp_path / "new.csv").read_bytes() == \
+            self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
+
+    def test_failed_fork_is_written_by_the_caller(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", no_fork)
+        x, y, m = self.table()
+        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
+        assert (tmp_path / "new.csv").read_bytes() == \
+            self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
+
+    @pytest.mark.parametrize("rows, forks", [(_CHUNK_ROWS, 0), (_CHUNK_ROWS + 1, 1)])
+    def test_one_chunk_table_forks_nothing(self, tmp_path, monkeypatch, rows, forks):
+        calls = []
+        fork = os.fork
+
+        def spy():
+            calls.append(None)
+            return fork()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", spy)
+        write_columns(tmp_path / "t.csv", ["i"], [np.arange(rows)])
+        assert len(calls) == forks
+        assert (tmp_path / "t.csv").read_bytes() == \
+            b"i\r\n" + b"".join(b"%d\r\n" % i for i in range(rows))
+
+    @pytest.mark.parametrize("failing, error", [("worker", OSError), ("caller", RuntimeError)])
+    def test_failure_reaps_every_worker(self, tmp_path, monkeypatch, failing, error):
+        """A worker that fails raises OSError naming the table; a caller that
+        fails kills its workers.  Either way no worker is left unreaped and
+        no file but the table is left beside it."""
+        caller = os.getpid()
+        write_rows = spectral._write_rows
+
+        def broken(fh, columns, start, stop):
+            if (os.getpid() == caller) == (failing == "caller"):
+                raise RuntimeError("formatting failed")
+            write_rows(fh, columns, start, stop)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(spectral, "_write_rows", broken)
+        with pytest.raises(error) as caught:
+            write_columns(tmp_path / "t.csv", ["x", "y", "m"], list(self.table()))
+        if failing == "worker":
+            assert "t.csv" in str(caught.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_header_only_table(self, tmp_path):
         write_columns(tmp_path / "t.csv", ["a", "b"], [[], []])

@@ -23,7 +23,9 @@ trap 'rm -rf "$work"' EXIT INT TERM
 
 fine="--set grid.N=262144"
 commands="spectrum
+spectrum $fine
 channel --set channel.profile=thermal --compose 4
+channel --set channel.profile=thermal --compose 4 $fine
 degrade
 degrade --set channel.profile=lowpass
 degrade --set channel.profile=thermal
