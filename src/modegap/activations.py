@@ -7,7 +7,6 @@ maps the tie Sum(w*x)+b = 0 to class 0.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,30 +74,29 @@ def perceptron_decide(cfg: PerceptronConfig, inputs) -> int:
     return 1 if float(cfg.weights @ inputs) + cfg.bias > 0 else 0
 
 
-def _sigmoid_with_derivative(z):
-    s = sigmoid(z)
-    return s, s * (1.0 - s)
+class _Sigmoid:
+    """The closed-form sigmoid as a hidden activation: ``evaluate`` and the
+    fused ``evaluate_with_derivative`` (value and derivative in one call, for a
+    training pass), both read through ``sigmoid``."""
+
+    def evaluate(self, z):
+        return sigmoid(z)
+
+    def evaluate_with_derivative(self, z):
+        s = sigmoid(z)
+        return s, s * (1.0 - s)
 
 
-def _no_derivative(z):
-    raise NonDifferentiableError("step activation has no derivative; finite input "
-                                 "changes can produce drastic output changes")
+class _Step:
+    """The hard step as a hidden activation: it has no derivative to train with."""
+
+    def evaluate(self, z):
+        return step(z)
+
+    def evaluate_with_derivative(self, z):
+        raise NonDifferentiableError("step activation has no derivative; finite input "
+                                     "changes can produce drastic output changes")
 
 
-@dataclass(frozen=True)
-class ClosedFormActivation:
-    """A closed-form hidden activation: a network reads any object with
-    ``evaluate`` and the fused ``evaluate_with_derivative`` (value and
-    derivative in one call, for a training pass), and ``levels`` for a stack.
-
-    The callables are fields, not methods: one class serves both constants
-    without dispatch, and the benchmark's tracer, which names spans
-    ``module.method``, requires that no module define a public method twice.
-    """
-
-    evaluate: Callable
-    evaluate_with_derivative: Callable
-
-
-SIGMOID = ClosedFormActivation(sigmoid, _sigmoid_with_derivative)
-STEP = ClosedFormActivation(step, _no_derivative)
+SIGMOID = _Sigmoid()
+STEP = _Step()

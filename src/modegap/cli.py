@@ -2,14 +2,15 @@
 
 Options follow the subcommand.  A run's configuration is the defaults
 overridden, a later assignment winning, by each ``key = value`` line of the
-``--config`` file (``#`` comments), each ``--set key=value``, then ``--out``
-(``out.dir``) and ``train-sweep``'s ``--seed`` (a one-seed ``sweep.seeds``);
-an error about an assignment names its source, ``path:line`` or the flag.
+``--config`` file (``#`` comments), then each ``--set key=value``; an error
+about an assignment names its source, ``path:line`` or the flag.  ``--out``
+names the output directory (default ``out``) and is no configuration key.
 ``verify`` takes only ``--full``.  ``resolve_config`` checks every key before
 any command writes, each channel profile's parameter by that profile's maker
 whether the run uses it or not.  The resolved configuration is echoed to
-``<out.dir>/config.resolved``; ``channel.txt`` names the channel by the
-profile and parameter read from it.
+``<out>/config.resolved``, so two runs of one configuration write the same
+bytes; ``channel.txt`` names the channel by the profile and parameter read
+from it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, a command out of memory, or an output it cannot write
@@ -51,7 +52,6 @@ DEFAULTS = {
     "sweep.levels": ",".join(f"{v:g}" for v in verify_mod.SWEEP_LEVELS),
     "sweep.seeds": ",".join(map(str, verify_mod.SWEEP_SEEDS)),
     "task.name": "xor",
-    "out.dir": "out",
 }
 CHECK_GRID = Grid(1.0, 8)  # the lattice on which the profiles a run does not use are built
 
@@ -62,8 +62,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved ``key = value`` strings of a run, and every one parsed and checked.
-    ``params`` names the channel: its profile's parameter, and ``compose`` if n >= 2."""
+    """The resolved ``key = value`` strings of a run, every one parsed and checked,
+    and the output directory.  ``params`` names the channel: its profile's
+    parameter, and ``compose`` if n >= 2."""
 
     values: dict
     grid: Grid
@@ -72,23 +73,23 @@ class RunConfig:
     levels: list
     seeds: list
     task: str
+    out: Path
 
 
 def _comma_list(values, key, convert):
     text = values[key]
     try:
-        return [convert(v) for v in text.split(",") if v.strip() != ""]
+        return [convert(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad {key}: {text!r}") from exc
 
 
 def resolve_config(args) -> RunConfig:
     """Apply the run's ``key=value`` assignments over the defaults, a later one
-    winning: each non-comment line of ``--config`` (source ``path:line``), each
-    ``--set``, then ``--out`` as ``out.dir`` and ``train-sweep``'s ``--seed``
-    as ``sweep.seeds``.  Then parse and check every key and compose the run's
-    channel ``--compose`` times (once for commands without the option); raises
-    ``ConfigError`` on the first bad one."""
+    winning: each non-comment line of ``--config`` (source ``path:line``), then
+    each ``--set``.  Then parse and check every key, every comma-list entry
+    included, and compose the run's channel ``--compose`` times (once for
+    commands without the option); raises ``ConfigError`` on the first bad one."""
     pairs = []
     if args.config:
         try:
@@ -98,10 +99,6 @@ def resolve_config(args) -> RunConfig:
         lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
         pairs += [(f"{args.config}:{n}", line) for n, line in enumerate(lines, 1) if line]
     pairs += [("--set", item) for item in args.set or []]
-    if args.out:
-        pairs.append(("--out", f"out.dir={args.out}"))
-    if getattr(args, "seed", None) is not None:
-        pairs.append(("--seed", f"sweep.seeds={args.seed}"))
 
     values = dict(DEFAULTS)
     for source, text in pairs:
@@ -141,25 +138,24 @@ def resolve_config(args) -> RunConfig:
         params["compose"] = compose_n
 
     levels = _comma_list(values, "sweep.levels", float)
-    if not levels or levels != sorted(set(levels)) or not all(0.0 <= v <= 1.0 for v in levels):
+    if levels != sorted(set(levels)) or not all(0.0 <= v <= 1.0 for v in levels):
         raise ConfigError("sweep.levels must be non-empty, strictly ascending and in [0, 1]: "
                           f"{values['sweep.levels']!r}")
     seeds = _comma_list(values, "sweep.seeds", int)
-    if not seeds or any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
+    if any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
         raise ConfigError("sweep.seeds must be distinct non-negative integers: "
                           f"{values['sweep.seeds']!r}")
-    task = values["task.name"].lower()
+    task = values["task.name"]
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")
-    return RunConfig(values, grid, channel, params, levels, seeds, task)
+    return RunConfig(values, grid, channel, params, levels, seeds, task, Path(args.out))
 
 
 def prepare_out(run: RunConfig) -> Path:
-    out_dir = Path(run.values["out.dir"])
     lines = [f"{k} = {v}" for k, v in sorted(run.values.items())]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
-    return out_dir
+    run.out.mkdir(parents=True, exist_ok=True)
+    (run.out / "config.resolved").write_text("\n".join(lines) + "\n")
+    return run.out
 
 
 def write_channel_txt(out_dir: Path, run: RunConfig):
@@ -270,10 +266,11 @@ def cmd_verify(full: bool) -> int:
 
 def build_parser():
     """Each option is declared once, on the subcommands that read it:
-    ``--seed`` on ``train-sweep`` alone, ``--compose`` on ``channel``."""
+    ``--config``, ``--out`` and ``--set`` on every command but ``verify``,
+    ``--compose`` on ``channel``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--out", help="output directory (out.dir)")
+    common.add_argument("--out", default="out", help="output directory (default: out)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
 
@@ -288,9 +285,8 @@ def build_parser():
                            help="apply the channel N times in sequence")
     sub.add_parser("degrade", parents=[common],
                    help="reconstruct the degraded activation")
-    p_sweep = sub.add_parser("train-sweep", parents=[common],
-                             help="trainability sweep over loss levels")
-    p_sweep.add_argument("--seed", type=int, help="run the sweep with this single seed")
+    sub.add_parser("train-sweep", parents=[common],
+                   help="trainability sweep over loss levels")
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--full", action="store_true",
                           help="include the moons sweep")

@@ -278,10 +278,8 @@ def check_determinism():
                     code = cli.main([cmd, "--out", str(out)] + extra)
                 if code != 0:
                     return False, f"{cmd} exited {code}"
-            # config.resolved names its own out.dir; a file only one run wrote
-            # is an error of cmpfiles.
+            # A file only one run wrote is an error of cmpfiles.
             names = {f.name for out in (out_a, out_b) for f in out.iterdir()}
-            names.discard("config.resolved")
             _, differ, errors = filecmp.cmpfiles(out_a, out_b, sorted(names), shallow=False)
             mismatches += [f"{cmd}/{name}" for name in differ + errors]
     return not mismatches, ("bit-identical outputs" if not mismatches

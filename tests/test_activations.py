@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +13,7 @@ from modegap import (
     sigmoid_prime,
     step,
 )
-from modegap.activations import ClosedFormActivation
+from modegap import activations
 
 
 def _branchwise_sigmoid(z):
@@ -156,8 +154,21 @@ class TestClosedFormActivation:
         assert SIGMOID.evaluate_with_derivative(0.0) == (0.5, 0.25)
 
     def test_fields_are_what_a_network_reads(self):
-        assert [f.name for f in dataclasses.fields(ClosedFormActivation)] == [
-            "evaluate", "evaluate_with_derivative"]
+        """Each constant has two public methods: the two reads of a network."""
+        for activation in (SIGMOID, STEP):
+            assert [name for name in dir(activation) if not name.startswith("_")] == [
+                "evaluate", "evaluate_with_derivative"]
+
+    def test_reads_go_through_the_module_function(self, monkeypatch):
+        calls = []
+
+        def spy(z):
+            calls.append(z)
+            return sigmoid(z)
+        monkeypatch.setattr(activations, "sigmoid", spy)
+        assert SIGMOID.evaluate(0.0) == 0.5
+        assert SIGMOID.evaluate_with_derivative(0.0) == (0.5, 0.25)
+        assert calls == [0.0, 0.0]
 
     def test_step_derivative_raises(self):
         with pytest.raises(NonDifferentiableError):

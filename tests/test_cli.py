@@ -29,8 +29,8 @@ def checkout_env():
 
 
 COMMANDS = ["spectrum", "channel", "degrade", "train-sweep"]
-# One bad value per key but out.dir; the channel parameters are unread under the
-# default uniform profile, except channel.iota.
+# One bad value per key; the channel parameters are unread under the default
+# uniform profile, except channel.iota.
 BAD_VALUES = {"grid.L": "abc", "grid.N": "6", "channel.profile": "bandstop",
               "channel.iota": "7", "channel.kc": "abc", "channel.T": "-5",
               "sweep.levels": "0,2", "sweep.seeds": "-1", "task.name": "cifar"}
@@ -42,15 +42,17 @@ class TestConfigResolution:
         cfg.write_text("# comment\nchannel.iota = 0.25\ngrid.N = 1024\n")
         args = cli.build_parser().parse_args(
             ["train-sweep", "--config", str(cfg), "--set", "grid.N=512",
-             "--set", "out.dir=a", "--set", "sweep.seeds=0,1", "--seed", "3",
+             "--set", "sweep.seeds=0,1", "--set", "sweep.seeds=3",
              "--out", str(tmp_path / "o")])
         resolved = cli.resolve_config(args)
         assert resolved.values["channel.iota"] == "0.25"   # file beats default
         assert resolved.values["grid.N"] == "512"          # --set beats file
-        assert resolved.values["out.dir"] == str(tmp_path / "o")  # --out beats --set
-        assert resolved.values["sweep.seeds"] == "3"       # --seed beats --set
+        assert resolved.values["sweep.seeds"] == "3"       # a later --set beats an earlier one
         assert resolved.values["channel.profile"] == "uniform"  # default survives
         assert resolved.grid.n_points == 512
+        assert resolved.seeds == [3]
+        assert resolved.out == tmp_path / "o"              # --out names the directory
+        assert set(resolved.values) == set(cli.DEFAULTS)   # and is no key
 
     def test_every_profile_parameter_is_checked_by_its_maker(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -75,17 +77,23 @@ class TestConfigResolution:
                          "thermal_channel": cli.CHECK_GRID}
         assert run.grid.n_points == 1024 and run.params == {"kc": 2.0}
 
-    @pytest.mark.parametrize("command", ["spectrum", "channel", "degrade"])
-    def test_seed_only_on_train_sweep(self, tmp_path, command):
-        """``--seed`` is declared on the one command that reads ``sweep.seeds``."""
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_refuses_seed(self, tmp_path, command):
+        """Seeds are set as ``sweep.seeds`` alone; no command has a ``--seed``."""
         assert run_cli([command, "--seed", "3", "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_seed_flag_overrides_sweep_seeds(self, tmp_path):
-        args = cli.build_parser().parse_args(["train-sweep", "--seed", "7"])
-        resolved = cli.resolve_config(args)
-        assert resolved.values["sweep.seeds"] == "7"
-        assert resolved.seeds == [7]
+    def test_out_dir_is_no_key(self, tmp_path, monkeypatch, capsys):
+        """``--out`` alone names the output directory."""
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("out.dir = x\n")
+        assert run_cli(["spectrum", "--config", "run.cfg"]) == 2
+        assert capsys.readouterr().err == (
+            "error: run.cfg:1: expected 'key = value' with a known key, got 'out.dir = x'\n")
+        assert run_cli(["spectrum", "--set", "out.dir=x"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --set: expected 'key = value' with a known key, got 'out.dir=x'\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_defaults_are_verify_configuration(self):
         resolved = cli.resolve_config(cli.build_parser().parse_args(["train-sweep"]))
@@ -158,7 +166,7 @@ class TestConfigResolution:
         ["spectrum", "--set", "task.name=cifar"],
         ["degrade", "--set", "channel.profile=lowpass", "--set", "sweep.levels=0,2"],
         ["train-sweep", "--set", "channel.profile=bandstop", "--set", "sweep.levels=1",
-         "--seed", "0"],
+         "--set", "sweep.seeds=0"],
         ["degrade", "--set", "grid.L=1e300"],
         ["channel", "--set", "grid.L=3000", "--set", "grid.N=8"],
         ["channel", "--set", "grid.N=8", "--set", "channel.profile=thermal", "--compose", "20"],
@@ -166,6 +174,9 @@ class TestConfigResolution:
         ["channel", "--compose", "0"],
         ["channel", "--compose", "1" + "0" * 400],
         ["channel", "--set", "channel.profile=thermal", "--compose", "100000000000"],
+        ["train-sweep", "--set", "sweep.levels=0,,1"],
+        ["train-sweep", "--set", "sweep.seeds=0,1,"],
+        ["train-sweep", "--set", "task.name=XOR"],
         # Every key on every command, whether or not the command or the run's
         # profile reads it.
         *([command, "--set", f"{key}={val}"]
@@ -185,7 +196,7 @@ class TestConfigResolution:
         assert not (tmp_path / "o").exists()
 
     def test_bad_values_cover_every_key(self):
-        assert set(BAD_VALUES) == set(cli.DEFAULTS) - {"out.dir"}
+        assert set(BAD_VALUES) == set(cli.DEFAULTS)
 
     def test_options_belong_to_the_command(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -218,7 +229,7 @@ CONFIG_VALUES = st.one_of(
     st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8),
     st.lists(NUMBERS, max_size=4).map(lambda xs: ",".join(map(str, xs))),
 )
-FUZZED_KEYS = sorted(set(cli.DEFAULTS) - {"out.dir"})
+FUZZED_KEYS = sorted(cli.DEFAULTS)
 
 
 def set_flags(values):
@@ -470,14 +481,18 @@ class TestTrainSweepCommand:
 
     def test_one_level_prints_only_monotone(self, tmp_path, capsys):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "sweep"),
-                        "--set", "sweep.levels=1", "--seed", "0"]) == 0
+                        "--set", "sweep.levels=1", "--set", "sweep.seeds=0"]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 1
         assert printed[0].startswith("PASS grad-norm-monotone: ")
 
-    def test_unknown_task(self, tmp_path):
+    def test_unknown_task(self, tmp_path, capsys):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--set", "task.name=cifar"]) == 2
+        assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
+                        "--set", "task.name=XOR"]) == 2  # names are exact
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: unknown task: 'XOR' (xor, moons)")
 
     def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
         """A sweep too large for memory (a huge seed list) is reported, not
@@ -496,7 +511,7 @@ class TestTrainSweepCommand:
         out = tmp_path / "sweep"
         (out / "train_reports.csv").mkdir(parents=True)
         assert run_cli(["train-sweep", "--out", str(out), "--set", "sweep.levels=0,1",
-                        "--seed", "0"]) == 2
+                        "--set", "sweep.seeds=0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
@@ -507,7 +522,7 @@ class TestTrainSweepCommand:
 
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
-                        "--seed", "-1"]) == 2
+                        "--set", "sweep.seeds=-1"]) == 2
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--set", "sweep.seeds=0,1.5"]) == 2
 
@@ -564,7 +579,8 @@ class TestBenchmarkTracing:
             "codes = [cli.main([command, '--set', 'grid.N=256', '--out', f'o-{command}'])\n"
             "         for command in ('degrade', 'spectrum', 'channel')]\n"
             "sweep_code = cli.main(['train-sweep', '--set', 'grid.N=256', '--set',\n"
-            "                       'sweep.levels=0,1', '--seed', '0', '--out', 'o-sweep'])\n"
+            "                       'sweep.levels=0,1', '--set', 'sweep.seeds=0',\n"
+            "                       '--out', 'o-sweep'])\n"
             "metrics, _ = child.per_layer_metrics(tracer, [0])\n"
             "print(sweep_code, metrics['network.train.calls'])\n"
             "print(codes, metrics['spectral.write_spectrum_csv.rows'],\n"

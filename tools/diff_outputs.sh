@@ -5,11 +5,11 @@
 #
 # Runs the same modegap commands with the parent's src/ and with this
 # checkout's src/, each in its own empty directory, then compares every
-# file written, stdout, stderr and exit code with `diff -r`; only
-# config.resolved, which names its own out.dir, is left out.  Prints
-# "no difference" and exits 0 when nothing differs, prints the diff and
-# exits 1 when something does, and exits 2 on a bad argument.  Needs python3
-# with numpy; writes only to a temporary directory that it removes.
+# file written (config.resolved included), stdout, stderr and exit code
+# with `diff -r`.  One command reads a config file that the script writes.
+# Prints "no difference" and exits 0 when nothing differs, prints the diff
+# and exits 1 when something does, and exits 2 on a bad argument.  Needs
+# python3 with numpy; writes only to a temporary directory that it removes.
 set -u
 
 if [ $# -ne 1 ] || [ ! -d "$1/src/modegap" ]; then
@@ -20,6 +20,7 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT INT TERM
+printf 'channel.profile = lowpass\ngrid.N = 1024\n' >"$work/run.cfg"
 
 fine="--set grid.N=262144"
 commands="spectrum
@@ -32,6 +33,7 @@ degrade --set channel.profile=thermal
 degrade $fine
 degrade --set channel.profile=lowpass $fine
 degrade --set channel.profile=thermal $fine
+degrade --config ../../run.cfg
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
 verify
@@ -56,7 +58,7 @@ for side in parent change; do
     done
 done
 
-if diff -r -x config.resolved "$work/parent" "$work/change"; then
+if diff -r "$work/parent" "$work/change"; then
     echo "no difference"
 else
     exit 1
