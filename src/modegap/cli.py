@@ -4,13 +4,12 @@ Options follow the subcommand.  A run's configuration is the defaults
 overridden, a later assignment winning, by each ``key = value`` line of the
 ``--config`` file (``#`` comments), then each ``--set key=value``; an error
 about an assignment names its source, ``path:line`` or the flag.  ``--out``
-names the output directory (default ``out``) and is no configuration key.
+names the output directory (default ``out``; never empty) and is no key.
 ``verify`` takes only ``--full``.  ``resolve_config`` checks every key before
 any command writes, each channel profile's parameter by that profile's maker
-whether the run uses it or not.  The resolved configuration is echoed to
-``<out>/config.resolved``, so two runs of one configuration write the same
-bytes; ``channel.txt`` names the channel by the profile and parameter read
-from it.
+whether the run uses it or not.  ``config.resolved`` records only the keys
+that shaped the outputs (``READS``); ``channel.txt`` holds only what no key
+says: ``compose``, ``max_iota`` and ``max_squeeze``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, a command out of memory, or an output it cannot write
@@ -53,6 +52,12 @@ DEFAULTS = {
     "sweep.seeds": ",".join(map(str, verify_mod.SWEEP_SEEDS)),
     "task.name": "xor",
 }
+# The keys that shape each command's outputs, the only ones config.resolved records:
+# {param} is the run's profile's own parameter, {family} the levels a uniform degrade plots.
+READS = {"spectrum": "grid.L grid.N",
+         "channel": "grid.L grid.N channel.profile {param}",
+         "degrade": "grid.L grid.N channel.profile {param} {family}",
+         "train-sweep": "grid.L grid.N sweep.levels sweep.seeds task.name"}
 CHECK_GRID = Grid(1.0, 8)  # the lattice on which the profiles a run does not use are built
 
 
@@ -62,14 +67,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The resolved ``key = value`` strings of a run, every one parsed and checked,
-    and the output directory.  ``params`` names the channel: its profile's
-    parameter, and ``compose`` if n >= 2."""
+    """A run, every key parsed and checked: ``values`` holds the ``key = value``
+    strings of the keys that shaped the command's outputs, ``compose`` how many
+    times the channel was composed, and ``out`` the output directory."""
 
     values: dict
     grid: Grid
     channel: BogoliubovChannel
-    params: dict
+    compose: int
     levels: list
     seeds: list
     task: str
@@ -123,19 +128,17 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
     for name, (maker, param) in makers.items():
         try:
-            value = float(values[f"channel.{param}"])
-            built = maker(grid if name == profile else CHECK_GRID, value)
+            built = maker(grid if name == profile else CHECK_GRID,
+                          float(values[f"channel.{param}"]))
         except ValueError as exc:
             raise ConfigError(f"bad channel.{param}: {exc}") from exc
         if name == profile:
-            channel, params = built, {param: value}
-    compose_n = getattr(args, "compose", 1)
+            channel = built
+    compose = getattr(args, "compose", 1)
     try:
-        channel = self_compose(channel, compose_n)
+        channel = self_compose(channel, compose)
     except ValueError as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
-    if compose_n > 1:
-        params["compose"] = compose_n
 
     levels = _comma_list(values, "sweep.levels", float)
     if levels != sorted(set(levels)) or not all(0.0 <= v <= 1.0 for v in levels):
@@ -148,10 +151,16 @@ def resolve_config(args) -> RunConfig:
     task = values["task.name"]
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")
-    return RunConfig(values, grid, channel, params, levels, seeds, task, Path(args.out))
+    if not args.out:
+        raise ConfigError("--out is empty; use --out . for the current directory")
+    read = READS[args.command].format(param=f"channel.{makers[profile][1]}",
+                                      family="sweep.levels" if profile == "uniform" else "")
+    return RunConfig({key: values[key] for key in read.split()}, grid, channel, compose,
+                     levels, seeds, task, Path(args.out))
 
 
 def prepare_out(run: RunConfig) -> Path:
+    """Make the output directory; record ``run.values`` in its ``config.resolved``."""
     lines = [f"{k} = {v}" for k, v in sorted(run.values.items())]
     run.out.mkdir(parents=True, exist_ok=True)
     (run.out / "config.resolved").write_text("\n".join(lines) + "\n")
@@ -159,14 +168,10 @@ def prepare_out(run: RunConfig) -> Path:
 
 
 def write_channel_txt(out_dir: Path, run: RunConfig):
-    """One ``key = value`` line each: the profile, ``run.params``, the grid,
-    ``max_iota`` and ``max_squeeze`` of the run's channel."""
-    channel = run.channel
-    lines = [f"profile = {run.values['channel.profile']}"]
-    lines += [f"{key} = {val}" for key, val in sorted(run.params.items())]
-    lines += [f"grid.L = {run.grid.half_width}", f"grid.N = {run.grid.n_points}",
-              f"max_iota = {float(np.max(channel.iota))}",
-              f"max_squeeze = {float(np.max(channel.squeeze))}"]
+    """Write what no key says: ``compose = n`` if n >= 2, ``max_iota``, ``max_squeeze``."""
+    lines = [f"compose = {run.compose}"] * (run.compose > 1) + [
+        f"max_iota = {float(np.max(run.channel.iota))}",
+        f"max_squeeze = {float(np.max(run.channel.squeeze))}"]
     (out_dir / "channel.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -229,7 +234,7 @@ def cmd_degrade(run: RunConfig) -> int:
         # the 5 levels, and at 119.7 MB with the rows reconstructed one at a time
         # into one stack.
         for iota in run.levels:
-            act = activation if iota == run.params["iota"] \
+            act = activation if iota == float(run.values["channel.iota"]) \
                 else reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
     else:

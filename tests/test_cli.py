@@ -40,19 +40,23 @@ class TestConfigResolution:
     def test_defaults_file_set_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nchannel.iota = 0.25\ngrid.N = 1024\n")
-        args = cli.build_parser().parse_args(
-            ["train-sweep", "--config", str(cfg), "--set", "grid.N=512",
-             "--set", "sweep.seeds=0,1", "--set", "sweep.seeds=3",
-             "--out", str(tmp_path / "o")])
-        resolved = cli.resolve_config(args)
-        assert resolved.values["channel.iota"] == "0.25"   # file beats default
-        assert resolved.values["grid.N"] == "512"          # --set beats file
-        assert resolved.values["sweep.seeds"] == "3"       # a later --set beats an earlier one
-        assert resolved.values["channel.profile"] == "uniform"  # default survives
+        options = ["--config", str(cfg), "--set", "grid.N=512",
+                   "--set", "sweep.seeds=0,1", "--set", "sweep.seeds=3",
+                   "--out", str(tmp_path / "o")]
+        resolved = cli.resolve_config(cli.build_parser().parse_args(["train-sweep", *options]))
+        # --set beats file, a later --set beats an earlier one, defaults survive,
+        # and --out is no key.
+        assert resolved.values == {"grid.L": "40", "grid.N": "512",
+                                   "sweep.levels": "0,0.25,0.5,0.75,1", "sweep.seeds": "3",
+                                   "task.name": "xor"}
         assert resolved.grid.n_points == 512
         assert resolved.seeds == [3]
         assert resolved.out == tmp_path / "o"              # --out names the directory
-        assert set(resolved.values) == set(cli.DEFAULTS)   # and is no key
+        assert np.all(resolved.channel.iota == 0.25)       # an unrecorded key still resolves
+        degrade = cli.resolve_config(cli.build_parser().parse_args(["degrade", *options]))
+        assert degrade.values["channel.iota"] == "0.25"    # file beats default
+        assert degrade.values["grid.N"] == "512"           # --set beats file
+        assert degrade.values["channel.profile"] == "uniform"  # default survives
 
     def test_every_profile_parameter_is_checked_by_its_maker(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -75,7 +79,9 @@ class TestConfigResolution:
             ["channel", "--set", "channel.profile=lowpass", "--set", "grid.N=1024"]))
         assert grids == {"uniform_channel": cli.CHECK_GRID, "lowpass_channel": run.grid,
                          "thermal_channel": cli.CHECK_GRID}
-        assert run.grid.n_points == 1024 and run.params == {"kc": 2.0}
+        assert run.grid.n_points == 1024 and run.compose == 1
+        assert run.values == {"grid.L": "40", "grid.N": "1024", "channel.profile": "lowpass",
+                              "channel.kc": "2.0"}
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_refuses_seed(self, tmp_path, command):
@@ -177,6 +183,7 @@ class TestConfigResolution:
         ["train-sweep", "--set", "sweep.levels=0,,1"],
         ["train-sweep", "--set", "sweep.seeds=0,1,"],
         ["train-sweep", "--set", "task.name=XOR"],
+        ["spectrum", "--set", "task.name=XOR"],
         # Every key on every command, whether or not the command or the run's
         # profile reads it.
         *([command, "--set", f"{key}={val}"]
@@ -206,6 +213,17 @@ class TestConfigResolution:
         assert not (tmp_path / "out").exists()
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["verify", "--out", "x"])
+
+    def test_empty_out_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """An empty ``--out`` names no directory; ``--out .`` is the current one."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["spectrum", "--out", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: --out is empty; use --out . for the current directory\n")
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(["channel", "--out", ".", "--set", "grid.N=128"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "channel.txt", "channel_modes.csv", "config.resolved"]
 
     def test_resolved_echoed(self, tmp_path):
         out = tmp_path / "o"
@@ -269,6 +287,57 @@ class TestConfigFuzz:
                 lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
                 assert not out.exists()
+
+
+SWEEP_RECORD = "grid.L grid.N sweep.levels sweep.seeds task.name"
+# (command, profile, the keys its config.resolved records, in file order)
+RECORDS = [
+    ("spectrum", "uniform", "grid.L grid.N"),
+    ("spectrum", "lowpass", "grid.L grid.N"),
+    ("spectrum", "thermal", "grid.L grid.N"),
+    ("channel", "uniform", "channel.iota channel.profile grid.L grid.N"),
+    ("channel", "lowpass", "channel.kc channel.profile grid.L grid.N"),
+    ("channel", "thermal", "channel.T channel.profile grid.L grid.N"),
+    ("degrade", "uniform", "channel.iota channel.profile grid.L grid.N sweep.levels"),
+    ("degrade", "lowpass", "channel.kc channel.profile grid.L grid.N"),
+    ("degrade", "thermal", "channel.T channel.profile grid.L grid.N"),
+    ("train-sweep", "uniform", SWEEP_RECORD),
+    ("train-sweep", "lowpass", SWEEP_RECORD),
+    ("train-sweep", "thermal", SWEEP_RECORD),
+]
+
+
+class TestRunRecord:
+    """``config.resolved`` lists the keys that shaped a command's outputs, and
+    no other, in sorted order."""
+
+    @pytest.mark.parametrize("command, profile, recorded", RECORDS,
+                             ids=[f"{command}-{profile}" for command, profile, _ in RECORDS])
+    def test_recorded_keys(self, tmp_path, command, profile, recorded):
+        out = tmp_path / "o"
+        assert run_cli([command, "--out", str(out), "--set", f"channel.profile={profile}",
+                        "--set", "grid.N=256", "--set", "sweep.levels=1",
+                        "--set", "sweep.seeds=0"]) == 0
+        lines = (out / "config.resolved").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == recorded.split()
+
+    def test_unread_channel_keys_leave_a_sweep_unchanged(self, tmp_path, capsys):
+        """A sweep never reads the channel keys, so setting them changes no byte
+        of its directory, config.resolved included, nor of its printed lines."""
+        printed = []
+        for name, extra in [("default", []),
+                            ("thermal", ["--set", "channel.profile=thermal",
+                                         "--set", "channel.T=0.01"])]:
+            assert run_cli(["train-sweep", "--out", str(tmp_path / name), *extra,
+                            "--set", "sweep.seeds=0,1"]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        names = sorted(p.name for p in (tmp_path / "default").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "thermal").iterdir())
+        assert "config.resolved" in names
+        for name in names:
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "thermal" / name).read_bytes()), name
 
 
 class TestSpectrumCommand:
@@ -359,21 +428,21 @@ class TestChannelCommand:
         assert "Traceback" not in proc.stderr
         lines = (out / "channel.txt").read_text().splitlines()
         values = dict(line.split(" = ", 1) for line in lines)
-        assert values["profile"] == "uniform"
         assert values["compose"] == "100000000000"
-        assert values["iota"] == "0.5"
         assert values["max_iota"] == "1.0"
+        resolved = (out / "config.resolved").read_text().splitlines()
+        assert "channel.profile = uniform" in resolved
+        assert "channel.iota = 0.5" in resolved
 
     def test_descriptor(self, tmp_path):
         out = tmp_path / "ch"
         assert run_cli(["channel", "--out", str(out), "--set", "channel.profile=thermal",
                         "--set", "channel.T=2", "--set", "grid.L=20",
                         "--set", "grid.N=256"]) == 0
-        text = (out / "channel.txt").read_text()
-        assert "profile = thermal" in text
-        assert "T = 2.0" in text
-        assert "grid.L = 20.0" in text
-        assert "grid.N = 256" in text
+        assert (out / "config.resolved").read_text() == (
+            "channel.T = 2\nchannel.profile = thermal\ngrid.L = 20\ngrid.N = 256\n")
+        lines = (out / "channel.txt").read_text().splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["max_iota", "max_squeeze"]
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_temperature_without_warning(self, tmp_path):

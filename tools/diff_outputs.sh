@@ -25,6 +25,7 @@ printf 'channel.profile = lowpass\ngrid.N = 1024\n' >"$work/run.cfg"
 fine="--set grid.N=262144"
 commands="spectrum
 spectrum $fine
+spectrum --set task.name=moons
 channel --set channel.profile=thermal --compose 4
 channel --set channel.profile=thermal --compose 4 $fine
 degrade
@@ -36,6 +37,7 @@ degrade --set channel.profile=thermal $fine
 degrade --config ../../run.cfg
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
+train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 verify
 verify --full"
 
