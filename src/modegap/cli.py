@@ -7,9 +7,10 @@ about an assignment names its source, ``path:line`` or the flag.  ``--out``
 names the output directory (default ``out``; never empty) and is no key.
 ``verify`` takes only ``--full``.  ``resolve_config`` checks every key before
 any command writes, each channel profile's parameter by that profile's maker
-whether the run uses it or not.  ``config.resolved`` records only the keys
-that shaped the outputs (``READS``); ``channel.txt`` holds only what no key
-says: ``compose``, ``max_iota`` and ``max_squeeze``.
+whether the run uses it or not.  A command reads only the parsed values of the
+keys that shape its outputs (``READS``); ``config.resolved`` records them, each
+in the text that parses back to it, so two spellings write one record, and
+``channel.txt`` what no key says: ``compose``, ``max_iota``, ``max_squeeze``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, a command out of memory, or an output it cannot write
@@ -46,8 +47,8 @@ DEFAULTS = {
     "grid.N": str(verify_mod.DEFAULT_GRID.n_points),
     "channel.profile": "uniform",
     "channel.iota": "0.5",
-    "channel.kc": "2.0",
-    "channel.T": "1.0",
+    "channel.kc": "2",
+    "channel.T": "1",
     "sweep.levels": ",".join(f"{v:g}" for v in verify_mod.SWEEP_LEVELS),
     "sweep.seeds": ",".join(map(str, verify_mod.SWEEP_SEEDS)),
     "task.name": "xor",
@@ -67,17 +68,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run, every key parsed and checked: ``values`` holds the ``key = value``
-    strings of the keys that shaped the command's outputs, ``compose`` how many
-    times the channel was composed, and ``out`` the output directory."""
+    """A run, every key parsed and checked: ``values`` maps each key that shapes
+    the command's outputs (``READS``), and no other, to its parsed value: all a
+    command reads of its keys, and what ``config.resolved`` records.  ``compose``
+    counts the channel's compositions; ``out`` is the output directory."""
 
     values: dict
     grid: Grid
     channel: BogoliubovChannel
     compose: int
-    levels: list
-    seeds: list
-    task: str
     out: Path
 
 
@@ -92,9 +91,9 @@ def _comma_list(values, key, convert):
 def resolve_config(args) -> RunConfig:
     """Apply the run's ``key=value`` assignments over the defaults, a later one
     winning: each non-comment line of ``--config`` (source ``path:line``), then
-    each ``--set``.  Then parse and check every key, every comma-list entry
-    included, and compose the run's channel ``--compose`` times (once for
-    commands without the option); raises ``ConfigError`` on the first bad one."""
+    each ``--set``.  Then parse every key into its value and check it, every
+    comma-list entry included, and compose the run's channel ``--compose`` times
+    (once for commands without the option); raises ``ConfigError`` on the first bad one."""
     pairs = []
     if args.config:
         try:
@@ -113,25 +112,26 @@ def resolve_config(args) -> RunConfig:
         values[key] = val
 
     try:
-        grid = Grid(float(values["grid.L"]), int(values["grid.N"]))
+        values["grid.L"], values["grid.N"] = float(values["grid.L"]), int(values["grid.N"])
+        grid = Grid(values["grid.L"], values["grid.N"])
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
     # Built per call, so that a maker rebound on this module (as the benchmark's
     # span tracer does) is the one called.  Each maker checks its own parameter,
     # on the run's grid for the run's profile and on CHECK_GRID for the others.
-    makers = {"uniform": (uniform_channel, "iota"),
-              "lowpass": (lowpass_channel, "kc"),
-              "thermal": (thermal_channel, "T")}
+    makers = {"uniform": (uniform_channel, "channel.iota"),
+              "lowpass": (lowpass_channel, "channel.kc"),
+              "thermal": (thermal_channel, "channel.T")}
     profile = values["channel.profile"]
     if profile not in makers:
         raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
-    for name, (maker, param) in makers.items():
+    for name, (maker, key) in makers.items():
         try:
-            built = maker(grid if name == profile else CHECK_GRID,
-                          float(values[f"channel.{param}"]))
+            values[key] = float(values[key])
+            built = maker(grid if name == profile else CHECK_GRID, values[key])
         except ValueError as exc:
-            raise ConfigError(f"bad channel.{param}: {exc}") from exc
+            raise ConfigError(f"bad {key}: {exc}") from exc
         if name == profile:
             channel = built
     compose = getattr(args, "compose", 1)
@@ -148,20 +148,24 @@ def resolve_config(args) -> RunConfig:
     if any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
         raise ConfigError("sweep.seeds must be distinct non-negative integers: "
                           f"{values['sweep.seeds']!r}")
+    values["sweep.levels"], values["sweep.seeds"] = levels, seeds
     task = values["task.name"]
     if task not in TASKS:
         raise ConfigError(f"unknown task: {task!r} ({', '.join(TASKS)})")
     if not args.out:
         raise ConfigError("--out is empty; use --out . for the current directory")
-    read = READS[args.command].format(param=f"channel.{makers[profile][1]}",
+    read = READS[args.command].format(param=makers[profile][1],
                                       family="sweep.levels" if profile == "uniform" else "")
-    return RunConfig({key: values[key] for key in read.split()}, grid, channel, compose,
-                     levels, seeds, task, Path(args.out))
+    return RunConfig({k: values[k] for k in read.split()}, grid, channel, compose, Path(args.out))
 
 
 def prepare_out(run: RunConfig) -> Path:
-    """Make the output directory; record ``run.values`` in its ``config.resolved``."""
-    lines = [f"{k} = {v}" for k, v in sorted(run.values.items())]
+    """Make the output directory; record ``run.values`` in its ``config.resolved``,
+    a sorted ``key = value`` line each, in the text that parses back to the value:
+    a float's ``repr`` without a trailing ``.0``, a list joined by ``,``."""
+    def text(v):  # no int or checked name ends in ".0"
+        return ",".join(map(text, v)) if isinstance(v, list) else str(v).removesuffix(".0")
+    lines = [f"{k} = {text(v)}" for k, v in sorted(run.values.items())]
     run.out.mkdir(parents=True, exist_ok=True)
     (run.out / "config.resolved").write_text("\n".join(lines) + "\n")
     return run.out
@@ -233,8 +237,8 @@ def cmd_degrade(run: RunConfig) -> int:
         # peaks at 87.7 MB this way, at 169.7 MB with one stacked reconstruct of
         # the 5 levels, and at 119.7 MB with the rows reconstructed one at a time
         # into one stack.
-        for iota in run.levels:
-            act = activation if iota == float(run.values["channel.iota"]) \
+        for iota in run.values["sweep.levels"]:
+            act = activation if iota == run.values["channel.iota"] \
                 else reconstruct(uniform_channel(grid, iota))
             curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
     else:
@@ -249,16 +253,17 @@ def cmd_degrade(run: RunConfig) -> int:
 
 
 def cmd_train_sweep(run: RunConfig) -> int:
+    task, levels = run.values["task.name"], run.values["sweep.levels"]
     out_dir = prepare_out(run)
-    report = sweep(run.task, run.levels, run.seeds, run.grid)
+    report = sweep(task, levels, run.values["sweep.seeds"], run.grid)
     write_report_csv(out_dir / "train_reports.csv", report)
 
     line_plot(out_dir / "train_sweep.svg",
-              [("median hidden grad norm", run.levels, verify_mod.grad_norm_medians(report)),
-               ("median final accuracy", run.levels, np.median(report.final_accuracy, axis=-1))],
-              f"Trainability vs loss level ({run.task})", "iota", "median metric")
+              [("median hidden grad norm", levels, verify_mod.grad_norm_medians(report)),
+               ("median final accuracy", levels, np.median(report.final_accuracy, axis=-1))],
+              f"Trainability vs loss level ({task})", "iota", "median metric")
 
-    print_checks(verify_mod.sweep_checks(run.task, report))
+    print_checks(verify_mod.sweep_checks(task, report))
     return 0
 
 

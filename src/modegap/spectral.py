@@ -236,16 +236,18 @@ def _write_rows(fh, columns, start, stop):
 
 def _fork_share(directory, columns, start, stop):
     """Fork a worker that writes rows [start, stop) into an unnamed file in
-    ``directory``; [pid, file], or None when the fork fails.  The worker reads
-    the columns through the fork and always leaves through ``os._exit``, so it
-    never returns into its caller's stack: 0 once its file is flushed, 1 on
-    any exception."""
+    ``directory``; [pid, file], or None when the fork raises OSError (the file
+    is closed on any error).  The worker reads the columns through the fork
+    and always leaves through ``os._exit``, so it never returns into its
+    caller's stack: 0 once its file is flushed, 1 on any exception."""
     part = tempfile.TemporaryFile(dir=directory)
     try:
         pid = os.fork()
-    except OSError:
+    except BaseException as exc:
         part.close()
-        return None
+        if isinstance(exc, OSError):
+            return None
+        raise
     if pid == 0:
         code = 1
         try:

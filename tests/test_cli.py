@@ -46,16 +46,18 @@ class TestConfigResolution:
         resolved = cli.resolve_config(cli.build_parser().parse_args(["train-sweep", *options]))
         # --set beats file, a later --set beats an earlier one, defaults survive,
         # and --out is no key.
-        assert resolved.values == {"grid.L": "40", "grid.N": "512",
-                                   "sweep.levels": "0,0.25,0.5,0.75,1", "sweep.seeds": "3",
+        assert resolved.values == {"grid.L": 40.0, "grid.N": 512,
+                                   "sweep.levels": [0.0, 0.25, 0.5, 0.75, 1.0], "sweep.seeds": [3],
                                    "task.name": "xor"}
+        assert {key: type(v) for key, v in resolved.values.items()} == {
+            "grid.L": float, "grid.N": int, "sweep.levels": list, "sweep.seeds": list,
+            "task.name": str}
         assert resolved.grid.n_points == 512
-        assert resolved.seeds == [3]
         assert resolved.out == tmp_path / "o"              # --out names the directory
         assert np.all(resolved.channel.iota == 0.25)       # an unrecorded key still resolves
         degrade = cli.resolve_config(cli.build_parser().parse_args(["degrade", *options]))
-        assert degrade.values["channel.iota"] == "0.25"    # file beats default
-        assert degrade.values["grid.N"] == "512"           # --set beats file
+        assert degrade.values["channel.iota"] == 0.25      # file beats default
+        assert degrade.values["grid.N"] == 512             # --set beats file
         assert degrade.values["channel.profile"] == "uniform"  # default survives
 
     def test_every_profile_parameter_is_checked_by_its_maker(self, tmp_path, monkeypatch,
@@ -80,8 +82,9 @@ class TestConfigResolution:
         assert grids == {"uniform_channel": cli.CHECK_GRID, "lowpass_channel": run.grid,
                          "thermal_channel": cli.CHECK_GRID}
         assert run.grid.n_points == 1024 and run.compose == 1
-        assert run.values == {"grid.L": "40", "grid.N": "1024", "channel.profile": "lowpass",
-                              "channel.kc": "2.0"}
+        assert run.values == {"grid.L": 40.0, "grid.N": 1024, "channel.profile": "lowpass",
+                              "channel.kc": 2.0}
+        assert type(run.values["channel.kc"]) is float
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_command_refuses_seed(self, tmp_path, command):
@@ -101,14 +104,16 @@ class TestConfigResolution:
             "error: --set: expected 'key = value' with a known key, got 'out.dir=x'\n")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
-    def test_defaults_are_verify_configuration(self):
-        resolved = cli.resolve_config(cli.build_parser().parse_args(["train-sweep"]))
+    def test_defaults_are_verify_configuration(self, tmp_path):
+        resolved = cli.resolve_config(cli.build_parser().parse_args(
+            ["train-sweep", "--out", str(tmp_path)]))
         assert resolved.grid == verify_mod.DEFAULT_GRID
-        assert resolved.levels == list(verify_mod.SWEEP_LEVELS)
-        assert resolved.seeds == list(verify_mod.SWEEP_SEEDS)
-        assert [resolved.values[key] for key in ("grid.L", "grid.N", "sweep.levels",
-                                                 "sweep.seeds")] == [
-            "40", "4096", "0,0.25,0.5,0.75,1", "0,1,2,3,4,5,6,7,8,9"]
+        assert resolved.values["sweep.levels"] == list(verify_mod.SWEEP_LEVELS)
+        assert resolved.values["sweep.seeds"] == list(verify_mod.SWEEP_SEEDS)
+        cli.prepare_out(resolved)
+        assert (tmp_path / "config.resolved").read_text() == (
+            "grid.L = 40\ngrid.N = 4096\nsweep.levels = 0,0.25,0.5,0.75,1\n"
+            "sweep.seeds = 0,1,2,3,4,5,6,7,8,9\ntask.name = xor\n")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         """The error names the assignment's source: the file's path:line,
@@ -289,37 +294,83 @@ class TestConfigFuzz:
                 assert not out.exists()
 
 
-SWEEP_RECORD = "grid.L grid.N sweep.levels sweep.seeds task.name"
-# (command, profile, the keys its config.resolved records, in file order)
+GRID_RECORD = ("grid.L = 40", "grid.N = 256")
+SWEEP_RECORD = (*GRID_RECORD, "sweep.levels = 1", "sweep.seeds = 0", "task.name = xor")
+# (command, profile, the lines of its config.resolved after record_flags(profile))
 RECORDS = [
-    ("spectrum", "uniform", "grid.L grid.N"),
-    ("spectrum", "lowpass", "grid.L grid.N"),
-    ("spectrum", "thermal", "grid.L grid.N"),
-    ("channel", "uniform", "channel.iota channel.profile grid.L grid.N"),
-    ("channel", "lowpass", "channel.kc channel.profile grid.L grid.N"),
-    ("channel", "thermal", "channel.T channel.profile grid.L grid.N"),
-    ("degrade", "uniform", "channel.iota channel.profile grid.L grid.N sweep.levels"),
-    ("degrade", "lowpass", "channel.kc channel.profile grid.L grid.N"),
-    ("degrade", "thermal", "channel.T channel.profile grid.L grid.N"),
+    ("spectrum", "uniform", GRID_RECORD),
+    ("spectrum", "lowpass", GRID_RECORD),
+    ("spectrum", "thermal", GRID_RECORD),
+    ("channel", "uniform", ("channel.iota = 0.5", "channel.profile = uniform", *GRID_RECORD)),
+    ("channel", "lowpass", ("channel.kc = 2", "channel.profile = lowpass", *GRID_RECORD)),
+    ("channel", "thermal", ("channel.T = 1", "channel.profile = thermal", *GRID_RECORD)),
+    ("degrade", "uniform", ("channel.iota = 0.5", "channel.profile = uniform", *GRID_RECORD,
+                            "sweep.levels = 1")),
+    ("degrade", "lowpass", ("channel.kc = 2", "channel.profile = lowpass", *GRID_RECORD)),
+    ("degrade", "thermal", ("channel.T = 1", "channel.profile = thermal", *GRID_RECORD)),
     ("train-sweep", "uniform", SWEEP_RECORD),
     ("train-sweep", "lowpass", SWEEP_RECORD),
     ("train-sweep", "thermal", SWEEP_RECORD),
 ]
+RECORD_IDS = [f"{command}-{profile}" for command, profile, _ in RECORDS]
+
+
+def record_flags(profile):
+    return ["--set", f"channel.profile={profile}", "--set", "grid.N=256",
+            "--set", "sweep.levels=1", "--set", "sweep.seeds=0"]
+
+
+def assert_same_files(first, *others):
+    """Each of ``others`` holds the files of ``first``, config.resolved among
+    them, byte for byte."""
+    names = sorted(p.name for p in first.iterdir())
+    assert "config.resolved" in names
+    for other in others:
+        assert sorted(p.name for p in other.iterdir()) == names
+        for name in names:
+            assert (first / name).read_bytes() == (other / name).read_bytes(), (other, name)
 
 
 class TestRunRecord:
     """``config.resolved`` lists the keys that shaped a command's outputs, and
-    no other, in sorted order."""
+    no other, in sorted order, each with its parsed value in the one text that
+    parses back to it."""
 
-    @pytest.mark.parametrize("command, profile, recorded", RECORDS,
-                             ids=[f"{command}-{profile}" for command, profile, _ in RECORDS])
+    @pytest.mark.parametrize("command, profile, recorded", RECORDS, ids=RECORD_IDS)
     def test_recorded_keys(self, tmp_path, command, profile, recorded):
         out = tmp_path / "o"
-        assert run_cli([command, "--out", str(out), "--set", f"channel.profile={profile}",
-                        "--set", "grid.N=256", "--set", "sweep.levels=1",
-                        "--set", "sweep.seeds=0"]) == 0
-        lines = (out / "config.resolved").read_text().splitlines()
-        assert [line.split(" = ")[0] for line in lines] == recorded.split()
+        assert run_cli([command, "--out", str(out), *record_flags(profile)]) == 0
+        assert (out / "config.resolved").read_text().splitlines() == list(recorded)
+
+    @pytest.mark.parametrize("command, profile", [r[:2] for r in RECORDS], ids=RECORD_IDS)
+    def test_record_reruns_to_the_same_directory(self, tmp_path, capsys, command, profile):
+        """A command run on its own config.resolved, at the same grid.N, writes
+        the same directory and prints the same lines."""
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli([command, "--out", str(first), *record_flags(profile)]) == 0
+        printed = capsys.readouterr()
+        assert run_cli([command, "--out", str(second), "--config", str(first / "config.resolved"),
+                        "--set", "grid.N=256"]) == 0
+        assert capsys.readouterr() == printed
+        assert_same_files(first, second)
+
+    @pytest.mark.parametrize("command, spellings", [
+        (["train-sweep", "--set", "sweep.levels=0,1"],
+         [["--set", "sweep.seeds=0,01"], ["--set", "sweep.seeds=0,1"]]),
+        (["spectrum"], [["--set", "grid.L=4e1"], []]),
+        (["degrade", "--set", "grid.N=256"],
+         [["--set", "channel.iota=.5"], ["--set", "channel.iota=0.50"], []]),
+    ], ids=["sweep.seeds", "grid.L", "channel.iota"])
+    def test_spellings_of_one_value_write_one_directory(self, tmp_path, capsys, command,
+                                                        spellings):
+        """The record holds parsed values, so spellings of the same values write
+        the same directory, config.resolved included, and print the same lines."""
+        printed = []
+        for n, spelling in enumerate(spellings):
+            assert run_cli([*command, *spelling, "--out", str(tmp_path / str(n))]) == 0
+            printed.append(capsys.readouterr())
+        assert printed == [printed[0]] * len(spellings)
+        assert_same_files(*(tmp_path / str(n) for n in range(len(spellings))))
 
     def test_unread_channel_keys_leave_a_sweep_unchanged(self, tmp_path, capsys):
         """A sweep never reads the channel keys, so setting them changes no byte
@@ -332,12 +383,7 @@ class TestRunRecord:
                             "--set", "sweep.seeds=0,1"]) == 0
             printed.append(capsys.readouterr())
         assert printed[0] == printed[1]
-        names = sorted(p.name for p in (tmp_path / "default").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "thermal").iterdir())
-        assert "config.resolved" in names
-        for name in names:
-            assert ((tmp_path / "default" / name).read_bytes()
-                    == (tmp_path / "thermal" / name).read_bytes()), name
+        assert_same_files(tmp_path / "default", tmp_path / "thermal")
 
 
 class TestSpectrumCommand:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -352,6 +353,26 @@ class TestColumns:
         write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
         assert (tmp_path / "new.csv").read_bytes() == \
             self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
+
+    def test_fork_error_closes_the_worker_file(self, tmp_path, monkeypatch):
+        """A fork that raises anything but OSError propagates, and the unnamed
+        file made for that worker is closed first."""
+        made = []
+        temporary_file = tempfile.TemporaryFile
+
+        def recording(**kwargs):
+            made.append(temporary_file(**kwargs))
+            return made[-1]
+
+        def broken_fork():
+            raise RuntimeError("fork broken")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+        monkeypatch.setattr(os, "fork", broken_fork)
+        with pytest.raises(RuntimeError, match="fork broken"):
+            write_columns(tmp_path / "t.csv", ["x", "y", "m"], list(self.table()))
+        assert len(made) == 1 and made[0].closed
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     @pytest.mark.parametrize("rows, forks", [(_CHUNK_ROWS, 0), (_CHUNK_ROWS + 1, 1)])
     def test_one_chunk_table_forks_nothing(self, tmp_path, monkeypatch, rows, forks):

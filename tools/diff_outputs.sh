@@ -6,7 +6,9 @@
 # Runs the same modegap commands with the parent's src/ and with this
 # checkout's src/, each in its own empty directory, then compares every
 # file written (config.resolved included), stdout, stderr and exit code
-# with `diff -r`.  One command reads a config file that the script writes.
+# with `diff -r`.  One command reads a config file that the script writes,
+# and one spells values unusually (`4e1`, `01`), so a record that keeps the
+# typed text instead of the parsed values shows in the diff.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -38,6 +40,7 @@ degrade --config ../../run.cfg
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
+train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
 verify
 verify --full"
 
