@@ -13,9 +13,9 @@ in the text that parses back to it, so two spellings write one record, and
 ``channel.txt`` what no key says: ``compose``, ``max_iota``, ``max_squeeze``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, a command out of memory, or an output it cannot write
-(``config.resolved`` included); a command that exits 2 on its configuration
-has written nothing.
+error, a command out of memory, a failed training worker, or an output it
+cannot write (``config.resolved`` included); a command that exits 2 on its
+configuration has written nothing.
 """
 
 import argparse
@@ -38,7 +38,7 @@ from .bogoliubov import (
     uniform_channel,
     write_activation_csv,
 )
-from .network import TASKS, sweep, write_report_csv
+from .network import TASKS, TrainError, sweep, write_report_csv
 from .svgplot import line_plot
 from . import verify as verify_mod
 
@@ -78,6 +78,11 @@ class RunConfig:
     channel: BogoliubovChannel
     compose: int
     out: Path
+
+
+def _real(text):
+    """The float a text spells, -0 read as 0, so that both write one record."""
+    return float(text) + 0.0
 
 
 def _comma_list(values, key, convert):
@@ -128,7 +133,7 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"unknown profile: {profile!r} (uniform, lowpass, thermal)")
     for name, (maker, key) in makers.items():
         try:
-            values[key] = float(values[key])
+            values[key] = _real(values[key])
             built = maker(grid if name == profile else CHECK_GRID, values[key])
         except ValueError as exc:
             raise ConfigError(f"bad {key}: {exc}") from exc
@@ -140,7 +145,7 @@ def resolve_config(args) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad channel: {exc}") from exc
 
-    levels = _comma_list(values, "sweep.levels", float)
+    levels = _comma_list(values, "sweep.levels", _real)
     if levels != sorted(set(levels)) or not all(0.0 <= v <= 1.0 for v in levels):
         raise ConfigError("sweep.levels must be non-empty, strictly ascending and in [0, 1]: "
                           f"{values['sweep.levels']!r}")
@@ -317,6 +322,9 @@ def main(argv=None) -> int:
         return commands[args.command](resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TrainError as exc:
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print(f"error: {args.command} ran out of memory; use fewer seeds, levels "

@@ -26,14 +26,17 @@ every cell at the last epoch, whose pass gives the final loss and accuracy.
 
 The network math takes a (..., batch, d) input whose leading axes
 broadcast against the weights' and biases': a (batch, d) batch, or the
-(seeds, batch, d) data of the (levels, seeds) stack of cells that ``train``
-runs, so the Python cost of a step is paid once per step, not once per
-cell.  Each cell's slice sees the same products and sums, in the same
-order, as it would alone: stacked ``@`` computes slice by slice like the
-2-D ``@``, and every per-cell reduction runs along a contiguous last axis.
-Each cell of a report is therefore bit for bit that cell trained alone.
+(seeds, batch, d) data of the (levels, seeds) stack of cells that one share
+of ``train`` runs, so the Python cost of a step is paid once per step and
+share, not once per cell.  Each cell's slice sees the same products and
+sums, in the same order, as it would alone: stacked ``@`` computes slice by
+slice like the 2-D ``@``, and every per-cell reduction runs along a
+contiguous last axis.  Each cell of a report is therefore bit for bit that
+cell trained alone, whatever share it trained in and however many cores
+trained the shares.
 """
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,6 +45,7 @@ import numpy as np
 from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
 from .spectral import write_columns
+from .workers import cores, forked
 
 
 OUTPUT_CLAMP = 1e-7
@@ -203,13 +207,74 @@ def _stack(per_cell):
     return tuple(np.stack(arrays) for arrays in zip(*per_cell))
 
 
+class TrainError(RuntimeError):
+    """A worker that trained a share of the seeds failed."""
+
+
+# Hidden values a training step computes per share, at least.  Below about
+# this many, the step's fixed cost outweighs the part of it that scales with
+# the cells, which is all a second core can take: a moons step costs about
+# 110 us plus 0.031 us per hidden value, an xor step about 62 us plus 0.064 us,
+# and the default xor sweep computes 800 per step (2-core box).
+_SHARE_VALUES = 4096
+
+
+def _shares(spec, levels, seeds):
+    """``seeds`` in contiguous shares, in order: one per core this process may
+    use, at most one per seed and one per ``_SHARE_VALUES`` hidden values that
+    a step of the (levels, seeds) stack computes."""
+    per_seed = levels * spec.batch_size * sum(spec.layer_sizes[1:-1])
+    count = max(1, min(cores(), len(seeds), len(seeds) * per_seed // _SHARE_VALUES))
+    bounds = [len(seeds) * i // count for i in range(count + 1)]
+    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def train(task: str, activation, seeds) -> TrainReport:
     """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
     with the task's row of ``TASKS``; one report of the (levels, seeds)
     stack of cells, where ``activation.levels`` (1 if absent) counts the
-    levels of a stacked activation.  An unknown task raises
-    ``make_dataset``'s ``ValueError``; an empty seed list raises
-    ``ValueError`` too.
+    levels of a stacked activation.  An unknown task or an empty seed list
+    raises ``ValueError``.
+
+    The seeds are split into contiguous shares (``_shares``): one per core
+    this process may use (``os.sched_getaffinity``), unless the stack is too
+    small for a share to pay for itself.  The caller trains the first share;
+    a forked worker (``forked``) trains each later one and hands back its
+    pickled report, and the caller joins the reports along the seed axis,
+    copying every array.  A share whose fork fails is trained by the caller;
+    a failed worker makes it raise ``TrainError`` naming the share's seeds.
+    A cell's results do not depend on which cells share its stack, so the
+    report is bit for bit the one-process report.
+    """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("train needs at least one seed")
+    if task not in TASKS:
+        raise ValueError(f"unknown task: {task!r}")
+    first, *later = _shares(TASKS[task], getattr(activation, "levels", 1), seeds)
+
+    def work(share, part):
+        pickle.dump(_train(task, activation, share), part, pickle.HIGHEST_PROTOCOL)
+
+    def failure(share, code):
+        return TrainError(f"the worker training seeds {','.join(map(str, share))} "
+                          f"exited with {code}")
+
+    with forked(later, work, failure) as parts:
+        reports = [_train(task, activation, first)]
+        for share, part in parts:
+            reports.append(_train(task, activation, share) if part is None
+                           else pickle.load(part))
+    joined = {name: np.concatenate([getattr(r, name) for r in reports], axis=1)
+              for name in ("final_accuracy", "final_loss", "epochs_to_threshold",
+                           "mean_grad_norm_first100")}
+    weights = [tuple(np.concatenate(arrays, axis=1) for arrays in zip(*layer))
+               for layer in zip(*(r.weights for r in reports))]
+    return TrainReport(seeds, weights=weights, iota=reports[0].iota, **joined)
+
+
+def _train(task, activation, seeds) -> TrainReport:
+    """``train`` of one share of the seeds, in this process.
 
     The cells train side by side as one (levels, seeds) stack, each on its
     own data and weights, so a cell's results do not depend on which cells
@@ -222,11 +287,7 @@ def train(task: str, activation, seeds) -> TrainReport:
     cells, whose threshold epoch can still move, and every cell at the
     last epoch, which gives the final loss and accuracy; a report is the
     same either way.  The threshold rule is evaluated on the full dataset.
-    The report holds the trained weights of every cell, with no copy.
     """
-    seeds = tuple(seeds)
-    if not seeds:
-        raise ValueError("train needs at least one seed")
     x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]
     levels = getattr(activation, "levels", 1)

@@ -17,14 +17,13 @@ line; the gap decays like exp(-|z|) so truncation at |z| = L contributes at
 most exp(-L).
 """
 
-import os
 import shutil
-import signal
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .workers import cores, forked
 
 
 class SpectrumSymmetryError(ValueError):
@@ -220,43 +219,11 @@ def analytic_gap_spectrum(k):
 _CHUNK_ROWS = 8192
 
 
-def _cores():
-    """Cores this process may run on; 1 where it cannot fork or read its affinity."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _write_rows(fh, columns, start, stop):
     """Rows [start, stop) of the columns as CSV bytes, _CHUNK_ROWS at a time."""
     for first in range(start, stop, _CHUNK_ROWS):
         rows = zip(*(c[first:min(first + _CHUNK_ROWS, stop)].tolist() for c in columns))
         fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode())
-
-
-def _fork_share(directory, columns, start, stop):
-    """Fork a worker that writes rows [start, stop) into an unnamed file in
-    ``directory``; [pid, file], or None when the fork raises OSError (the file
-    is closed on any error).  The worker reads the columns through the fork
-    and always leaves through ``os._exit``, so it never returns into its
-    caller's stack: 0 once its file is flushed, 1 on any exception."""
-    part = tempfile.TemporaryFile(dir=directory)
-    try:
-        pid = os.fork()
-    except BaseException as exc:
-        part.close()
-        if isinstance(exc, OSError):
-            return None
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            _write_rows(part, columns, start, stop)
-            part.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    return [pid, part]
 
 
 def write_columns(path, header, columns):
@@ -267,46 +234,37 @@ def write_columns(path, header, columns):
     The rows, in chunks of _CHUNK_ROWS, are split into one contiguous share
     per core this process may use (``os.sched_getaffinity``), at most one per
     chunk, so a one-chunk table is written by the caller alone.  The caller
-    writes the header and the first share; a forked worker formats each later
-    share into an unnamed file beside the table, which the caller appends in
-    order.  A share whose fork fails is formatted by the caller.  A failed
-    worker makes it raise OSError naming the table; on any error the workers
-    still running are killed, and every worker is reaped."""
+    writes the header and the first share; a forked worker (``forked``)
+    formats each later share into an unnamed file beside the table, which the
+    caller appends in order.  A share whose fork fails is formatted by the
+    caller.  A failed worker makes it raise OSError naming the table; on any
+    error the workers still running are killed, and every worker is reaped."""
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns) or len({len(c) for c in columns}) > 1:
         raise ValueError("write_columns needs one equal-length column per header name")
     n_rows = len(columns[0])
     chunks = -(-n_rows // _CHUNK_ROWS)
-    shares = max(1, min(_cores(), chunks))
+    shares = max(1, min(cores(), chunks))
     bounds = [min(n_rows, chunks * i // shares * _CHUNK_ROWS) for i in range(shares + 1)]
-    later = list(zip(bounds[1:-1], bounds[2:]))
-    workers = []                    # [pid, file] per later share, None where its fork failed
-    try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\r\n").encode())
-            fh.flush()                      # no worker inherits the header unwritten
-            directory = Path(path).parent
-            for start, stop in later:
-                workers.append(_fork_share(directory, columns, start, stop))
-            _write_rows(fh, columns, bounds[0], bounds[1])
-            for (start, stop), worker in zip(later, workers):
-                if worker is None:
-                    _write_rows(fh, columns, start, stop)
-                    continue
-                pid, part = worker
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                worker[0] = None
-                if code != 0:
-                    raise OSError(f"cannot write {path}: the worker formatting rows "
-                                  f"{start}-{stop - 1} exited with {code}")
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
-    finally:
-        for pid, part in filter(None, workers):
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            part.close()
+
+    def write(share, fh):
+        _write_rows(fh, columns, *share)
+
+    def failure(share, code):
+        return OSError(f"cannot write {path}: the worker formatting rows "
+                       f"{share[0]}-{share[1] - 1} exited with {code}")
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        fh.flush()                      # no worker inherits the header unwritten
+        with forked(list(zip(bounds[1:-1], bounds[2:])), write, failure,
+                    Path(path).parent) as parts:
+            write(bounds[:2], fh)
+            for share, part in parts:
+                if part is None:
+                    write(share, fh)
+                else:
+                    shutil.copyfileobj(part, fh)
 
 
 def write_spectrum_csv(path, spectrum: ModeSpectrum):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modegap import cli, spectral
+from modegap import cli, network, spectral
 from modegap.bogoliubov import planck_occupation
 from modegap.network import sweep, write_report_csv
 from modegap.spectral import Grid
@@ -360,7 +360,14 @@ class TestRunRecord:
         (["spectrum"], [["--set", "grid.L=4e1"], []]),
         (["degrade", "--set", "grid.N=256"],
          [["--set", "channel.iota=.5"], ["--set", "channel.iota=0.50"], []]),
-    ], ids=["sweep.seeds", "grid.L", "channel.iota"])
+        (["train-sweep", "--set", "sweep.seeds=0", "--set", "grid.N=256"],
+         [["--set", "sweep.levels=-0,1"], ["--set", "sweep.levels=0,1"]]),
+        (["degrade", "--set", "grid.N=256"],
+         [["--set", "sweep.levels=-0,1"], ["--set", "sweep.levels=0,1"]]),
+        (["channel", "--set", "grid.N=256"],
+         [["--set", "channel.iota=-0"], ["--set", "channel.iota=0"]]),
+    ], ids=["sweep.seeds", "grid.L", "channel.iota", "sweep.levels-0-train-sweep",
+            "sweep.levels-0-degrade", "channel.iota-0"])
     def test_spellings_of_one_value_write_one_directory(self, tmp_path, capsys, command,
                                                         spellings):
         """The record holds parsed values, so spellings of the same values write
@@ -621,6 +628,29 @@ class TestTrainSweepCommand:
         assert captured.out == ""
         assert captured.err == ("error: train-sweep ran out of memory; use fewer seeds, "
                                 "levels or grid points\n")
+
+    def test_failed_training_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
+        """Three seeds on two cores train in two shares, however small, seed 0
+        in the caller and seeds 1 and 2 in a worker; the worker fails, and the
+        command names its seeds, with no traceback and no worker left."""
+        caller = os.getpid()
+        real = network._train
+
+        def broken_in_worker(*args):
+            if os.getpid() != caller:
+                raise RuntimeError("training failed")
+            return real(*args)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
+        monkeypatch.setattr(network, "_train", broken_in_worker)
+        assert run_cli(["train-sweep", "--out", str(tmp_path / "sweep"),
+                        "--set", "sweep.levels=0,1", "--set", "sweep.seeds=0,1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: train-sweep: the worker training seeds 1,2 "
+                                "exited with 1\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
         out = tmp_path / "sweep"

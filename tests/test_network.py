@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -329,7 +331,9 @@ class TestBatchedTrain:
     def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch):
         """Every epoch, moons judges through a view whose rows read the judged
         cells' levels: before the last epoch each cell up to the epoch it
-        reaches the threshold, and at the last epoch every cell."""
+        reaches the threshold, and at the last epoch every cell.  One core, so
+        that the spy, which sees only this process, sees every cell."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         reads, real = [], DegradedActivation.evaluate
 
         def spy(act, z):
@@ -380,6 +384,116 @@ class TestBatchedTrain:
         calls = self.count_calls(monkeypatch, "hidden_gradient_norm")
         train(task, SIGMOID, [0])
         assert len(calls) == 100 * calls_per_epoch
+
+
+def report_bytes(report):
+    """Every field of a report, each array as its shape, dtype and bytes."""
+    arrays = [getattr(report, f.name) for f in dataclasses.fields(TrainReport)
+              if f.name not in ("seeds", "weights")]
+    arrays += [a for layer in report.weights for a in layer]
+    return report.seeds, [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
+
+
+class TestShares:
+    """``train`` splits its seeds into one contiguous share per core, at most
+    one per seed and one per ``_SHARE_VALUES`` hidden values a step computes;
+    forked workers train all but the first, and the joined report is the
+    one-process report, bit for bit."""
+
+    @staticmethod
+    def at_cores(monkeypatch, cores):
+        """``cores`` cores, and a share for every seed however small its stack."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
+
+    def test_a_share_pays_for_itself(self, monkeypatch):
+        """The default xor sweep computes 800 hidden values a step and trains
+        in one share; the documented moons sweep, 10,240, in two of five seeds."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seeds = tuple(range(10))
+        assert network._shares(TASKS["xor"], 5, seeds) == [seeds]
+        assert network._shares(TASKS["moons"], 2, seeds) == [seeds[:5], seeds[5:]]
+        assert network._shares(TASKS["moons"], 1, seeds[:8]) == [seeds[:8]]
+        assert network._shares(TASKS["moons"], 1, seeds[:3]) == [seeds[:3]]
+        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
+        assert network._shares(TASKS["xor"], 1, (7, 0, 0)) == [(7,), (0,), (0,)]
+        assert network._shares(TASKS["xor"], 1, (3, 1)) == [(3,), (1,)]
+
+    def bytes_at_cores(self, monkeypatch, run):
+        """``report_bytes(run())`` at 1, 2 and 3 cores."""
+        reports = []
+        for cores in (1, 2, 3):
+            self.at_cores(monkeypatch, cores)
+            reports.append(report_bytes(run()))
+        return reports
+
+    @pytest.mark.parametrize("task, iota, seeds", [
+        ("xor", 0.5, [7, 0, 0]), ("xor", 0.0, [3, 1]),
+    ])
+    def test_train_does_not_depend_on_the_core_count(self, monkeypatch, task, iota, seeds):
+        one, *more = self.bytes_at_cores(monkeypatch, lambda: train(task, degraded(iota), seeds))
+        assert more == [one, one]
+
+    @pytest.mark.parametrize("task, levels, seeds", [
+        ("xor", [0.0, 0.5, 1.0], [4, 2, 9]), ("moons", [0.0, 1.0], [2, 5]),
+    ])
+    def test_sweep_does_not_depend_on_the_core_count(self, monkeypatch, task, levels, seeds):
+        one, *more = self.bytes_at_cores(monkeypatch, lambda: sweep(task, levels, seeds, GRID))
+        assert more == [one, one]
+
+    @staticmethod
+    def spy_on_fork(monkeypatch):
+        calls, fork = [], os.fork
+
+        def spy():
+            calls.append(None)
+            return fork()
+        monkeypatch.setattr(os, "fork", spy)
+        return calls
+
+    def test_one_seed_forks_nothing(self, monkeypatch):
+        self.at_cores(monkeypatch, 3)
+        forks = self.spy_on_fork(monkeypatch)
+        train("xor", SIGMOID, [0])
+        sweep("xor", [0.0, 1.0], [0], GRID)
+        assert forks == []
+        train("xor", SIGMOID, [0, 1, 2, 3])
+        assert len(forks) == 2
+
+    def test_refused_fork_is_trained_by_the_caller(self, monkeypatch):
+        seeds = [7, 0, 0]
+        self.at_cores(monkeypatch, 1)
+        alone = report_bytes(train("xor", degraded(0.5), seeds))
+
+        def no_fork():
+            raise OSError("fork refused")
+        self.at_cores(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert report_bytes(train("xor", degraded(0.5), seeds)) == alone
+
+    @pytest.mark.parametrize("failing, error", [("worker", network.TrainError),
+                                                ("caller", RuntimeError)])
+    def test_failure_reaps_every_worker(self, tmp_path, monkeypatch, failing, error):
+        """A worker that fails raises TrainError naming its seeds; a caller
+        that fails kills its workers.  Either way no worker is left unreaped
+        and no file is left in the temporary directory."""
+        caller = os.getpid()
+        real = network._train
+
+        def broken(task, activation, seeds):
+            if (os.getpid() == caller) == (failing == "caller"):
+                raise RuntimeError("training failed")
+            return real(task, activation, seeds)
+        self.at_cores(monkeypatch, 3)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(network, "_train", broken)
+        with pytest.raises(error) as caught:
+            train("xor", SIGMOID, [5, 6, 7])
+        if failing == "worker":
+            assert str(caught.value) == "the worker training seeds 6 exited with 1"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

@@ -8,7 +8,9 @@
 # file written (config.resolved included), stdout, stderr and exit code
 # with `diff -r`.  One command reads a config file that the script writes,
 # and one spells values unusually (`4e1`, `01`), so a record that keeps the
-# typed text instead of the parsed values shows in the diff.
+# typed text instead of the parsed values shows in the diff.  The moons
+# sweeps train in shares of different sizes: five seeds at five levels in
+# two and three on two cores, ten seeds in five and five, one seed alone.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -39,6 +41,9 @@ degrade --set channel.profile=thermal $fine
 degrade --config ../../run.cfg
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
+train-sweep --set sweep.seeds=0,1,2
+train-sweep --set task.name=moons --set sweep.seeds=0,1,2,3,4
+train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=3
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
 verify
