@@ -36,6 +36,7 @@ cell trained alone, whatever share it trained in and however many cores
 trained the shares.
 """
 
+import io
 import pickle
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,7 +46,7 @@ import numpy as np
 from .activations import DimensionError, sigmoid
 from .bogoliubov import reconstruct, uniform_channel
 from .spectral import write_columns
-from .workers import cores, forked
+from .workers import run, split
 
 
 OUTPUT_CLAMP = 1e-7
@@ -219,16 +220,6 @@ class TrainError(RuntimeError):
 _SHARE_VALUES = 4096
 
 
-def _shares(spec, levels, seeds):
-    """``seeds`` in contiguous shares, in order: one per core this process may
-    use, at most one per seed and one per ``_SHARE_VALUES`` hidden values that
-    a step of the (levels, seeds) stack computes."""
-    per_seed = levels * spec.batch_size * sum(spec.layer_sizes[1:-1])
-    count = max(1, min(cores(), len(seeds), len(seeds) * per_seed // _SHARE_VALUES))
-    bounds = [len(seeds) * i // count for i in range(count + 1)]
-    return [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def train(task: str, activation, seeds) -> TrainReport:
     """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
     with the task's row of ``TASKS``; one report of the (levels, seeds)
@@ -236,22 +227,25 @@ def train(task: str, activation, seeds) -> TrainReport:
     levels of a stacked activation.  An unknown task or an empty seed list
     raises ``ValueError``.
 
-    The seeds are split into contiguous shares (``_shares``): one per core
-    this process may use (``os.sched_getaffinity``), unless the stack is too
-    small for a share to pay for itself.  The caller trains the first share;
-    a forked worker (``forked``) trains each later one and hands back its
-    pickled report, and the caller joins the reports along the seed axis,
-    copying every array.  A share whose fork fails is trained by the caller;
-    a failed worker makes it raise ``TrainError`` naming the share's seeds.
-    A cell's results do not depend on which cells share its stack, so the
-    report is bit for bit the one-process report.
+    The seeds are trained on every core this process may use
+    (``workers.split`` and ``workers.run``), unless the stack is too small
+    for a share to pay for itself: at most one share per ``_SHARE_VALUES``
+    hidden values that a step of the (levels, seeds) stack computes.  Each
+    share's report is pickled into one stream, and the caller joins the
+    reports along the seed axis, copying every array.  A failed worker makes
+    it raise ``TrainError`` naming the share's seeds.  A cell's results do
+    not depend on which cells share its stack, so the report is bit for bit
+    the one-process report.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("train needs at least one seed")
     if task not in TASKS:
         raise ValueError(f"unknown task: {task!r}")
-    first, *later = _shares(TASKS[task], getattr(activation, "levels", 1), seeds)
+    spec = TASKS[task]
+    levels = getattr(activation, "levels", 1)
+    per_seed = levels * spec.batch_size * sum(spec.layer_sizes[1:-1])
+    shares = split(seeds, per_seed, _SHARE_VALUES)
 
     def work(share, part):
         pickle.dump(_train(task, activation, share), part, pickle.HIGHEST_PROTOCOL)
@@ -260,11 +254,10 @@ def train(task: str, activation, seeds) -> TrainReport:
         return TrainError(f"the worker training seeds {','.join(map(str, share))} "
                           f"exited with {code}")
 
-    with forked(later, work, failure) as parts:
-        reports = [_train(task, activation, first)]
-        for share, part in parts:
-            reports.append(_train(task, activation, share) if part is None
-                           else pickle.load(part))
+    with io.BytesIO() as out:
+        run(shares, work, out, failure)
+        out.seek(0)
+        reports = [pickle.load(out) for _ in shares]
     joined = {name: np.concatenate([getattr(r, name) for r in reports], axis=1)
               for name in ("final_accuracy", "final_loss", "epochs_to_threshold",
                            "mean_grad_norm_first100")}

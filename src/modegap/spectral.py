@@ -17,13 +17,12 @@ line; the gap decays like exp(-|z|) so truncation at |z| = L contributes at
 most exp(-L).
 """
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .workers import cores, forked
+from .workers import run, split
 
 
 class SpectrumSymmetryError(ValueError):
@@ -219,10 +218,10 @@ def analytic_gap_spectrum(k):
 _CHUNK_ROWS = 8192
 
 
-def _write_rows(fh, columns, start, stop):
-    """Rows [start, stop) of the columns as CSV bytes, _CHUNK_ROWS at a time."""
-    for first in range(start, stop, _CHUNK_ROWS):
-        rows = zip(*(c[first:min(first + _CHUNK_ROWS, stop)].tolist() for c in columns))
+def _write_rows(fh, columns, firsts):
+    """The _CHUNK_ROWS-row chunks starting at ``firsts`` as CSV bytes."""
+    for first in firsts:
+        rows = zip(*(c[first:first + _CHUNK_ROWS].tolist() for c in columns))
         fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode())
 
 
@@ -231,40 +230,27 @@ def write_columns(path, header, columns):
     per index, each value as its shortest round-trip repr, rows ending in
     CRLF: the bytes the csv module writes for the same rows.
 
-    The rows, in chunks of _CHUNK_ROWS, are split into one contiguous share
-    per core this process may use (``os.sched_getaffinity``), at most one per
-    chunk, so a one-chunk table is written by the caller alone.  The caller
-    writes the header and the first share; a forked worker (``forked``)
-    formats each later share into an unnamed file beside the table, which the
-    caller appends in order.  A share whose fork fails is formatted by the
-    caller.  A failed worker makes it raise OSError naming the table; on any
-    error the workers still running are killed, and every worker is reaped."""
+    The rows, in chunks of _CHUNK_ROWS, are written on every core this
+    process may use (``workers.split`` and ``workers.run``), at most one
+    share per chunk, so a one-chunk table is written by the caller alone;
+    a worker's unnamed file lies beside the table.  A failed worker makes
+    it raise OSError naming the table."""
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns) or len({len(c) for c in columns}) > 1:
         raise ValueError("write_columns needs one equal-length column per header name")
     n_rows = len(columns[0])
-    chunks = -(-n_rows // _CHUNK_ROWS)
-    shares = max(1, min(cores(), chunks))
-    bounds = [min(n_rows, chunks * i // shares * _CHUNK_ROWS) for i in range(shares + 1)]
 
     def write(share, fh):
-        _write_rows(fh, columns, *share)
+        _write_rows(fh, columns, share)
 
     def failure(share, code):
         return OSError(f"cannot write {path}: the worker formatting rows "
-                       f"{share[0]}-{share[1] - 1} exited with {code}")
+                       f"{share.start}-{min(share.stop, n_rows) - 1} exited with {code}")
 
+    shares = split(range(0, n_rows, _CHUNK_ROWS), 1, 1)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        fh.flush()                      # no worker inherits the header unwritten
-        with forked(list(zip(bounds[1:-1], bounds[2:])), write, failure,
-                    Path(path).parent) as parts:
-            write(bounds[:2], fh)
-            for share, part in parts:
-                if part is None:
-                    write(share, fh)
-                else:
-                    shutil.copyfileobj(part, fh)
+        run(shares, write, fh, failure, Path(path).parent)
 
 
 def write_spectrum_csv(path, spectrum: ModeSpectrum):

@@ -1,16 +1,17 @@
 """Work split into contiguous shares, the later ones computed by forked workers.
 
-``forked`` is the package's one ``os.fork``: ``write_columns`` formats the
-later shares of a large table through it, and ``train`` trains the later
-shares of its seeds.  A worker reads its inputs through the fork, writes its
-result into an unnamed file, and hands that file back to the caller, which
-joins the shares in order, so a result does not depend on the core count.
+``split`` cuts a job's items into shares, and ``run`` computes them into one
+byte stream through the package's one ``os.fork``: ``write_columns`` formats
+a large table's rows this way, and ``train`` trains a sweep's seeds.  A
+worker reads its inputs through the fork, writes its share into an unnamed
+file, and hands that file back to the caller, which joins the shares in
+order, so a result does not depend on the core count.
 """
 
 import os
+import shutil
 import signal
 import tempfile
-from contextlib import contextmanager
 
 
 def cores():
@@ -18,6 +19,15 @@ def cores():
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def split(items, cost, floor):
+    """``items`` in contiguous shares, in order, each a slice of ``items``:
+    one per core this process may use, at most one per item and one per
+    ``floor`` of work, an item costing ``cost``, and always at least one."""
+    count = max(1, min(cores(), len(items), len(items) * cost // floor))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _fork(work, share, directory):
@@ -45,36 +55,32 @@ def _fork(work, share, directory):
     return [pid, part]
 
 
-def _parts(shares, workers, failure):
-    """(share, part) per share in order, once its worker has exited: ``part``
-    rewound to its start, or None where the fork failed."""
-    for share, worker in zip(shares, workers):
-        if worker is None:
-            yield share, None
-            continue
-        pid, part = worker
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        worker[0] = None
-        if code != 0:
-            raise failure(share, code)
-        part.seek(0)
-        yield share, part
-
-
-@contextmanager
-def forked(shares, work, failure, directory=None):
-    """Fork one worker per share that runs ``work(share, part)``, and yield an
-    iterator of (share, part) in order.  Iterating waits for each worker and
-    gives its file rewound; ``part`` is None where the fork raised OSError,
-    and the caller computes that share itself.  A worker that exits with a
-    nonzero code raises ``failure(share, code)``.  Leaving the block, on any
-    error too, kills the workers still running, reaps every worker and
-    closes every file."""
-    workers = []                    # [pid, part] per share, None where its fork failed
+def run(shares, work, out, failure, directory=None):
+    """Write every share, in order, into the binary file ``out`` with
+    ``work(share, out)``.  The caller computes the first share, and any
+    share whose fork raised OSError; a forked worker computes each other
+    share into an unnamed file in ``directory``, which the caller appends
+    once the worker exits 0.  A worker that exits with a nonzero code
+    raises ``failure(share, code)``.  On any error the workers still
+    running are killed; every worker is reaped and every file closed."""
+    first, *later = shares
+    workers = []  # [pid, part] per later share, None where its fork failed
     try:
-        for share in shares:
+        out.flush()  # no worker inherits bytes of ``out`` unwritten
+        for share in later:
             workers.append(_fork(work, share, directory))
-        yield _parts(shares, workers, failure)
+        work(first, out)
+        for share, worker in zip(later, workers):
+            if worker is None:
+                work(share, out)
+                continue
+            pid, part = worker
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            worker[0] = None
+            if code != 0:
+                raise failure(share, code)
+            part.seek(0)
+            shutil.copyfileobj(part, out)
     finally:
         for pid, part in filter(None, workers):
             if pid is not None:

@@ -3,6 +3,7 @@ import functools
 import math
 import os
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from modegap.network import (
     median_epochs,
     write_report_csv,
 )
+from modegap.workers import split
 
 GRID = Grid(40.0, 4096)
 
@@ -407,17 +409,31 @@ class TestShares:
         monkeypatch.setattr(network, "_SHARE_VALUES", 1)
 
     def test_a_share_pays_for_itself(self, monkeypatch):
-        """The default xor sweep computes 800 hidden values a step and trains
-        in one share; the documented moons sweep, 10,240, in two of five seeds."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        """A step of the default xor sweep computes 80 hidden values per seed
+        (five levels, batch 4, 4 hidden units), 800 in all, and trains in one
+        share; the documented moons sweep 1,024 per seed (two levels, batch
+        32, 8 + 8 hidden units), 10,240 in all, in two of five seeds."""
+        class Split(Exception):
+            pass
+
+        def spy(items, cost, floor):
+            raise Split(items, cost, floor)
         seeds = tuple(range(10))
-        assert network._shares(TASKS["xor"], 5, seeds) == [seeds]
-        assert network._shares(TASKS["moons"], 2, seeds) == [seeds[:5], seeds[5:]]
-        assert network._shares(TASKS["moons"], 1, seeds[:8]) == [seeds[:8]]
-        assert network._shares(TASKS["moons"], 1, seeds[:3]) == [seeds[:3]]
-        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
-        assert network._shares(TASKS["xor"], 1, (7, 0, 0)) == [(7,), (0,), (0,)]
-        assert network._shares(TASKS["xor"], 1, (3, 1)) == [(3,), (1,)]
+        monkeypatch.setattr(network, "split", spy)
+        stack = types.SimpleNamespace
+        for task, activation, per_seed in [("xor", stack(levels=5), 80), ("xor", SIGMOID, 16),
+                                           ("moons", stack(levels=2), 1024),
+                                           ("moons", stack(levels=1), 512)]:
+            with pytest.raises(Split) as caught:
+                train(task, activation, seeds)
+            assert caught.value.args == (seeds, per_seed, network._SHARE_VALUES)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert split(seeds, 80, 4096) == [seeds]
+        assert split(seeds, 1024, 4096) == [seeds[:5], seeds[5:]]
+        assert split(seeds[:8], 512, 4096) == [seeds[:8]]
+        assert split(seeds[:3], 512, 4096) == [seeds[:3]]
+        assert split((7, 0, 0), 16, 1) == [(7,), (0,), (0,)]
+        assert split((3, 1), 16, 1) == [(3,), (1,)]
 
     def bytes_at_cores(self, monkeypatch, run):
         """``report_bytes(run())`` at 1, 2 and 3 cores."""
@@ -470,6 +486,26 @@ class TestShares:
         self.at_cores(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         assert report_bytes(train("xor", degraded(0.5), seeds)) == alone
+
+    def test_refusal_in_the_middle_is_trained_by_the_caller(self, monkeypatch):
+        """Only the first of two forks is refused: the caller trains the
+        second of three shares between its own first and a worker's third."""
+        seeds = [7, 0, 0]
+        self.at_cores(monkeypatch, 1)
+        alone = report_bytes(train("xor", degraded(0.5), seeds))
+        calls, fork = [], os.fork
+
+        def first_refused():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError("fork refused")
+            return fork()
+        self.at_cores(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", first_refused)
+        assert report_bytes(train("xor", degraded(0.5), seeds)) == alone
+        assert len(calls) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("failing, error", [("worker", network.TrainError),
                                                 ("caller", RuntimeError)])

@@ -354,6 +354,27 @@ class TestColumns:
         assert (tmp_path / "new.csv").read_bytes() == \
             self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
 
+    def test_refusal_in_the_middle_is_written_by_the_caller(self, tmp_path, monkeypatch):
+        """Only the first of two forks is refused: the caller formats the
+        second of three shares between its own first and a worker's third."""
+        calls, fork = [], os.fork
+
+        def first_refused():
+            calls.append(None)
+            if len(calls) == 1:
+                raise OSError("fork refused")
+            return fork()
+        x, y, m = self.table()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        write_columns(tmp_path / "alone.csv", ["x", "y", "m"], [x, y, m])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", first_refused)
+        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
+        assert len(calls) == 2
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_fork_error_closes_the_worker_file(self, tmp_path, monkeypatch):
         """A fork that raises anything but OSError propagates, and the unnamed
         file made for that worker is closed first."""
@@ -397,10 +418,10 @@ class TestColumns:
         caller = os.getpid()
         write_rows = spectral._write_rows
 
-        def broken(fh, columns, start, stop):
+        def broken(fh, columns, firsts):
             if (os.getpid() == caller) == (failing == "caller"):
                 raise RuntimeError("formatting failed")
-            write_rows(fh, columns, start, stop)
+            write_rows(fh, columns, firsts)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(spectral, "_write_rows", broken)
         with pytest.raises(error) as caught:

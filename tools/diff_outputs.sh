@@ -11,6 +11,9 @@
 # typed text instead of the parsed values shows in the diff.  The moons
 # sweeps train in shares of different sizes: five seeds at five levels in
 # two and three on two cores, ten seeds in five and five, one seed alone.
+# The degrade tables of N = 8192 and 16384 rows are one and two 8,192-row
+# chunks: the first is written by the command alone, the second in one
+# share per core on two cores.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -35,6 +38,8 @@ channel --set channel.profile=thermal --compose 4 $fine
 degrade
 degrade --set channel.profile=lowpass
 degrade --set channel.profile=thermal
+degrade --set grid.N=8192
+degrade --set grid.N=16384
 degrade $fine
 degrade --set channel.profile=lowpass $fine
 degrade --set channel.profile=thermal $fine
