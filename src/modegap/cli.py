@@ -13,7 +13,7 @@ in the text that parses back to it, so two spellings write one record, and
 ``channel.txt`` what no key says: ``compose``, ``max_iota``, ``max_squeeze``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, a command out of memory, a failed training worker, or an output it
+error, a command out of memory, a failed worker, or an output it
 cannot write (``config.resolved`` included); a command that exits 2 on its
 configuration has written nothing.
 """
@@ -38,8 +38,9 @@ from .bogoliubov import (
     uniform_channel,
     write_activation_csv,
 )
-from .network import TASKS, TrainError, sweep, write_report_csv
+from .network import TASKS, sweep, write_report_csv
 from .svgplot import line_plot
+from .workers import WorkerError
 from . import verify as verify_mod
 
 DEFAULTS = {
@@ -280,9 +281,9 @@ def cmd_verify(full: bool) -> int:
 
 
 def build_parser():
-    """Each option is declared once, on the subcommands that read it:
-    ``--config``, ``--out`` and ``--set`` on every command but ``verify``,
-    ``--compose`` on ``channel``."""
+    """Each command is declared once, with its handler as ``run``, and each
+    option once, on the subcommands that read it: ``--config``, ``--out``
+    and ``--set`` on every command but ``verify``, ``--compose`` on ``channel``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
     common.add_argument("--out", default="out", help="output directory (default: out)")
@@ -292,16 +293,18 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="modegap", description="Mode-spectrum degradation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common],
-                   help="gap samples, spectrum, and oracle comparison")
-    p_channel = sub.add_parser("channel", parents=[common],
-                               help="per-mode channel coefficients")
+
+    def command(name, run, text):  # a subcommand with the common options
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.set_defaults(run=run)
+        return p
+
+    command("spectrum", cmd_spectrum, "gap samples, spectrum, and oracle comparison")
+    p_channel = command("channel", cmd_channel, "per-mode channel coefficients")
     p_channel.add_argument("--compose", type=int, default=1, metavar="N",
                            help="apply the channel N times in sequence")
-    sub.add_parser("degrade", parents=[common],
-                   help="reconstruct the degraded activation")
-    sub.add_parser("train-sweep", parents=[common],
-                   help="trainability sweep over loss levels")
+    command("degrade", cmd_degrade, "reconstruct the degraded activation")
+    command("train-sweep", cmd_train_sweep, "trainability sweep over loss levels")
     p_verify = sub.add_parser("verify", help="run the acceptance checks")
     p_verify.add_argument("--full", action="store_true",
                           help="include the moons sweep")
@@ -313,17 +316,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # Built per call, like resolve_config's makers, so that a rebound command is called.
-    commands = {"spectrum": cmd_spectrum, "channel": cmd_channel,
-                "degrade": cmd_degrade, "train-sweep": cmd_train_sweep}
     try:
         if args.command == "verify":
             return cmd_verify(args.full)
-        return commands[args.command](resolve_config(args))
+        return args.run(resolve_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainError as exc:
+    except WorkerError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

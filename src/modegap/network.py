@@ -208,10 +208,6 @@ def _stack(per_cell):
     return tuple(np.stack(arrays) for arrays in zip(*per_cell))
 
 
-class TrainError(RuntimeError):
-    """A worker that trained a share of the seeds failed."""
-
-
 # Hidden values a training step computes per share, at least.  Below about
 # this many, the step's fixed cost outweighs the part of it that scales with
 # the cells, which is all a second core can take: a moons step costs about
@@ -233,7 +229,7 @@ def train(task: str, activation, seeds) -> TrainReport:
     hidden values that a step of the (levels, seeds) stack computes.  Each
     share's report is pickled into one stream, and the caller joins the
     reports along the seed axis, copying every array.  A failed worker makes
-    it raise ``TrainError`` naming the share's seeds.  A cell's results do
+    it raise ``WorkerError`` naming the share's seeds.  A cell's results do
     not depend on which cells share its stack, so the report is bit for bit
     the one-process report.
     """
@@ -250,12 +246,11 @@ def train(task: str, activation, seeds) -> TrainReport:
     def work(share, part):
         pickle.dump(_train(task, activation, share), part, pickle.HIGHEST_PROTOCOL)
 
-    def failure(share, code):
-        return TrainError(f"the worker training seeds {','.join(map(str, share))} "
-                          f"exited with {code}")
+    def name(share):
+        return f"training seeds {','.join(map(str, share))}"
 
     with io.BytesIO() as out:
-        run(shares, work, out, failure)
+        run(shares, work, out, name)
         out.seek(0)
         reports = [pickle.load(out) for _ in shares]
     joined = {name: np.concatenate([getattr(r, name) for r in reports], axis=1)

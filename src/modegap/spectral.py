@@ -234,7 +234,7 @@ def write_columns(path, header, columns):
     process may use (``workers.split`` and ``workers.run``), at most one
     share per chunk, so a one-chunk table is written by the caller alone;
     a worker's unnamed file lies beside the table.  A failed worker makes
-    it raise OSError naming the table."""
+    it raise ``WorkerError`` naming its rows and the table."""
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns) or len({len(c) for c in columns}) > 1:
         raise ValueError("write_columns needs one equal-length column per header name")
@@ -243,14 +243,13 @@ def write_columns(path, header, columns):
     def write(share, fh):
         _write_rows(fh, columns, share)
 
-    def failure(share, code):
-        return OSError(f"cannot write {path}: the worker formatting rows "
-                       f"{share.start}-{min(share.stop, n_rows) - 1} exited with {code}")
+    def name(share):
+        return f"formatting rows {share.start}-{min(share.stop, n_rows) - 1} of {path}"
 
     shares = split(range(0, n_rows, _CHUNK_ROWS), 1, 1)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        run(shares, write, fh, failure, Path(path).parent)
+        run(shares, write, fh, name, Path(path).parent)
 
 
 def write_spectrum_csv(path, spectrum: ModeSpectrum):

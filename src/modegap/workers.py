@@ -14,6 +14,10 @@ import signal
 import tempfile
 
 
+class WorkerError(RuntimeError):
+    """A forked worker exited with a nonzero code."""
+
+
 def cores():
     """Cores this process may run on; 1 where it cannot fork or read its affinity."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -55,14 +59,15 @@ def _fork(work, share, directory):
     return [pid, part]
 
 
-def run(shares, work, out, failure, directory=None):
+def run(shares, work, out, name, directory=None):
     """Write every share, in order, into the binary file ``out`` with
     ``work(share, out)``.  The caller computes the first share, and any
     share whose fork raised OSError; a forked worker computes each other
     share into an unnamed file in ``directory``, which the caller appends
     once the worker exits 0.  A worker that exits with a nonzero code
-    raises ``failure(share, code)``.  On any error the workers still
-    running are killed; every worker is reaped and every file closed."""
+    raises ``WorkerError`` naming its work, ``name(share)``.  On any error
+    the workers still running are killed; every worker is reaped and every
+    file closed."""
     first, *later = shares
     workers = []  # [pid, part] per later share, None where its fork failed
     try:
@@ -78,7 +83,7 @@ def run(shares, work, out, failure, directory=None):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             worker[0] = None
             if code != 0:
-                raise failure(share, code)
+                raise WorkerError(f"the worker {name(share)} exited with {code}")
             part.seek(0)
             shutil.copyfileobj(part, out)
     finally:

@@ -572,9 +572,8 @@ class TestDegradeCommand:
         assert run_cli(["degrade", "--out", str(out), "--set", "grid.N=16384"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: degrade cannot write its output: ")
-        assert "degraded_activation.csv" in captured.err
+        assert captured.err == ("error: degrade: the worker formatting rows 8192-16383 of "
+                                f"{out / 'degraded_activation.csv'} exited with 1\n")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -713,7 +712,9 @@ class TestBenchmarkTracing:
         """The benchmark's span tracer wraps every public callable of the
         package and counts the rows of the spectrum and activation writers;
         it must install and summarise traced commands that call both, and a
-        traced train-sweep, which two of the benchmark's workloads run."""
+        traced train-sweep, which two of the benchmark's workloads run.  The
+        parser binds each command's handler per call, so the tracer times
+        every ``cmd_*`` it rebinds."""
         root = Path(__file__).resolve().parents[1]
         script = (
             "import child\n"
@@ -727,6 +728,8 @@ class TestBenchmarkTracing:
             "                       'sweep.levels=0,1', '--set', 'sweep.seeds=0',\n"
             "                       '--out', 'o-sweep'])\n"
             "metrics, _ = child.per_layer_metrics(tracer, [0])\n"
+            "print(*(metrics[f'cli.cmd_{name}.s'] > 0\n"
+            "        for name in ('degrade', 'spectrum', 'channel', 'train_sweep')))\n"
             "print(sweep_code, metrics['network.train.calls'])\n"
             "print(codes, metrics['spectral.write_spectrum_csv.rows'],\n"
             "      metrics['bogoliubov.write_activation_csv.rows'])\n"
@@ -739,6 +742,7 @@ class TestBenchmarkTracing:
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0] 256 256"
         assert proc.stdout.splitlines()[-2] == "0 1"
+        assert proc.stdout.splitlines()[-3] == "True True True True"
 
 
 class TestEntryPoint:

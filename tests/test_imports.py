@@ -92,19 +92,21 @@ def test_no_dead_public_names():
     assert dead_public_names(modules, [path.read_text() for path in READERS]) == []
 
 
-def fork_calls(source: str) -> list[int]:
-    """The line of every ``os.fork()`` call in a source."""
+def os_calls(source: str, name: str) -> list[int]:
+    """The line of every ``os.<name>()`` call in a source."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "fork" and getattr(node.func.value, "id", None) == "os"]
+            and node.func.attr == name and getattr(node.func.value, "id", None) == "os"]
 
 
 def test_one_fork_site():
-    """The package forks in one place, ``workers``; every other module that
-    computes in workers goes through ``workers.run``."""
-    assert fork_calls("import os\nos.fork()\nlocks.fork()\nif os.fork(): pass\n") == [2, 4]
-    sites = {path.name: len(fork_calls(path.read_text())) for path in SRC.glob("*.py")}
-    assert {name: count for name, count in sites.items() if count} == {"workers.py": 1}
+    """The package forks, reaps, kills and ends a worker in one place,
+    ``workers``; every other module that computes in workers goes through
+    ``workers.run``."""
+    assert os_calls("import os\nos.fork()\nlocks.fork()\nif os.fork(): pass\n", "fork") == [2, 4]
+    for name, count in [("fork", 1), ("waitpid", 2), ("kill", 1), ("_exit", 1)]:
+        sites = {path.name: len(os_calls(path.read_text(), name)) for path in SRC.glob("*.py")}
+        assert {module: n for module, n in sites.items() if n} == {"workers.py": count}, name
 
 
 SPAN_READERS = {"calls", "seconds", "calls_inside"}

@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import math
 import os
-import tempfile
 import types
 
 import numpy as np
@@ -33,7 +32,7 @@ from modegap.network import (
     median_epochs,
     write_report_csv,
 )
-from modegap.workers import split
+from modegap.workers import WorkerError
 
 GRID = Grid(40.0, 4096)
 
@@ -410,9 +409,9 @@ class TestShares:
 
     def test_a_share_pays_for_itself(self, monkeypatch):
         """A step of the default xor sweep computes 80 hidden values per seed
-        (five levels, batch 4, 4 hidden units), 800 in all, and trains in one
-        share; the documented moons sweep 1,024 per seed (two levels, batch
-        32, 8 + 8 hidden units), 10,240 in all, in two of five seeds."""
+        (five levels, batch 4, 4 hidden units), 800 in all; the documented
+        moons sweep 1,024 per seed (two levels, batch 32, 8 + 8 hidden
+        units), 10,240 in all.  ``tests/test_workers.py`` splits both."""
         class Split(Exception):
             pass
 
@@ -427,13 +426,6 @@ class TestShares:
             with pytest.raises(Split) as caught:
                 train(task, activation, seeds)
             assert caught.value.args == (seeds, per_seed, network._SHARE_VALUES)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert split(seeds, 80, 4096) == [seeds]
-        assert split(seeds, 1024, 4096) == [seeds[:5], seeds[5:]]
-        assert split(seeds[:8], 512, 4096) == [seeds[:8]]
-        assert split(seeds[:3], 512, 4096) == [seeds[:3]]
-        assert split((7, 0, 0), 16, 1) == [(7,), (0,), (0,)]
-        assert split((3, 1), 16, 1) == [(3,), (1,)]
 
     def bytes_at_cores(self, monkeypatch, run):
         """``report_bytes(run())`` at 1, 2 and 3 cores."""
@@ -507,29 +499,23 @@ class TestShares:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("failing, error", [("worker", network.TrainError),
-                                                ("caller", RuntimeError)])
-    def test_failure_reaps_every_worker(self, tmp_path, monkeypatch, failing, error):
-        """A worker that fails raises TrainError naming its seeds; a caller
-        that fails kills its workers.  Either way no worker is left unreaped
-        and no file is left in the temporary directory."""
+    def test_failed_worker_names_its_seeds(self, monkeypatch):
+        """Three seeds on three cores: the worker training seed 6 fails, and
+        no worker is left."""
         caller = os.getpid()
         real = network._train
 
-        def broken(task, activation, seeds):
-            if (os.getpid() == caller) == (failing == "caller"):
+        def broken_in_worker(task, activation, seeds):
+            if os.getpid() != caller and seeds == (6,):
                 raise RuntimeError("training failed")
             return real(task, activation, seeds)
         self.at_cores(monkeypatch, 3)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(network, "_train", broken)
-        with pytest.raises(error) as caught:
+        monkeypatch.setattr(network, "_train", broken_in_worker)
+        with pytest.raises(WorkerError) as caught:
             train("xor", SIGMOID, [5, 6, 7])
-        if failing == "worker":
-            assert str(caught.value) == "the worker training seeds 6 exited with 1"
+        assert str(caught.value) == "the worker training seeds 6 exited with 1"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

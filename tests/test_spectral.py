@@ -1,7 +1,6 @@
 import csv
 import math
 import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -21,8 +20,9 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
-from modegap import spectral
+from modegap import spectral, workers
 from modegap.spectral import _CHUNK_ROWS, write_columns, write_spectrum_csv
+from modegap.workers import WorkerError
 
 GRID = Grid(40.0, 4096)
 
@@ -375,26 +375,6 @@ class TestColumns:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_fork_error_closes_the_worker_file(self, tmp_path, monkeypatch):
-        """A fork that raises anything but OSError propagates, and the unnamed
-        file made for that worker is closed first."""
-        made = []
-        temporary_file = tempfile.TemporaryFile
-
-        def recording(**kwargs):
-            made.append(temporary_file(**kwargs))
-            return made[-1]
-
-        def broken_fork():
-            raise RuntimeError("fork broken")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(tempfile, "TemporaryFile", recording)
-        monkeypatch.setattr(os, "fork", broken_fork)
-        with pytest.raises(RuntimeError, match="fork broken"):
-            write_columns(tmp_path / "t.csv", ["x", "y", "m"], list(self.table()))
-        assert len(made) == 1 and made[0].closed
-        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
-
     @pytest.mark.parametrize("rows, forks", [(_CHUNK_ROWS, 0), (_CHUNK_ROWS + 1, 1)])
     def test_one_chunk_table_forks_nothing(self, tmp_path, monkeypatch, rows, forks):
         calls = []
@@ -410,27 +390,39 @@ class TestColumns:
         assert (tmp_path / "t.csv").read_bytes() == \
             b"i\r\n" + b"".join(b"%d\r\n" % i for i in range(rows))
 
-    @pytest.mark.parametrize("failing, error", [("worker", OSError), ("caller", RuntimeError)])
-    def test_failure_reaps_every_worker(self, tmp_path, monkeypatch, failing, error):
-        """A worker that fails raises OSError naming the table; a caller that
-        fails kills its workers.  Either way no worker is left unreaped and
-        no file but the table is left beside it."""
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_platform_without_fork_writes_alone(self, tmp_path, monkeypatch, missing):
+        """Where os.sched_getaffinity or os.fork is missing, the process has
+        one core and the caller writes every chunk itself."""
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+        monkeypatch.delattr(os, missing)
+        assert workers.cores() == 1
+        x, y, m = self.table()
+        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
+        assert (tmp_path / "new.csv").read_bytes() == \
+            self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
+        assert forks == []
+
+    def test_failed_worker_names_its_rows_and_the_table(self, tmp_path, monkeypatch):
+        """3 chunks on 3 cores: the worker formatting the last chunk, of one
+        row, fails, and no worker is left."""
         caller = os.getpid()
         write_rows = spectral._write_rows
 
-        def broken(fh, columns, firsts):
-            if (os.getpid() == caller) == (failing == "caller"):
+        def broken_in_worker(fh, columns, firsts):
+            if os.getpid() != caller and 2 * _CHUNK_ROWS in firsts:
                 raise RuntimeError("formatting failed")
             write_rows(fh, columns, firsts)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(spectral, "_write_rows", broken)
-        with pytest.raises(error) as caught:
-            write_columns(tmp_path / "t.csv", ["x", "y", "m"], list(self.table()))
-        if failing == "worker":
-            assert "t.csv" in str(caught.value)
+        monkeypatch.setattr(spectral, "_write_rows", broken_in_worker)
+        path = tmp_path / "t.csv"
+        with pytest.raises(WorkerError) as caught:
+            write_columns(path, ["x", "y", "m"], list(self.table()))
+        assert str(caught.value) == \
+            f"the worker formatting rows 16384-16384 of {path} exited with 1"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_header_only_table(self, tmp_path):
         write_columns(tmp_path / "t.csv", ["a", "b"], [[], []])
