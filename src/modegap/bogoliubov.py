@@ -178,7 +178,8 @@ class DegradedActivation:
     fused ``evaluate_with_derivative`` (and ``levels`` and ``rows`` for a
     stack), which here reads both tables from one cell search;
     ``evaluate_derivative`` reads the derivative table alone.  Each gives
-    ``np.interp``'s bits.
+    ``np.interp``'s bits, and a read with any point off the lattice is
+    ``np.interp``'s own.
     """
 
     grid: Grid
@@ -222,17 +223,17 @@ class DegradedActivation:
 
     def _lookup(self, z, *tables):
         """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per row
-        of a stack or view, for each ``(table, right)`` pair, from one search
-        for z's cells.
+        of a stack or view, for each ``(table, right)`` pair.
 
-        On a uniform lattice the nearest point to z is ``round((z - z_0)/dz)``,
-        which is off by less than a half, so the cell j with x_j <= z <
-        x_{j+1} is that point or the one below it: one comparison with
-        ``grid.z`` decides.  The value is numpy's own formula on the gathered
-        cell ends, ``slope*(z - x_j) + y_j`` with ``slope = (y_{j+1} -
-        y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z == x_j``.  Points
-        outside [z_0, z_{N-1}) (+-inf and NaN included) are left to
-        ``np.interp``.  Bit equality holds for finite tables, which every
+        A read with any point outside [z_0, z_{N-1}) (+-inf and NaN included)
+        is ``np.interp``'s, whole, row by row.  Otherwise one search finds z's
+        cells for every table.  On a uniform lattice the nearest point to z is
+        ``round((z - z_0)/dz)``, which is off by less than a half, so the cell
+        j with x_j <= z < x_{j+1} is that point or the one below it: one
+        comparison with ``grid.z`` decides.  The value is numpy's own formula
+        on the gathered cell ends, ``slope*(z - x_j) + y_j`` with ``slope =
+        (y_{j+1} - y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z ==
+        x_j``.  Bit equality holds for finite tables, which every
         ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
@@ -244,49 +245,42 @@ class DegradedActivation:
 
         inside = (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
                   and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1])
-        if inside:
-            zc, off = rows, None
-        else:
-            # Clamped to the lattice, so the arithmetic below stays finite; the
-            # points that were moved are read by ``np.interp`` instead.
-            zc = np.fmax(rows, x[0])
-            np.fmin(zc, x[-1], out=zc)
-            off = ~((rows >= x[0]) & (rows < x[-1]))
-        nearest = zc - x[0]
-        nearest /= self.grid.dz
-        nearest += 0.5
-        j = nearest.astype(np.intp)
-        del nearest
-        j -= x[j] > zc
-        if off is not None:   # on the grid, z < z_{N-1} keeps j at most N - 2
-            np.minimum(j, n - 2, out=j)
-
-        x_j, dx = x[j], x[1:][j]
-        dx -= x_j
-        past_x_j = np.subtract(zc, x_j, out=x_j)
-        if index is not None:
-            j += (index * n)[:, None]
-        at_node = past_x_j == 0.0
-        if not at_node.any():
-            at_node = None
-
         reads = []
-        for table, right in tables:
-            flat = table.reshape(-1)
-            y_j, out = flat[j], flat[1:][j]
-            out -= y_j
-            out /= dx  # the slope
-            out *= past_x_j
-            out += y_j
-            if at_node is not None:
-                np.copyto(out, y_j, where=at_node)
-            if off is not None:
-                per_table, read = table.reshape(-1, n), (0,) if index is None else index
-                for out_row, off_row, z_row, t in zip(out, off, rows, read):
-                    out_row[off_row] = np.interp(z_row[off_row], x, per_table[t], 0.0, right)
-            out = out.reshape(z.shape)
-            reads.append(out if out.ndim else float(out))
-        return tuple(reads)
+        if not inside:
+            read = (0,) if index is None else index
+            for table, right in tables:
+                per_table = table.reshape(-1, n)
+                reads.append(np.stack([np.interp(z_row, x, per_table[t], 0.0, right)
+                                       for z_row, t in zip(rows, read)]))
+        else:
+            nearest = rows - x[0]
+            nearest /= self.grid.dz
+            nearest += 0.5
+            j = nearest.astype(np.intp)
+            del nearest
+            j -= x[j] > rows
+
+            x_j, dx = x[j], x[1:][j]
+            dx -= x_j
+            past_x_j = np.subtract(rows, x_j, out=x_j)
+            if index is not None:
+                j += (index * n)[:, None]
+            at_node = past_x_j == 0.0
+            if not at_node.any():
+                at_node = None
+
+            for table, right in tables:
+                flat = table.reshape(-1)
+                y_j, out = flat[j], flat[1:][j]
+                out -= y_j
+                out /= dx  # the slope
+                out *= past_x_j
+                out += y_j
+                if at_node is not None:
+                    np.copyto(out, y_j, where=at_node)
+                reads.append(out)
+        reads = [out.reshape(z.shape) for out in reads]
+        return tuple(out if out.ndim else float(out) for out in reads)
 
 
 def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
@@ -302,15 +296,21 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     """
     grid = channel.grid
     gap_spec = transform_gap(grid)
-    samples = step(grid.z) + inverse_transform(apply_channel(channel, gap_spec))
+    fraction = _loss_fraction(channel.iota, gap_spec.amplitudes)
+    samples = inverse_transform(apply_channel(channel, gap_spec))
+    del gap_spec   # not held while sigma' is transformed
+    samples += step(grid.z)
 
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
-
-    magnitudes = np.abs(gap_spec.amplitudes)
-    weights = (magnitudes / np.max(magnitudes)) ** 2
-    fraction = np.sum(channel.iota * weights, axis=-1) / np.sum(weights)
     return DegradedActivation(grid, samples, deriv, fraction if fraction.ndim else float(fraction))
+
+
+def _loss_fraction(iota, amplitudes):
+    """sum(iota_k w_k) / sum(w_k), w_k the gap's power |g_k|^2 over the largest."""
+    magnitudes = np.abs(amplitudes)
+    weights = (magnitudes / np.max(magnitudes)) ** 2
+    return np.sum(iota * weights, axis=-1) / np.sum(weights)
 
 
 def write_activation_csv(path, activation: DegradedActivation):

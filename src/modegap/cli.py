@@ -236,24 +236,22 @@ def cmd_degrade(run: RunConfig) -> int:
     write_activation_csv(out_dir / "degraded_activation.csv", activation)
     write_channel_txt(out_dir, run)
 
+    # Only the 801-point curve and two figures outlive the run's tables, so a
+    # family reconstructs each other level with no other table held.
     zs = np.linspace(-10.0, 10.0, 801)
-    curves = []
+    own, fraction = activation.evaluate(zs), activation.loss_fraction
+    sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
+    del activation
     if profile == "uniform":
-        # One reconstruct per level, not a stack: a standalone degrade at N = 262144
-        # peaks at 87.7 MB this way, at 169.7 MB with one stacked reconstruct of
-        # the 5 levels, and at 119.7 MB with the rows reconstructed one at a time
-        # into one stack.
-        for iota in run.values["sweep.levels"]:
-            act = activation if iota == run.values["channel.iota"] \
-                else reconstruct(uniform_channel(grid, iota))
-            curves.append((f"iota={iota:g}", zs, act.evaluate(zs)))
+        curves = [(f"iota={iota:g}", zs, own if iota == run.values["channel.iota"]
+                   else reconstruct(uniform_channel(grid, iota)).evaluate(zs))
+                  for iota in run.values["sweep.levels"]]
     else:
-        curves.append((profile, zs, activation.evaluate(zs)))
+        curves = [(profile, zs, own)]
     line_plot(out_dir / "degraded_activation.svg", curves,
               "Degraded activations", "z", "f(z)")
 
-    sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
-    print(f"loss_fraction: {activation.loss_fraction:.12g}")
+    print(f"loss_fraction: {fraction:.12g}")
     print(f"max deviation from sigmoid: {sigma_dev:.6e}")
     return 0
 

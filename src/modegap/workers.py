@@ -71,7 +71,6 @@ def run(shares, work, out, name, directory=None):
     first, *later = shares
     workers = []  # [pid, part] per later share, None where its fork failed
     try:
-        out.flush()  # no worker inherits bytes of ``out`` unwritten
         for share in later:
             workers.append(_fork(work, share, directory))
         work(first, out)

@@ -424,6 +424,53 @@ class TestLatticeLookup:
             assert same_bits(f_prime, derivative)
         assert same_bits(inside, kept)   # a lookup never writes the caller's z
 
+    def test_a_read_off_the_lattice_is_np_interp_whole(self, monkeypatch):
+        """A read with every point inside [z_0, z_{N-1}) never calls
+        ``np.interp``; one point off it sends the whole read there, one call
+        per row and per table, and the read is what those calls return.  The
+        spy flips the sign bit of every value it returns, so a point that the
+        lattice read instead shows."""
+        interp, calls = np.interp, []
+
+        def spy(z, xp, fp, left, right):
+            calls.append((fp, left, right))
+            return -interp(z, xp, fp, left, right)
+
+        x = SMALL.z
+        stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
+        alone = reconstruct(uniform_channel(SMALL, 0.5))
+        inside = np.stack([np.linspace(x[0], x[-2], 50)] * 3)
+        outside = inside.copy()
+        outside[1, 7] = x[-1]   # the lattice is half-open: z_{N-1} is off it
+        cases = [(stack, inside, [0, 1, 2], 1.0), (stack, outside, [0, 1, 2], -1.0),
+                 (stack.rows([1, 1, 0]), outside, [1, 1, 0], -1.0),
+                 (alone, inside[0], [0], 1.0), (alone, outside[1], [0], -1.0),
+                 (alone, np.float64(25.0), [0], -1.0), (alone, -np.inf, [0], -1.0)]
+        monkeypatch.setattr(np, "interp", spy)
+        for act, z, read, sign in cases:
+            for lookup, tables in [
+                    ("evaluate", [("samples", 1.0)]),
+                    ("evaluate_derivative", [("derivative_samples", 0.0)]),
+                    ("evaluate_with_derivative", [("samples", 1.0), ("derivative_samples", 0.0)])]:
+                calls.clear()
+                got = getattr(act, lookup)(z)
+                got = got if lookup == "evaluate_with_derivative" else (got,)
+                rows = np.reshape(z, (len(read), -1))
+                expected = []
+                for (table, right), value in zip(tables, got):
+                    per_table = getattr(act, table).reshape(-1, SMALL.n_points)
+                    want = np.stack([sign * interp(z_row, x, per_table[t], 0.0, right)
+                                     for z_row, t in zip(rows, read)])
+                    assert type(value) is (float if np.ndim(z) == 0 else np.ndarray)
+                    assert same_bits(value, want.reshape(np.shape(z)))
+                    expected += [(per_table[t], right) for t in read]
+                if sign > 0:
+                    assert calls == []
+                else:
+                    assert len(calls) == len(expected)
+                    for (fp, left, right), (table_row, want_right) in zip(calls, expected):
+                        assert same_bits(fp, table_row) and left == 0.0 and right == want_right
+
     def test_a_view_is_made_only_by_rows(self):
         """A stack is the view of all its tables, one table reads any z, and
         ``index`` is no constructor argument: ``rows`` checks every view."""

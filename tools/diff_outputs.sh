@@ -13,7 +13,10 @@
 # two and three on two cores, ten seeds in five and five, one seed alone.
 # The degrade tables of N = 8192 and 16384 rows are one and two 8,192-row
 # chunks: the first is written by the command alone, the second in one
-# share per core on two cores.
+# share per core on two cores.  Two commands read their tables off the
+# lattice, where a whole read is np.interp's: degrade at grid.L = 5 plots
+# [-10, 10], and the moons sweep at grid.L = 3 trains on pre-activations
+# past +-3.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -44,6 +47,7 @@ degrade $fine
 degrade --set channel.profile=lowpass $fine
 degrade --set channel.profile=thermal $fine
 degrade --config ../../run.cfg
+degrade --set grid.L=5
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
 train-sweep --set sweep.seeds=0,1,2
@@ -51,6 +55,7 @@ train-sweep --set task.name=moons --set sweep.seeds=0,1,2,3,4
 train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=3
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
+train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=0,1 --set grid.L=3
 verify
 verify --full"
 
