@@ -117,16 +117,16 @@ def test_c9_determinism():
 
 def test_acceptance_runtime_budgets():
     """The per-criterion budgets: identity < 1 s, spectrum < 5 s, gradients
-    < 10 s.  Wall-clock measured here for the three budgeted checks."""
+    < 10 s, each timed with time.perf_counter, which no clock change moves."""
     import time
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     verify.check_sigmoid_tanh_identity()
-    t1 = time.time()
+    t1 = time.perf_counter()
     assert t1 - t0 < 1.0
     verify.check_analytic_spectrum_vs_quadrature()
     verify.check_grid_oracle_agreement()
-    t2 = time.time()
+    t2 = time.perf_counter()
     assert t2 - t1 < 5.0
     verify.check_gradient_correctness()
-    assert time.time() - t2 < 10.0
+    assert time.perf_counter() - t2 < 10.0

@@ -439,21 +439,6 @@ class TestSpectrumCommand:
         assert captured.err == ("error: spectrum cannot write its output: [Errno 20] "
                                 "Not a directory: '/dev/null/nope'\n")
 
-    def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
-        """An output that cannot be written is reported, not raised; the
-        files written before it stay."""
-        out = tmp_path / "spec"
-        (out / "gap_samples.csv").mkdir(parents=True)
-        assert run_cli(["spectrum", "--out", str(out), "--set", "grid.N=1024"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: spectrum cannot write its output: ")
-        assert "gap_samples.csv" in captured.err
-        assert (out / "config.resolved").exists()
-        assert not (out / "gap_spectrum.csv").exists()
-
-
 class TestChannelCommand:
     def test_uniform_residual_printed(self, tmp_path, capsys):
         out = tmp_path / "ch"
@@ -556,28 +541,6 @@ class TestDegradeCommand:
         svg = (out / "degraded_activation.svg").read_text()
         assert svg.count("<polyline") == 5  # one curve per default sweep level
 
-    def test_failed_writer_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
-        """A 16,384-row table is written in two shares on two cores; the
-        worker formatting the second fails, and the command names the table."""
-        caller = os.getpid()
-        write_rows = spectral._write_rows
-
-        def broken_in_worker(*args):
-            if os.getpid() != caller:
-                raise RuntimeError("formatting failed")
-            write_rows(*args)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(spectral, "_write_rows", broken_in_worker)
-        out = tmp_path / "deg"
-        assert run_cli(["degrade", "--out", str(out), "--set", "grid.N=16384"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: degrade: the worker formatting rows 8192-16383 of "
-                                f"{out / 'degraded_activation.csv'} exited with 1\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
 class TestTrainSweepCommand:
     def test_endpoints_and_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -615,55 +578,6 @@ class TestTrainSweepCommand:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: unknown task: 'XOR' (xor, moons)")
 
-    def test_out_of_memory_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
-        """A sweep too large for memory (a huge seed list) is reported, not
-        raised; the spy stands in for the allocation, so no large work starts."""
-        def no_memory(*args):
-            raise MemoryError
-
-        monkeypatch.setattr(cli, "sweep", no_memory)
-        assert run_cli(["train-sweep", "--out", str(tmp_path / "x")]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: train-sweep ran out of memory; use fewer seeds, "
-                                "levels or grid points\n")
-
-    def test_failed_training_worker_exits_2_with_one_line(self, tmp_path, monkeypatch, capsys):
-        """Three seeds on two cores train in two shares, however small, seed 0
-        in the caller and seeds 1 and 2 in a worker; the worker fails, and the
-        command names its seeds, with no traceback and no worker left."""
-        caller = os.getpid()
-        real = network._train
-
-        def broken_in_worker(*args):
-            if os.getpid() != caller:
-                raise RuntimeError("training failed")
-            return real(*args)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
-        monkeypatch.setattr(network, "_train", broken_in_worker)
-        assert run_cli(["train-sweep", "--out", str(tmp_path / "sweep"),
-                        "--set", "sweep.levels=0,1", "--set", "sweep.seeds=0,1,2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: train-sweep: the worker training seeds 1,2 "
-                                "exited with 1\n")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_directory_in_the_way_exits_2_with_one_line(self, tmp_path, capsys):
-        out = tmp_path / "sweep"
-        (out / "train_reports.csv").mkdir(parents=True)
-        assert run_cli(["train-sweep", "--out", str(out), "--set", "sweep.levels=0,1",
-                        "--set", "sweep.seeds=0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("error: train-sweep cannot write its output: ")
-        assert "train_reports.csv" in captured.err
-        assert (out / "config.resolved").exists()
-        assert not (out / "train_sweep.svg").exists()
-
     def test_negative_seed_rejected(self, tmp_path):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--set", "sweep.seeds=-1"]) == 2
@@ -686,17 +600,6 @@ class TestVerifyCommand:
                             lambda full=False: [("alpha", True, "ok")])
         assert run_cli(["verify"]) == 0
 
-    def test_out_of_memory_exits_2_with_one_line(self, monkeypatch, capsys):
-        def no_memory(full=False):
-            raise MemoryError
-
-        monkeypatch.setattr(verify_mod, "run_criteria", no_memory)
-        assert run_cli(["verify"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: verify ran out of memory; use fewer seeds, "
-                                "levels or grid points\n")
-
     def test_corrupted_build_fails_oracle(self, monkeypatch):
         """A sign flip injected into the gap must trip the oracle criterion."""
         from modegap import spectral
@@ -705,6 +608,68 @@ class TestVerifyCommand:
         monkeypatch.setattr(spectral, "gap_samples", lambda grid: -true_gap(grid))
         passed, measured = verify_mod.check_grid_oracle_agreement()
         assert not passed
+
+
+# Where each command meets each exit-2 rule: its options; the function that
+# raises MemoryError in its place; its first output, which a directory of that
+# name blocks (verify writes none); and the function its first worker on two
+# cores runs, with the worker's name in the error.  A writer forks only for a
+# table of more than 8,192 rows, and its first worker formats the first output.
+TWO_CHUNKS = ["--set", "grid.N=16384"]
+WRITER = ((spectral, "_write_rows"), "formatting rows 8192-16383 of {first}")
+EXIT_2 = {
+    "spectrum": (TWO_CHUNKS, (cli, "continuum_gap_spectrum"), "gap_samples.csv", WRITER),
+    "channel": (TWO_CHUNKS, (cli, "write_columns"), "channel_modes.csv", WRITER),
+    "degrade": (TWO_CHUNKS, (cli, "reconstruct"), "degraded_activation.csv", WRITER),
+    "train-sweep": (["--set", "sweep.levels=0,1", "--set", "sweep.seeds=0,1,2"], (cli, "sweep"),
+                    "train_reports.csv", ((network, "_train"), "training seeds 1,2")),
+    "verify": (None, (verify_mod, "run_criteria"), None,
+               ((network, "_train"), "training seeds 5,6,7,8,9")),
+}
+
+
+class TestExit2:
+    """Each resource failure exits 2 with one ``error:`` line, nothing on
+    stdout and no worker left, for every command it can meet."""
+
+    @staticmethod
+    def error_line(harness, capsys, command, out):
+        options = EXIT_2[command][0]
+        argv = [command] if options is None else [command, "--out", str(out), *options]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        harness.assert_nothing_left()
+        return captured.err
+
+    @pytest.mark.parametrize("command", EXIT_2)
+    def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command):
+        """The spy stands in for an allocation too large, so no large work starts."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(*EXIT_2[command][1], no_memory)
+        assert self.error_line(harness, capsys, command, tmp_path / "out") == (
+            f"error: {command} ran out of memory; use fewer seeds, levels or grid points\n")
+
+    @pytest.mark.parametrize("command", [c for c in EXIT_2 if EXIT_2[c][2]])
+    def test_directory_in_the_way(self, tmp_path, capsys, harness, command):
+        """The output that cannot be written is named; the record written
+        before it stays, and nothing after it is written."""
+        out, blocked = tmp_path / "out", EXIT_2[command][2]
+        (out / blocked).mkdir(parents=True)
+        error = self.error_line(harness, capsys, command, out)
+        assert error.startswith(f"error: {command} cannot write its output: ")
+        assert blocked in error
+        assert sorted(p.name for p in out.iterdir()) == sorted(["config.resolved", blocked])
+
+    @pytest.mark.parametrize("command", EXIT_2)
+    def test_failed_worker(self, tmp_path, capsys, harness, command):
+        *_, first, (work, name) = EXIT_2[command]
+        harness.cores(2)
+        harness.spy(*work, fail="worker")
+        out = tmp_path / "out"
+        assert self.error_line(harness, capsys, command, out) == (
+            f"error: {command}: the worker {name.format(first=f'{out}/{first}')} exited with 1\n")
 
 
 class TestBenchmarkTracing:

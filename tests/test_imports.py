@@ -109,6 +109,32 @@ def test_one_fork_site():
         assert {module: n for module, n in sites.items() if n} == {"workers.py": count}, name
 
 
+def process_patches(source: str) -> list[int]:
+    """The line of every ``os.waitpid()`` call and every patch of ``os.fork``
+    or ``os.sched_getaffinity`` in a source: a call given ``os`` and the
+    name, as ``monkeypatch.setattr`` and ``delattr`` are, or an assignment."""
+    names = {"fork", "sched_getaffinity"}
+    lines = os_calls(source, "waitpid")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            target, name = node.args[:2]
+            if getattr(target, "id", None) == "os" and getattr(name, "value", None) in names:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Assign):
+            lines += [node.lineno for t in node.targets if isinstance(t, ast.Attribute)
+                      and t.attr in names and getattr(t.value, "id", None) == "os"]
+    return sorted(lines)
+
+
+def test_one_fork_harness():
+    """Tests fork, count cores and reap through one harness, ``conftest.py``."""
+    assert process_patches('m.setattr(os, "fork", f)\nos.waitpid(-1, 0)\nm.setattr(os, "getpid", g)\n'
+                           'm.delattr(os, "sched_getaffinity")\nos.fork = f\nos.fork()\n') == [1, 2, 4, 5]
+    found = {path.name: process_patches(path.read_text())
+             for path in (ROOT / "tests").glob("*.py") if path.name != "conftest.py"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
 SPAN_READERS = {"calls", "seconds", "calls_inside"}
 
 

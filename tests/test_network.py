@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import os
 import types
 
 import numpy as np
@@ -32,7 +31,6 @@ from modegap.network import (
     median_epochs,
     write_report_csv,
 )
-from modegap.workers import WorkerError
 
 GRID = Grid(40.0, 4096)
 
@@ -329,12 +327,12 @@ class TestBatchedTrain:
         assert [len(c) for c in calls] == [passes, 0, 0, passes]
         assert all(len(args) - 2 == 2 for args in lookups)
 
-    def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch):
+    def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch, harness):
         """Every epoch, moons judges through a view whose rows read the judged
         cells' levels: before the last epoch each cell up to the epoch it
         reaches the threshold, and at the last epoch every cell.  One core, so
         that the spy, which sees only this process, sees every cell."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        harness.cores(1)
         reads, real = [], DegradedActivation.evaluate
 
         def spy(act, z):
@@ -387,25 +385,10 @@ class TestBatchedTrain:
         assert len(calls) == 100 * calls_per_epoch
 
 
-def report_bytes(report):
-    """Every field of a report, each array as its shape, dtype and bytes."""
-    arrays = [getattr(report, f.name) for f in dataclasses.fields(TrainReport)
-              if f.name not in ("seeds", "weights")]
-    arrays += [a for layer in report.weights for a in layer]
-    return report.seeds, [(a.shape, a.dtype.str, a.tobytes()) for a in arrays]
-
-
 class TestShares:
     """``train`` splits its seeds into one contiguous share per core, at most
     one per seed and one per ``_SHARE_VALUES`` hidden values a step computes;
-    forked workers train all but the first, and the joined report is the
-    one-process report, bit for bit."""
-
-    @staticmethod
-    def at_cores(monkeypatch, cores):
-        """``cores`` cores, and a share for every seed however small its stack."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-        monkeypatch.setattr(network, "_SHARE_VALUES", 1)
+    ``tests/test_workers.py`` checks the split and how the shares run."""
 
     def test_a_share_pays_for_itself(self, monkeypatch):
         """A step of the default xor sweep computes 80 hidden values per seed
@@ -426,96 +409,6 @@ class TestShares:
             with pytest.raises(Split) as caught:
                 train(task, activation, seeds)
             assert caught.value.args == (seeds, per_seed, network._SHARE_VALUES)
-
-    def bytes_at_cores(self, monkeypatch, run):
-        """``report_bytes(run())`` at 1, 2 and 3 cores."""
-        reports = []
-        for cores in (1, 2, 3):
-            self.at_cores(monkeypatch, cores)
-            reports.append(report_bytes(run()))
-        return reports
-
-    @pytest.mark.parametrize("task, iota, seeds", [
-        ("xor", 0.5, [7, 0, 0]), ("xor", 0.0, [3, 1]),
-    ])
-    def test_train_does_not_depend_on_the_core_count(self, monkeypatch, task, iota, seeds):
-        one, *more = self.bytes_at_cores(monkeypatch, lambda: train(task, degraded(iota), seeds))
-        assert more == [one, one]
-
-    @pytest.mark.parametrize("task, levels, seeds", [
-        ("xor", [0.0, 0.5, 1.0], [4, 2, 9]), ("moons", [0.0, 1.0], [2, 5]),
-    ])
-    def test_sweep_does_not_depend_on_the_core_count(self, monkeypatch, task, levels, seeds):
-        one, *more = self.bytes_at_cores(monkeypatch, lambda: sweep(task, levels, seeds, GRID))
-        assert more == [one, one]
-
-    @staticmethod
-    def spy_on_fork(monkeypatch):
-        calls, fork = [], os.fork
-
-        def spy():
-            calls.append(None)
-            return fork()
-        monkeypatch.setattr(os, "fork", spy)
-        return calls
-
-    def test_one_seed_forks_nothing(self, monkeypatch):
-        self.at_cores(monkeypatch, 3)
-        forks = self.spy_on_fork(monkeypatch)
-        train("xor", SIGMOID, [0])
-        sweep("xor", [0.0, 1.0], [0], GRID)
-        assert forks == []
-        train("xor", SIGMOID, [0, 1, 2, 3])
-        assert len(forks) == 2
-
-    def test_refused_fork_is_trained_by_the_caller(self, monkeypatch):
-        seeds = [7, 0, 0]
-        self.at_cores(monkeypatch, 1)
-        alone = report_bytes(train("xor", degraded(0.5), seeds))
-
-        def no_fork():
-            raise OSError("fork refused")
-        self.at_cores(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert report_bytes(train("xor", degraded(0.5), seeds)) == alone
-
-    def test_refusal_in_the_middle_is_trained_by_the_caller(self, monkeypatch):
-        """Only the first of two forks is refused: the caller trains the
-        second of three shares between its own first and a worker's third."""
-        seeds = [7, 0, 0]
-        self.at_cores(monkeypatch, 1)
-        alone = report_bytes(train("xor", degraded(0.5), seeds))
-        calls, fork = [], os.fork
-
-        def first_refused():
-            calls.append(None)
-            if len(calls) == 1:
-                raise OSError("fork refused")
-            return fork()
-        self.at_cores(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", first_refused)
-        assert report_bytes(train("xor", degraded(0.5), seeds)) == alone
-        assert len(calls) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_failed_worker_names_its_seeds(self, monkeypatch):
-        """Three seeds on three cores: the worker training seed 6 fails, and
-        no worker is left."""
-        caller = os.getpid()
-        real = network._train
-
-        def broken_in_worker(task, activation, seeds):
-            if os.getpid() != caller and seeds == (6,):
-                raise RuntimeError("training failed")
-            return real(task, activation, seeds)
-        self.at_cores(monkeypatch, 3)
-        monkeypatch.setattr(network, "_train", broken_in_worker)
-        with pytest.raises(WorkerError) as caught:
-            train("xor", SIGMOID, [5, 6, 7])
-        assert str(caught.value) == "the worker training seeds 6 exited with 1"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSweep:

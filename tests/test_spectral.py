@@ -1,6 +1,5 @@
 import csv
 import math
-import os
 
 import numpy as np
 import pytest
@@ -20,9 +19,7 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
-from modegap import spectral, workers
 from modegap.spectral import _CHUNK_ROWS, write_columns, write_spectrum_csv
-from modegap.workers import WorkerError
 
 GRID = Grid(40.0, 4096)
 
@@ -335,94 +332,22 @@ class TestColumns:
         return path.read_bytes()
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
-    def test_bytes_match_csv_module(self, tmp_path, monkeypatch, cores):
+    def test_bytes_match_csv_module(self, tmp_path, harness, cores):
         """One share per core, at most one per chunk: 3 chunks on 2 cores
         split 1 + 2, on 3 cores 1 + 1 + 1, and the bytes do not change."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        harness.cores(cores)
         x, y, m = self.table()
         write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
         assert (tmp_path / "new.csv").read_bytes() == \
             self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
-
-    def test_failed_fork_is_written_by_the_caller(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise OSError("fork refused")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(os, "fork", no_fork)
-        x, y, m = self.table()
-        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
-        assert (tmp_path / "new.csv").read_bytes() == \
-            self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
-
-    def test_refusal_in_the_middle_is_written_by_the_caller(self, tmp_path, monkeypatch):
-        """Only the first of two forks is refused: the caller formats the
-        second of three shares between its own first and a worker's third."""
-        calls, fork = [], os.fork
-
-        def first_refused():
-            calls.append(None)
-            if len(calls) == 1:
-                raise OSError("fork refused")
-            return fork()
-        x, y, m = self.table()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        write_columns(tmp_path / "alone.csv", ["x", "y", "m"], [x, y, m])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(os, "fork", first_refused)
-        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
-        assert len(calls) == 2
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("rows, forks", [(_CHUNK_ROWS, 0), (_CHUNK_ROWS + 1, 1)])
-    def test_one_chunk_table_forks_nothing(self, tmp_path, monkeypatch, rows, forks):
-        calls = []
-        fork = os.fork
-
-        def spy():
-            calls.append(None)
-            return fork()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(os, "fork", spy)
+    def test_one_chunk_table_forks_nothing(self, tmp_path, harness, rows, forks):
+        harness.cores(3)
         write_columns(tmp_path / "t.csv", ["i"], [np.arange(rows)])
-        assert len(calls) == forks
+        assert len(harness.forks) == forks
         assert (tmp_path / "t.csv").read_bytes() == \
             b"i\r\n" + b"".join(b"%d\r\n" % i for i in range(rows))
-
-    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
-    def test_platform_without_fork_writes_alone(self, tmp_path, monkeypatch, missing):
-        """Where os.sched_getaffinity or os.fork is missing, the process has
-        one core and the caller writes every chunk itself."""
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-        monkeypatch.delattr(os, missing)
-        assert workers.cores() == 1
-        x, y, m = self.table()
-        write_columns(tmp_path / "new.csv", ["x", "y", "m"], [x, y, m])
-        assert (tmp_path / "new.csv").read_bytes() == \
-            self.csv_module_bytes(tmp_path / "ref.csv", x, y, m)
-        assert forks == []
-
-    def test_failed_worker_names_its_rows_and_the_table(self, tmp_path, monkeypatch):
-        """3 chunks on 3 cores: the worker formatting the last chunk, of one
-        row, fails, and no worker is left."""
-        caller = os.getpid()
-        write_rows = spectral._write_rows
-
-        def broken_in_worker(fh, columns, firsts):
-            if os.getpid() != caller and 2 * _CHUNK_ROWS in firsts:
-                raise RuntimeError("formatting failed")
-            write_rows(fh, columns, firsts)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(spectral, "_write_rows", broken_in_worker)
-        path = tmp_path / "t.csv"
-        with pytest.raises(WorkerError) as caught:
-            write_columns(path, ["x", "y", "m"], list(self.table()))
-        assert str(caught.value) == \
-            f"the worker formatting rows 16384-16384 of {path} exited with 1"
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     def test_header_only_table(self, tmp_path):
         write_columns(tmp_path / "t.csv", ["a", "b"], [[], []])
