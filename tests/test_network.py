@@ -31,6 +31,7 @@ from modegap.network import (
     median_epochs,
     write_report_csv,
 )
+from modegap.workers import WorkerError
 
 GRID = Grid(40.0, 4096)
 
@@ -409,6 +410,46 @@ class TestShares:
             with pytest.raises(Split) as caught:
                 train(task, activation, seeds)
             assert caught.value.args == (seeds, per_seed, network._SHARE_VALUES)
+
+    @staticmethod
+    def assert_same_at_every_core_count(harness, run):
+        """``run()``, at 1, 2 and 3 cores, gives the same report bit for bit."""
+        harness.cores(1)
+        one = run()
+        for count in (2, 3):
+            harness.cores(count)
+            assert_same_report(run(), one)
+        harness.assert_nothing_left()
+
+    @pytest.mark.parametrize("task, iota, seeds", [
+        ("xor", 0.5, [7, 0, 0]), ("xor", 0.0, [3, 1]),
+    ])
+    def test_train_does_not_depend_on_the_core_count(self, harness, task, iota, seeds):
+        self.assert_same_at_every_core_count(harness, lambda: train(task, degraded(iota), seeds))
+
+    @pytest.mark.parametrize("task, levels, seeds", [
+        ("xor", [0.0, 0.5, 1.0], [4, 2, 9]), ("moons", [0.0, 1.0], [2, 5]),
+    ])
+    def test_sweep_does_not_depend_on_the_core_count(self, harness, task, levels, seeds):
+        self.assert_same_at_every_core_count(harness, lambda: sweep(task, levels, seeds, GRID))
+
+    def test_one_seed_forks_nothing(self, harness):
+        harness.cores(3)
+        train("xor", SIGMOID, [0])
+        sweep("xor", [0.0, 1.0], [0], GRID)
+        assert harness.forks == []
+        train("xor", SIGMOID, [0, 1, 2, 3])
+        assert len(harness.forks) == 2
+
+    def test_failed_worker_names_its_seeds(self, harness):
+        """Three seeds on three cores: the first worker to fail, the one
+        training seed 6, is named, and no worker is left."""
+        harness.cores(3)
+        harness.spy(network, "_train", fail="worker")
+        with pytest.raises(WorkerError) as caught:
+            train("xor", SIGMOID, [5, 6, 7])
+        assert str(caught.value) == "the worker training seeds 6 exited with 1"
+        harness.assert_nothing_left()
 
 
 class TestSweep:

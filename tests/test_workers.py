@@ -4,6 +4,7 @@ work that writes a share's items as bytes, ``write_columns`` and ``train``."""
 
 import dataclasses
 import functools
+import io
 import sys
 from typing import Callable, NamedTuple
 
@@ -126,16 +127,25 @@ def directory(tmp_path):
 
 
 @callers
-def test_output_does_not_depend_on_the_core_count(directory, harness, caller):
-    """On 1, 2 and 3 cores the job runs in as many shares, every share but
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_output_does_not_depend_on_the_core_count(directory, harness, caller, count):
+    """On 1, 2 or 3 cores the job runs in as many shares, every share but
     the first in a forked worker, so one share forks nothing; its output is
     the one-process output."""
-    for count in (1, 2, 3):
-        harness.cores(count)
-        forks = len(harness.forks)
-        assert caller.job(directory) == caller.reference()
-        assert len(harness.forks) - forks == count - 1
+    harness.cores(count)
+    assert caller.job(directory) == caller.reference()
+    assert len(harness.forks) == count - 1
     harness.assert_nothing_left()
+
+
+def test_a_single_share_forks_nothing(harness):
+    """One share on three cores, and no directory for parts: the caller
+    computes it alone."""
+    harness.cores(3)
+    out = io.BytesIO()
+    run([range(10)], write, out, str)
+    assert out.getvalue() == bytes(range(10))
+    assert harness.forks == []
 
 
 @callers
