@@ -60,6 +60,8 @@ READS = {"spectrum": "grid.L grid.N",
          "channel": "grid.L grid.N channel.profile {param}",
          "degrade": "grid.L grid.N channel.profile {param} {family}",
          "train-sweep": "grid.L grid.N sweep.levels sweep.seeds task.name"}
+# What a command out of memory can use fewer of: each key it may read that counts one.
+FEWER = {"sweep.seeds": "seeds", "sweep.levels": "levels", "grid.N": "grid points"}
 CHECK_GRID = Grid(1.0, 8)  # the lattice on which the profiles a run does not use are built
 
 
@@ -309,6 +311,17 @@ def build_parser():
     return parser
 
 
+def out_of_memory_hint(command) -> str:
+    """"; use fewer ..." naming what ``command`` may read of ``FEWER``, a
+    uniform degrade's family of levels included; "" if it reads none."""
+    read = READS.get(command, "").format(param="", family="sweep.levels").split()
+    names = [name for key, name in FEWER.items() if key in read]
+    if not names:
+        return ""
+    *rest, last = names
+    return f"; use fewer {', '.join(rest)} or {last}" if rest else f"; use fewer {last}"
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -325,8 +338,8 @@ def main(argv=None) -> int:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: {args.command} ran out of memory; use fewer seeds, levels "
-              "or grid points", file=sys.stderr)
+        print(f"error: {args.command} ran out of memory{out_of_memory_hint(args.command)}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {args.command} cannot write its output: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .floattext import format_rows
 from .workers import run, split
 
 
@@ -221,14 +222,17 @@ _CHUNK_ROWS = 8192
 def _write_rows(fh, columns, firsts):
     """The _CHUNK_ROWS-row chunks starting at ``firsts`` as CSV bytes."""
     for first in firsts:
-        rows = zip(*(c[first:first + _CHUNK_ROWS].tolist() for c in columns))
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows).encode())
+        fh.write(format_rows([c[first:first + _CHUNK_ROWS] for c in columns]))
 
 
 def write_columns(path, header, columns):
     """Write equal-length columns as a CSV table: a header row, then one row
     per index, each value as its shortest round-trip repr, rows ending in
-    CRLF: the bytes the csv module writes for the same rows.
+    CRLF: the bytes the csv module writes for the same rows.  Each chunk's
+    bytes are ``floattext.format_rows``', which finds every float's digits
+    with array arithmetic on the whole chunk, not one ``repr`` call per
+    value; a chunk with a column neither float nor integer raises
+    ValueError.
 
     The rows, in chunks of _CHUNK_ROWS, are written on every core this
     process may use (``workers.split`` and ``workers.run``), at most one

@@ -644,12 +644,20 @@ class TestExit2:
 
     @pytest.mark.parametrize("command", EXIT_2)
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command):
-        """The spy stands in for an allocation too large, so no large work starts."""
+        """The spy stands in for an allocation too large, so no large work
+        starts.  The hint names only what the command reads: grid points
+        (grid.N), seeds (sweep.seeds), levels (sweep.levels, which a uniform
+        degrade plots as a family); verify reads no key and gets none."""
         def no_memory(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(*EXIT_2[command][1], no_memory)
+        hint = {"spectrum": "; use fewer grid points",
+                "channel": "; use fewer grid points",
+                "degrade": "; use fewer levels or grid points",
+                "train-sweep": "; use fewer seeds, levels or grid points",
+                "verify": ""}[command]
         assert self.error_line(harness, capsys, command, tmp_path / "out") == (
-            f"error: {command} ran out of memory; use fewer seeds, levels or grid points\n")
+            f"error: {command} ran out of memory{hint}\n")
 
     @pytest.mark.parametrize("command", [c for c in EXIT_2 if EXIT_2[c][2]])
     def test_directory_in_the_way(self, tmp_path, capsys, harness, command):

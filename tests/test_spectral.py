@@ -1,8 +1,10 @@
 import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from modegap import (
@@ -19,6 +21,8 @@ from modegap import (
     transform_gap,
     transform_samples,
 )
+from modegap import spectral
+from modegap.floattext import format_rows
 from modegap.spectral import _CHUNK_ROWS, write_columns, write_spectrum_csv
 
 GRID = Grid(40.0, 4096)
@@ -358,3 +362,100 @@ class TestColumns:
             write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
         with pytest.raises(ValueError):
             write_columns(tmp_path / "t.csv", ["a", "b"], [[1.0]])
+
+
+def csv_rows(*columns):
+    """The reference bytes: each row through the csv module, a float as its repr."""
+    text = io.StringIO()
+    csv.writer(text).writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    return text.getvalue().encode()
+
+
+def ulp_neighbours(x):
+    """Each double of ``x`` and the two one ulp either side of it."""
+    bits = np.asarray(x, np.float64).view(np.uint64)
+    return np.concatenate([bits - 1, bits, bits + 1]).view(np.float64)
+
+
+POWERS_OF_TWO = np.ldexp(1.0, np.arange(-1073, 1024))
+POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-323, 309)])
+# The shortest and the positional/exponent switches of repr: 1e16 has 17
+# digits left of the point, 1e-4 three zeros right of it.
+SWITCHES = np.array([1e16, 1e15, 9999999999999998.0, 1.2345678901234567e16, 1e-4, 1e-5,
+                     1.2345e-4, 9.87654321e-5, 0.001, 123.0, 0.5, 0.1, 1.7976931348623157e308,
+                     2.2250738585072014e-308])
+SPECIALS = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFFFFFFFFFFFFFFF], np.uint64).view(np.float64)
+FAMILIES = {
+    "powers-of-two": ulp_neighbours(POWERS_OF_TWO),
+    "powers-of-ten": ulp_neighbours(POWERS_OF_TEN),
+    "subnormals": np.arange(1, 200_000, dtype=np.uint64).view(np.float64),
+    "near-2**53": 2.0**53 + np.arange(-1000.0, 1000.0),
+    "layout-switches": ulp_neighbours(SWITCHES),
+    "zeros-infinities-nans": SPECIALS,
+}
+
+
+class TestFormatRows:
+    """format_rows: the bytes of each value's repr, compared with the csv module."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern_writes_its_repr(self, patterns):
+        x = np.array(patterns, np.uint64).view(np.float64)
+        assert format_rows([x]) == csv_rows(x)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_edge_family_writes_its_repr(self, family):
+        x = FAMILIES[family]
+        assert format_rows([x, -x]) == csv_rows(x, -x)
+
+    def test_integer_columns(self):
+        """int64 from -2**63 to 19-digit values, uint64 to 20 digits, int8;
+        every digit count's bounds, and the powers of two either side."""
+        edges = sorted({v for n in range(21) for v in (10**n - 1, 10**n, 10**n + 1)}
+                       | {2**n + d for n in range(65) for d in (-1, 0, 1)})
+        columns = [
+            np.array([-1, 0, 1, 9, 10, -10, 10**18 - 1, 10**18, -(10**18), 1234567890123456789,
+                      2**63 - 1, -(2**63)], np.int64),
+            np.array([v for v in edges if v < 2**63] + [-v for v in edges if v <= 2**63],
+                     np.int64),
+            np.array([v for v in edges if v < 2**64], np.uint64),
+            np.array([-128, -1, 0, 7, 127], np.int8),
+        ]
+        for column in columns:
+            assert format_rows([column]) == csv_rows(column)
+
+    def test_mixed_tables(self):
+        """Float64, float32 and integer columns in any order and number."""
+        rng = np.random.default_rng(7)
+        makers = [lambda n: rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+                  lambda n: rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n),
+                  lambda n: rng.standard_normal(n).astype(np.float32),
+                  lambda n: rng.integers(-(2**63), 2**63, n, dtype=np.int64),
+                  lambda n: rng.integers(-3, 3, n)]
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            columns = [makers[i](n) for i in rng.integers(0, len(makers), rng.integers(1, 7))]
+            assert format_rows(columns) == csv_rows(*columns)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 8192])
+    def test_chunk_rows_do_not_change_the_bytes(self, tmp_path, harness, monkeypatch, chunk):
+        """Row chunks of 1, 7 and 8,192, in three shares where there are chunks to split."""
+        harness.cores(3)
+        monkeypatch.setattr(spectral, "_CHUNK_ROWS", chunk)
+        x = np.resize(np.concatenate([SPECIALS, SWITCHES, -SWITCHES]), 100)
+        m = np.arange(100) - 50
+        write_columns(tmp_path / "t.csv", ["x", "m", "y"], [x, m, x[::-1]])
+        assert (tmp_path / "t.csv").read_bytes() == b"x,m,y\r\n" + csv_rows(x, m, x[::-1])
+        harness.assert_nothing_left()
+
+    @pytest.mark.parametrize("column", [np.array([1 + 2j]), np.array([1.0], object),
+                                        np.array([True]), np.array(["1.0"])],
+                             ids=["complex", "object", "bool", "str"])
+    def test_other_dtypes_rejected(self, tmp_path, column):
+        with pytest.raises(ValueError):
+            format_rows([np.array([1.0]), column])
+        with pytest.raises(ValueError):
+            write_columns(tmp_path / "t.csv", ["a"], [column])

@@ -16,7 +16,9 @@
 # share per core on two cores.  Two commands read their tables off the
 # lattice, where a whole read is np.interp's: degrade at grid.L = 5 plots
 # [-10, 10], and the moons sweep at grid.L = 3 trains on pre-activations
-# past +-3.
+# past +-3.  Two commands write the CSV formatter's rare layouts:
+# spectrum at grid.L = 740 writes 349 subnormal gap samples, and a thermal
+# channel at T = 0.01 composed 18 times writes exponents e+2dd and e-3dd.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -36,8 +38,10 @@ fine="--set grid.N=262144"
 commands="spectrum
 spectrum $fine
 spectrum --set task.name=moons
+spectrum --set grid.L=740 --set grid.N=8192
 channel --set channel.profile=thermal --compose 4
 channel --set channel.profile=thermal --compose 4 $fine
+channel --set channel.profile=thermal --set channel.T=0.01 --compose 18
 degrade
 degrade --set channel.profile=lowpass
 degrade --set channel.profile=thermal
