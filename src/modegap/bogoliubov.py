@@ -283,27 +283,39 @@ class DegradedActivation:
         return tuple(out if out.ndim else float(out) for out in reads)
 
 
-def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
+def reconstruct(channel: BogoliubovChannel, gap_spec: ModeSpectrum | None = None
+                ) -> DegradedActivation:
     """Degraded activation of a channel: theta(z) + surviving gap modes.
 
-    One table row per channel row, bit for bit that row's own reconstruction;
-    the gap and sigma' are transformed once per call.  The loss fraction, a
-    float or one per row, weights the per-mode loss by the gap's spectral power:
-    sum(iota_k |g_k|^2) / sum(|g_k|^2), which reduces to iota itself for uniform
-    channels.  The amplitudes are scaled by the largest before they are squared:
-    on a coarse lattice they are small enough (about 1e-160 at dz = 375) that
-    their squares would fall into the subnormals.
+    One table row per channel row, bit for bit that row's own reconstruction.
+    sigma' is transformed once per call, and so is the gap unless the caller
+    passes ``gap_spec``, the grid's ``transform_gap``, which is not written.
+    The loss fraction, a float or one per row, weights the per-mode loss by
+    the gap's spectral power: sum(iota_k |g_k|^2) / sum(|g_k|^2), which
+    reduces to iota itself for uniform channels.  The amplitudes are scaled
+    by the largest before they are squared: on a coarse lattice they are
+    small enough (about 1e-160 at dz = 375) that their squares would fall
+    into the subnormals.
     """
     grid = channel.grid
-    gap_spec = transform_gap(grid)
+    if gap_spec is None:
+        gap_spec = transform_gap(grid)
     fraction = _loss_fraction(channel.iota, gap_spec.amplitudes)
-    samples = inverse_transform(apply_channel(channel, gap_spec))
-    del gap_spec   # not held while sigma' is transformed
-    samples += step(grid.z)
+    samples = degraded_values(channel, gap_spec)
+    del gap_spec   # not held here while sigma' is transformed
 
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
     return DegradedActivation(grid, samples, deriv, fraction if fraction.ndim else float(fraction))
+
+
+def degraded_values(channel: BogoliubovChannel, gap_spec: ModeSpectrum) -> np.ndarray:
+    """``reconstruct(channel).samples`` bit for bit, and nothing else: the
+    channel applied to ``gap_spec``, the grid's ``transform_gap``, inverted,
+    plus the step.  No derivative table is made."""
+    samples = inverse_transform(apply_channel(channel, gap_spec))
+    samples += step(channel.grid.z)
+    return samples
 
 
 def _loss_fraction(iota, amplitudes):

@@ -26,11 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .activations import sigmoid
-from .spectral import (Grid, continuum_gap_spectrum, gap_samples, write_columns,
-                       write_spectrum_csv)
+from .spectral import (Grid, continuum_gap_spectrum, gap_samples, transform_gap,
+                       write_columns, write_spectrum_csv)
 from .bogoliubov import (
     BogoliubovChannel,
     commutator_residual,
+    degraded_values,
     lowpass_channel,
     reconstruct,
     self_compose,
@@ -233,27 +234,32 @@ def cmd_channel(run: RunConfig) -> int:
 def cmd_degrade(run: RunConfig) -> int:
     grid, profile = run.grid, run.values["channel.profile"]
     out_dir = prepare_out(run)
-    activation = reconstruct(run.channel)
+    # One gap spectrum serves the run and its family.  The family is drawn
+    # before any table is written: once the writer has forked, each heap page
+    # the caller writes faults again.
+    gap_spec = transform_gap(grid) if profile == "uniform" else None
+    activation = reconstruct(run.channel, gap_spec)
 
-    write_activation_csv(out_dir / "degraded_activation.csv", activation)
-    write_channel_txt(out_dir, run)
-
-    # Only the 801-point curve and two figures outlive the run's tables, so a
-    # family reconstructs each other level with no other table held.
+    # A family level needs only its 801-point curve: its value table alone,
+    # read as that level's own evaluate would read it (np.interp's bits).
     zs = np.linspace(-10.0, 10.0, 801)
-    own, fraction = activation.evaluate(zs), activation.loss_fraction
-    sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
-    del activation
+    own = activation.evaluate(zs)
     if profile == "uniform":
         curves = [(f"iota={iota:g}", zs, own if iota == run.values["channel.iota"]
-                   else reconstruct(uniform_channel(grid, iota)).evaluate(zs))
+                   else np.interp(zs, grid.z, degraded_values(uniform_channel(grid, iota),
+                                                              gap_spec), 0.0, 1.0))
                   for iota in run.values["sweep.levels"]]
     else:
         curves = [(profile, zs, own)]
+    del gap_spec
+
+    write_activation_csv(out_dir / "degraded_activation.csv", activation)
+    write_channel_txt(out_dir, run)
     line_plot(out_dir / "degraded_activation.svg", curves,
               "Degraded activations", "z", "f(z)")
 
-    print(f"loss_fraction: {fraction:.12g}")
+    sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
+    print(f"loss_fraction: {activation.loss_fraction:.12g}")
     print(f"max deviation from sigmoid: {sigma_dev:.6e}")
     return 0
 

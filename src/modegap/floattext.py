@@ -227,11 +227,11 @@ def _int_cells(x, sep, cells):
     cells[:, 3] = sep
 
 
-def format_rows(columns) -> bytes:
-    """The rows of equal-length float or integer columns as CSV bytes: each
-    value as its ``repr``, joined by ",", each row ending in CRLF.  Floats
-    of at most 64 bits are written as float64.  Raises ValueError on a
-    column of any other dtype."""
+def format_rows(columns) -> bytearray:
+    """The rows of equal-length float or integer columns as CSV bytes, in
+    the squeezed buffer itself: each value as its ``repr``, joined by ",",
+    each row ending in CRLF.  Floats of at most 64 bits are written as
+    float64.  Raises ValueError on a column of any other dtype."""
     columns = [np.asarray(c) for c in columns]
     shape = (len(columns[0]), 4 * len(columns) + 1)          # a row's cells, then CRLF
     text = bytearray(8 * shape[0] * shape[1])
@@ -245,4 +245,4 @@ def format_rows(columns) -> bytes:
         else:
             raise ValueError(f"cannot write a column of dtype {column.dtype} as CSV")
     cells[:, -1] = _CRLF
-    return bytes(text.translate(None, b"\0"))
+    return text.translate(None, b"\0")

@@ -124,12 +124,19 @@ def transform_samples(grid: Grid, samples) -> ModeSpectrum:
     """Rectangle-rule approximation of the continuous transform of samples.
 
     dz * sum_j f(z_j) exp(-i k_n z_j); the -L lattice offset folds into a
-    (-1)^n phase on the plain FFT.
+    (-1)^n phase on the plain FFT.  The bits of ``dz * phase *
+    fftshift(fft(samples))``, computed in the one complex array returned.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (grid.n_points,):
         raise GridError("sample count does not match the grid")
-    amplitudes = grid.dz * grid.phase * np.fft.fftshift(np.fft.fft(samples))
+    half = grid.n_points // 2
+    amplitudes = samples.astype(complex)
+    np.fft.fft(amplitudes, out=amplitudes)
+    # fftshift swaps the halves; each mode is scaled as it moves.
+    scale, low = grid.dz * grid.phase, amplitudes[:half].copy()
+    np.multiply(scale[:half], amplitudes[half:], out=amplitudes[:half])
+    np.multiply(scale[half:], low, out=amplitudes[half:])
     return ModeSpectrum(grid, amplitudes)
 
 
@@ -176,18 +183,24 @@ def inverse_transform(spectrum: ModeSpectrum) -> np.ndarray:
 
     Refuses spectra with a row that is not conjugate-symmetric to within
     SYMMETRY_TOL (the field would not be real); the discarded imaginary
-    residue is checked against 1e-9, and the real part is copied out.
+    residue is checked against 1e-9, and the real part is copied out.  The
+    bits of ``ifft(ifftshift(amplitudes * phase) / dz).real``, each step
+    computed in one complex array; the spectrum is never written.
     """
     defect = spectrum.conjugate_symmetry_defect()
     if defect > SYMMETRY_TOL:
         raise SpectrumSymmetryError(
             f"conjugate symmetry violated by {defect:.3e} (tolerance {SYMMETRY_TOL:.1e})"
         )
-    grid = spectrum.grid
-    shifted = np.fft.ifftshift(spectrum.amplitudes * grid.phase, axes=-1)
-    shifted /= grid.dz
-    rec = np.fft.ifft(shifted)
-    residue = float(np.max(np.abs(rec.imag)))
+    grid, amplitudes = spectrum.grid, spectrum.amplitudes
+    half = grid.n_points // 2
+    rec = np.empty(amplitudes.shape, complex)
+    # ifftshift swaps the halves; each mode is phased as it moves.
+    np.multiply(amplitudes[..., half:], grid.phase[half:], out=rec[..., :half])
+    np.multiply(amplitudes[..., :half], grid.phase[:half], out=rec[..., half:])
+    rec /= grid.dz
+    np.fft.ifft(rec, out=rec)
+    residue = float(np.max(np.abs(rec.imag, out=rec.imag)))
     if residue > 1e-9:
         raise SpectrumSymmetryError(f"imaginary reconstruction residue {residue:.3e}")
     return rec.real.copy()

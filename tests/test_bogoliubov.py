@@ -26,7 +26,8 @@ from modegap import (
     uniform_channel,
 )
 from modegap import bogoliubov
-from modegap.bogoliubov import MAX_SQUEEZE, BogoliubovChannel, write_activation_csv
+from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, degraded_values,
+                                write_activation_csv)
 
 GRID = Grid(40.0, 4096)
 SMALL = Grid(20.0, 256)
@@ -314,6 +315,22 @@ class TestReconstruct:
             assert same_bits(stack.samples[level], alone.samples)
             assert same_bits(stack.derivative_samples[level], alone.derivative_samples)
             assert same_bits(stack.loss_fraction[level], alone.loss_fraction)
+
+    def test_a_given_gap_spectrum_changes_no_bit(self):
+        """``reconstruct(channel, gap_spec)`` and ``degraded_values`` read the
+        caller's gap spectrum, unwritten, and give ``reconstruct(channel)``'s bits."""
+        channels = [uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5, 1.0]),
+                    lowpass_channel(GRID, 2.0), thermal_channel(GRID, 1.0)]
+        gap_spec = transform_gap(GRID)
+        kept = gap_spec.amplitudes.copy()
+        gap_spec.amplitudes.flags.writeable = False
+        for channel in channels:
+            alone, given = reconstruct(channel), reconstruct(channel, gap_spec)
+            assert same_bits(given.samples, alone.samples)
+            assert same_bits(given.derivative_samples, alone.derivative_samples)
+            assert same_bits(given.loss_fraction, alone.loss_fraction)
+            assert same_bits(degraded_values(channel, gap_spec), alone.samples)
+        assert np.array_equal(gap_spec.amplitudes, kept)
 
     def test_derivative_table_owns_contiguous_memory(self):
         for channel in (uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5])):

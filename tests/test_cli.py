@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modegap import cli, network, spectral
-from modegap.bogoliubov import planck_occupation
+from modegap.activations import sigmoid_prime
+from modegap.bogoliubov import planck_occupation, reconstruct, uniform_channel
 from modegap.network import sweep, write_report_csv
 from modegap.spectral import Grid
 from modegap import verify as verify_mod
@@ -20,6 +21,11 @@ from modegap import verify as verify_mod
 
 def run_cli(args):
     return cli.main(args)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def checkout_env():
@@ -541,6 +547,47 @@ class TestDegradeCommand:
         svg = (out / "degraded_activation.svg").read_text()
         assert svg.count("<polyline") == 5  # one curve per default sweep level
 
+    FAMILIES = {"own level inside": [], "own level outside": ["--set", "channel.iota=0.3"],
+                "one level": ["--set", "sweep.levels=0.5"],
+                "off the lattice": ["--set", "grid.L=5"]}
+
+    @pytest.mark.parametrize("options", FAMILIES.values(), ids=FAMILIES)
+    def test_family_transforms_two_arrays(self, tmp_path, monkeypatch, options):
+        """A uniform degrade transforms the gap and sigma' once each, and
+        each family curve has the bits of that level's own reconstruction
+        read at the plot's points, the family's path before it shared them."""
+        transformed, plotted = [], []
+        real_transform, real_plot = spectral.transform_samples, cli.line_plot
+
+        def transform(grid, samples):
+            transformed.append(samples)
+            return real_transform(grid, samples)
+
+        def plot(path, curves, *labels):
+            plotted.extend(curves)
+            return real_plot(path, curves, *labels)
+        bound = [(module, name) for module in list(sys.modules.values())
+                 if module.__name__.split(".")[0] == "modegap"
+                 for name, value in vars(module).items() if value is real_transform]
+        assert {(module.__name__, name) for module, name in bound} >= {
+            ("modegap", "transform_samples"), ("modegap.spectral", "transform_samples"),
+            ("modegap.bogoliubov", "transform_samples")}
+        for module, name in bound:
+            monkeypatch.setattr(module, name, transform)
+        monkeypatch.setattr(cli, "line_plot", plot)
+        assert run_cli(["degrade", "--out", str(tmp_path / "deg"), *options]) == 0
+
+        run = cli.resolve_config(cli.build_parser().parse_args(["degrade", *options]))
+        grid, levels = run.grid, run.values["sweep.levels"]
+        assert len(transformed) == 2
+        assert same_bits(transformed[0], spectral.gap_samples(grid))
+        assert same_bits(transformed[1], sigmoid_prime(grid.z))
+        assert [label for label, *_ in plotted] == [f"iota={iota:g}" for iota in levels]
+        for (_, zs, curve), iota in zip(plotted, levels):
+            assert same_bits(zs, np.linspace(-10.0, 10.0, 801))
+            assert same_bits(curve, reconstruct(uniform_channel(grid, iota)).evaluate(zs))
+
+
 class TestTrainSweepCommand:
     def test_endpoints_and_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -644,10 +691,11 @@ class TestExit2:
 
     @pytest.mark.parametrize("command", EXIT_2)
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command):
-        """The spy stands in for an allocation too large, so no large work
-        starts.  The hint names only what the command reads: grid points
-        (grid.N), seeds (sweep.seeds), levels (sweep.levels, which a uniform
-        degrade plots as a family); verify reads no key and gets none."""
+        """The spy stands in for an allocation too large, made before any
+        table is written, so at most the record is.  The hint names only
+        what the command reads: grid points (grid.N), seeds (sweep.seeds),
+        levels (sweep.levels, which a uniform degrade plots as a family);
+        verify reads no key and gets none."""
         def no_memory(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(*EXIT_2[command][1], no_memory)
@@ -656,8 +704,21 @@ class TestExit2:
                 "degrade": "; use fewer levels or grid points",
                 "train-sweep": "; use fewer seeds, levels or grid points",
                 "verify": ""}[command]
-        assert self.error_line(harness, capsys, command, tmp_path / "out") == (
+        out = tmp_path / "out"
+        assert self.error_line(harness, capsys, command, out) == (
             f"error: {command} ran out of memory{hint}\n")
+        assert {p.name for p in out.glob("*")} <= {"config.resolved"}
+
+    def test_out_of_memory_in_the_family_spectrum(self, tmp_path, monkeypatch, capsys, harness):
+        """A uniform degrade transforms the gap for its run and its family
+        before ``reconstruct``; that allocation exits 2 the same way."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "transform_gap", no_memory)
+        out = tmp_path / "out"
+        assert self.error_line(harness, capsys, "degrade", out) == (
+            "error: degrade ran out of memory; use fewer levels or grid points\n")
+        assert [p.name for p in out.iterdir()] == ["config.resolved"]
 
     @pytest.mark.parametrize("command", [c for c in EXIT_2 if EXIT_2[c][2]])
     def test_directory_in_the_way(self, tmp_path, capsys, harness, command):

@@ -258,6 +258,90 @@ class TestInverseTransform:
                 ModeSpectrum(GRID, bad)
 
 
+def reference_transform(grid, samples):
+    """``transform_samples``' expression before it reused its array."""
+    return grid.dz * grid.phase * np.fft.fftshift(np.fft.fft(np.asarray(samples, dtype=float)))
+
+
+def reference_inverse(spectrum):
+    """``inverse_transform``'s steps before each reused one array: the real
+    part, and the message of the residue refusal whatever the residue."""
+    grid = spectrum.grid
+    shifted = np.fft.ifftshift(spectrum.amplitudes * grid.phase, axes=-1)
+    shifted /= grid.dz
+    rec = np.fft.ifft(shifted)
+    residue = float(np.max(np.abs(rec.imag)))
+    return rec.real.copy(), f"imaginary reconstruction residue {residue:.3e}"
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLeanTransforms:
+    """``transform_samples`` and ``inverse_transform`` compute in place, and
+    must give the bits of the expressions they replace, read-only inputs
+    untouched, for rows, stacks and signed zeros."""
+
+    GRIDS = [Grid(40.0, 4096), Grid(7.3, 64), Grid(1e-3, 8), Grid(40.0, 262144)]
+
+    @staticmethod
+    def samples(grid, rng, decades):
+        """Gap samples, random samples over ``decades`` of scale with signed
+        zeros among them, signed zeros alone, and subnormals."""
+        n = grid.n_points
+        zeros = rng.choice([0.0, -0.0], n)
+        mixed = rng.standard_normal(n) * 10.0 ** rng.integers(-decades, decades, n)
+        mixed[rng.random(n) < 0.3] = -0.0
+        return [gap_samples(grid), mixed, zeros, np.where(zeros == 0.0, 1e-320, zeros)]
+
+    @staticmethod
+    def read_only(x):
+        x = np.array(x)
+        x.flags.writeable = False
+        return x
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: str(g.n_points))
+    def test_forward_bits(self, grid):
+        for x in self.samples(grid, np.random.default_rng(grid.n_points), 300):
+            x = self.read_only(x)
+            kept = x.copy()
+            assert same_bits(transform_samples(grid, x).amplitudes, reference_transform(grid, x))
+            assert same_bits(x, kept)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: str(g.n_points))
+    def test_inverse_bits(self, grid):
+        """Rows, and an (L, N) stack of them: the spectra of samples within
+        the symmetry tolerance, and one of signed zeros alone."""
+        rng = np.random.default_rng(grid.n_points + 1)
+        rows = [reference_transform(grid, x) for x in self.samples(grid, rng, 2)]
+        zeros = rng.choice([0.0, -0.0], (2, grid.n_points))
+        rows.append(zeros[0] + 1j * zeros[1])
+        for amplitudes in rows + [np.stack(rows)]:
+            amplitudes = self.read_only(amplitudes)
+            kept = amplitudes.copy()
+            spectrum = ModeSpectrum(grid, amplitudes)
+            assert same_bits(inverse_transform(spectrum), reference_inverse(spectrum)[0])
+            assert same_bits(amplitudes, kept)
+
+    def test_refusals_keep_their_messages(self):
+        """A defect past SYMMETRY_TOL, and one under it whose residue passes 1e-9."""
+        grid = Grid(1.0, 8)
+        amplitudes = np.zeros(grid.n_points, complex)
+        amplitudes[grid.n_points // 2 + 1] = 1e-3
+        with pytest.raises(SpectrumSymmetryError) as refused:
+            inverse_transform(ModeSpectrum(grid, amplitudes))
+        assert str(refused.value) == "conjugate symmetry violated by 1.000e-03 (tolerance 1.0e-06)"
+        amplitudes[grid.n_points // 2 + 1] = 1e-7
+        spectrum = ModeSpectrum(grid, self.read_only(amplitudes))
+        with pytest.raises(SpectrumSymmetryError) as refused:
+            inverse_transform(spectrum)
+        assert str(refused.value) == reference_inverse(spectrum)[1]
+        assert spectrum.amplitudes[grid.n_points // 2 + 1] == 1e-7
+
+
 def _parseval_check(spectrum, samples):
     """Normalized defect between sample energy and spectral energy:
     |dz*sum|f|^2 - (1/2L)*sum|F|^2| / (dz*sum|f|^2), 0 for the zero function."""

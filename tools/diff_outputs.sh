@@ -19,6 +19,9 @@
 # past +-3.  Two commands write the CSV formatter's rare layouts:
 # spectrum at grid.L = 740 writes 349 subnormal gap samples, and a thermal
 # channel at T = 0.01 composed 18 times writes exponents e+2dd and e-3dd.
+# Two uniform degrades draw their family plot off the run's gap spectrum:
+# at channel.iota = 0.3 on N = 262144 none of the five levels is the run's,
+# and sweep.levels = 0.5 is a one-level family that is the run's own curve.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -52,6 +55,8 @@ degrade --set channel.profile=lowpass $fine
 degrade --set channel.profile=thermal $fine
 degrade --config ../../run.cfg
 degrade --set grid.L=5
+degrade --set channel.iota=0.3 $fine
+degrade --set sweep.levels=0.5
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
 train-sweep --set sweep.seeds=0,1,2
