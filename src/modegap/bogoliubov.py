@@ -167,12 +167,13 @@ class DegradedActivation:
     """Step carrier plus attenuated gap, tabulated on the grid's lattice.
 
     ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
-    for a stack of L channels on one grid, with ``loss_fraction`` then one per
-    level.  Row i of a ``z`` reads table ``index[i]``: an (L, N) stack is the
-    view of all its tables, ``index = arange(L)``, and reads a ``z`` of
-    ``levels = len(index)`` rows; one table has ``index`` None and reads a
-    ``z`` of any shape (``levels`` 1).  ``rows(index)``, the only way to make
-    another view, shares the tables, so a subset of cells is read uncopied.
+    for a stack of L channels on one grid.  It holds what a network reads: the
+    grid, the two tables and the view index.  Row i of a ``z`` reads table
+    ``index[i]``: an (L, N) stack is the view of all its tables, ``index =
+    arange(L)``, and reads a ``z`` of ``levels = len(index)`` rows; one table
+    has ``index`` None and reads a ``z`` of any shape (``levels`` 1).
+    ``rows(index)``, the only way to make another view, shares the tables,
+    so a subset of cells is read uncopied.
 
     A hidden activation of ``network``: any object with ``evaluate`` and the
     fused ``evaluate_with_derivative`` (and ``levels`` and ``rows`` for a
@@ -185,7 +186,6 @@ class DegradedActivation:
     grid: Grid
     samples: np.ndarray
     derivative_samples: np.ndarray
-    loss_fraction: float | np.ndarray
     index: np.ndarray | None = field(init=False)   # the table per row of z
 
     def __post_init__(self):
@@ -197,8 +197,8 @@ class DegradedActivation:
 
     def rows(self, index):
         """The view whose row i of ``z`` reads table ``index[i]``, sharing
-        these tables and their ``loss_fraction``.  An index that is not 1-D
-        or names no table raises ``DimensionError``."""
+        these tables.  An index that is not 1-D or names no table raises
+        ``DimensionError``."""
         index = np.asarray(index, dtype=np.intp)
         tables = len(self.samples) if self.samples.ndim == 2 else 1
         if index.ndim != 1 or not np.all((index >= 0) & (index < tables)):
@@ -290,23 +290,12 @@ def reconstruct(channel: BogoliubovChannel, gap_spec: ModeSpectrum | None = None
     One table row per channel row, bit for bit that row's own reconstruction.
     sigma' is transformed once per call, and so is the gap unless the caller
     passes ``gap_spec``, the grid's ``transform_gap``, which is not written.
-    The loss fraction, a float or one per row, weights the per-mode loss by
-    the gap's spectral power: sum(iota_k |g_k|^2) / sum(|g_k|^2), which
-    reduces to iota itself for uniform channels.  The amplitudes are scaled
-    by the largest before they are squared: on a coarse lattice they are
-    small enough (about 1e-160 at dz = 375) that their squares would fall
-    into the subnormals.
     """
     grid = channel.grid
-    if gap_spec is None:
-        gap_spec = transform_gap(grid)
-    fraction = _loss_fraction(channel.iota, gap_spec.amplitudes)
-    samples = degraded_values(channel, gap_spec)
-    del gap_spec   # not held here while sigma' is transformed
-
+    samples = degraded_values(channel, transform_gap(grid) if gap_spec is None else gap_spec)
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
-    return DegradedActivation(grid, samples, deriv, fraction if fraction.ndim else float(fraction))
+    return DegradedActivation(grid, samples, deriv)
 
 
 def degraded_values(channel: BogoliubovChannel, gap_spec: ModeSpectrum) -> np.ndarray:
@@ -318,11 +307,18 @@ def degraded_values(channel: BogoliubovChannel, gap_spec: ModeSpectrum) -> np.nd
     return samples
 
 
-def _loss_fraction(iota, amplitudes):
-    """sum(iota_k w_k) / sum(w_k), w_k the gap's power |g_k|^2 over the largest."""
-    magnitudes = np.abs(amplitudes)
+def loss_fraction(channel: BogoliubovChannel, gap_spec: ModeSpectrum):
+    """The share of the gap's spectral power that the channel's loss takes:
+    sum(iota_k |g_k|^2) / sum(|g_k|^2), ``gap_spec`` the grid's
+    ``transform_gap``.  A float for one channel, one per row for a stack; it
+    is iota itself for a uniform channel.  The amplitudes are scaled by the
+    largest before they are squared: on a coarse lattice they are small
+    enough (about 1e-160 at dz = 375) that their squares would fall into
+    the subnormals."""
+    magnitudes = np.abs(gap_spec.amplitudes)
     weights = (magnitudes / np.max(magnitudes)) ** 2
-    return np.sum(iota * weights, axis=-1) / np.sum(weights)
+    fraction = np.sum(channel.iota * weights, axis=-1) / np.sum(weights)
+    return fraction if fraction.ndim else float(fraction)
 
 
 def write_activation_csv(path, activation: DegradedActivation):

@@ -32,6 +32,7 @@ from .bogoliubov import (
     BogoliubovChannel,
     commutator_residual,
     degraded_values,
+    loss_fraction,
     lowpass_channel,
     reconstruct,
     self_compose,
@@ -154,8 +155,8 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError("sweep.levels must be non-empty, strictly ascending and in [0, 1]: "
                           f"{values['sweep.levels']!r}")
     seeds = _comma_list(values, "sweep.seeds", int)
-    if any(s < 0 for s in seeds) or len(set(seeds)) < len(seeds):
-        raise ConfigError("sweep.seeds must be distinct non-negative integers: "
+    if not all(0 <= s < 2**64 for s in seeds) or len(set(seeds)) < len(seeds):
+        raise ConfigError("sweep.seeds must be distinct integers in [0, 2**64): "
                           f"{values['sweep.seeds']!r}")
     values["sweep.levels"], values["sweep.seeds"] = levels, seeds
     task = values["task.name"]
@@ -234,10 +235,11 @@ def cmd_channel(run: RunConfig) -> int:
 def cmd_degrade(run: RunConfig) -> int:
     grid, profile = run.grid, run.values["channel.profile"]
     out_dir = prepare_out(run)
-    # One gap spectrum serves the run and its family.  The family is drawn
-    # before any table is written: once the writer has forked, each heap page
-    # the caller writes faults again.
-    gap_spec = transform_gap(grid) if profile == "uniform" else None
+    # One gap spectrum serves the run, its loss fraction and a uniform run's
+    # family.  The family is drawn before any table is written: once the
+    # writer has forked, each heap page the caller writes faults again.
+    gap_spec = transform_gap(grid)
+    fraction = loss_fraction(run.channel, gap_spec)
     activation = reconstruct(run.channel, gap_spec)
 
     # A family level needs only its 801-point curve: its value table alone,
@@ -259,7 +261,7 @@ def cmd_degrade(run: RunConfig) -> int:
               "Degraded activations", "z", "f(z)")
 
     sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
-    print(f"loss_fraction: {activation.loss_fraction:.12g}")
+    print(f"loss_fraction: {fraction:.12g}")
     print(f"max deviation from sigmoid: {sigma_dev:.6e}")
     return 0
 

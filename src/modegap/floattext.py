@@ -1,6 +1,7 @@
 """CSV rows of float and integer columns, each value in the bytes of its ``repr``.
 
-``format_rows`` formats a whole chunk of a table with array arithmetic.  The
+``format_rows`` formats a whole chunk of a table with array arithmetic.  An
+integer is numpy's own text of it (``astype("S24")``), which is ``str``'s.  The
 digits of a double are those of Schubfach (R. Giulietti, "The Schubfach way
 to render doubles", 2020): the shortest decimal that rounds back to it and,
 of those, the closest, ties to an even last digit -- the digits Python's
@@ -13,10 +14,11 @@ digits right of the first digit or 4 or more left of it; ``.0`` after an
 integral positional value; ``-0.0``, ``inf``, ``-inf`` and ``nan``.
 
 Each value fills a 32-byte cell, four little-endian uint64 words, with the
-characters it uses at fixed places and 0 in the rest: its sign, "0.000"
-before a positional value under 1, 17 digits with a slot for the point
-among them, "e+ddd", and the "," after it.  A row's cells and a CRLF word
-are joined, and the chunk's zero bytes deleted.
+characters it uses at fixed places and 0 in the rest.  A float's are its
+sign, "0.000" before a positional value under 1, 17 digits with a slot for
+the point among them, "e+ddd", and the "," after it; an integer's text,
+0-padded, fills the first three words.  A row's cells and a CRLF word are
+joined, and the chunk's zero bytes deleted.
 """
 
 from functools import cache
@@ -75,8 +77,6 @@ def _tables():
         "point": _byte_masks(point, point + (point < 17)) & 0x2E2E2E2E2E2E2E2E,
         # By count L in 0..18: the first L slots.
         "keep": _byte_masks(np.zeros(19, int), np.arange(19)),
-        # By digit count 1..20 of an integer: its last digits of the 20 at bytes 4-23.
-        "keep_int": _byte_masks(24 - np.arange(21), np.full(21, 24)),
         "special": _words([b"\0" + t for t in (b"0.0", b"inf", b"nan")]),
     }
     for table in tables.values():
@@ -208,30 +208,12 @@ def _float_cells(x, sep, cells):
         cells[special, 1:] = (0, 0, sep)
 
 
-def _int_cells(x, sep, cells):
-    """Write the cell of each integer of ``x``, ending in ``sep``, into
-    ``cells``: its sign at byte 0 and its digits right-aligned in bytes 4-23."""
-    tables = _tables()
-    if x.dtype.kind == "u":
-        sign, magnitude = 0, x.astype(np.uint64)
-    else:
-        x = x.astype(np.int64)
-        sign, magnitude = x.view(np.uint64) >> 63, np.abs(x).view(np.uint64)
-    keep = tables["keep_int"][:, _count_digits(magnitude)]
-    top = magnitude // 10**16
-    rest = magnitude - top * 10**16
-    hi = rest // 10**8
-    cells[:, 0] = sign * 0x2D + ((tables["quads"][top.view(np.int64)] << 32) & keep[0])
-    cells[:, 1] = _render8(hi) & keep[1]
-    cells[:, 2] = _render8(rest - hi * 10**8) & keep[2]
-    cells[:, 3] = sep
-
-
 def format_rows(columns) -> bytearray:
     """The rows of equal-length float or integer columns as CSV bytes, in
     the squeezed buffer itself: each value as its ``repr``, joined by ",",
     each row ending in CRLF.  Floats of at most 64 bits are written as
-    float64.  Raises ValueError on a column of any other dtype."""
+    float64, integers as numpy casts them to text.  Raises ValueError on a
+    column of any other dtype."""
     columns = [np.asarray(c) for c in columns]
     shape = (len(columns[0]), 4 * len(columns) + 1)          # a row's cells, then CRLF
     text = bytearray(8 * shape[0] * shape[1])
@@ -240,8 +222,9 @@ def format_rows(columns) -> bytearray:
         kind, sep = column.dtype.kind, _COMMA if i < len(columns) - 1 else 0
         if kind == "f" and column.dtype.itemsize <= 8:
             _float_cells(column.astype(np.float64, copy=False), sep, cells[:, 4 * i:4 * i + 4])
-        elif kind in "iu":
-            _int_cells(column, sep, cells[:, 4 * i:4 * i + 4])
+        elif kind in "iu":   # at most 20 characters: "-9223372036854775808"
+            cells[:, 4 * i:4 * i + 3] = column.astype("S24").view("<u8").reshape(-1, 3)
+            cells[:, 4 * i + 3] = sep
         else:
             raise ValueError(f"cannot write a column of dtype {column.dtype} as CSV")
     cells[:, -1] = _CRLF

@@ -370,10 +370,11 @@ REPORT_HEADER = ["iota", "seed", "final_accuracy", "final_loss",
 
 def write_report_csv(path, report):
     """One row per cell, in (level, seed) order; a cell that never reached
-    the threshold has epochs -1."""
+    the threshold has epochs -1.  The seed column is uint64, so that every
+    seed in [0, 2**64) is written as an integer."""
     levels, n_seeds = report.final_loss.shape
     write_columns(path, REPORT_HEADER, [
-        np.repeat(report.iota, n_seeds), list(report.seeds) * levels,
+        np.repeat(report.iota, n_seeds), np.tile(np.array(report.seeds, np.uint64), levels),
         report.final_accuracy.ravel(), report.final_loss.ravel(),
         report.epochs_to_threshold.ravel(), report.mean_grad_norm_first100.ravel(),
     ])

@@ -27,7 +27,7 @@ from modegap import (
 )
 from modegap import bogoliubov
 from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, degraded_values,
-                                write_activation_csv)
+                                loss_fraction, write_activation_csv)
 
 GRID = Grid(40.0, 4096)
 SMALL = Grid(20.0, 256)
@@ -242,14 +242,16 @@ class TestApplyChannel:
 
 class TestReconstruct:
     def test_identity_reproduces_sigmoid(self):
-        act = reconstruct(uniform_channel(GRID, 0.0))
+        channel = uniform_channel(GRID, 0.0)
+        act = reconstruct(channel)
         assert np.abs(act.samples - sigmoid(GRID.z)).max() < 1e-9
-        assert act.loss_fraction == pytest.approx(0.0, abs=1e-15)
+        assert loss_fraction(channel, transform_gap(GRID)) == pytest.approx(0.0, abs=1e-15)
 
     def test_total_loss_is_exact_step(self):
-        act = reconstruct(uniform_channel(GRID, 1.0))
+        channel = uniform_channel(GRID, 1.0)
+        act = reconstruct(channel)
         np.testing.assert_array_equal(act.samples, step(GRID.z))
-        assert act.loss_fraction == 1.0
+        assert loss_fraction(channel, transform_gap(GRID)) == 1.0
         np.testing.assert_array_equal(act.derivative_samples, 0.0)
 
     @pytest.mark.parametrize("iota", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -261,8 +263,8 @@ class TestReconstruct:
     def test_uniform_loss_fraction_equals_iota(self):
         # dz = 375: the gap amplitudes (about 1e-160) square to subnormals
         for grid in (GRID, Grid(1500.0, 8)):
-            act = reconstruct(uniform_channel(grid, 0.5))
-            assert act.loss_fraction == pytest.approx(0.5, abs=1e-12)
+            fraction = loss_fraction(uniform_channel(grid, 0.5), transform_gap(grid))
+            assert fraction == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_between_levels(self):
         z = np.linspace(-8.0, 8.0, 400)
@@ -306,19 +308,22 @@ class TestReconstruct:
         grid = Grid(half_width, n_points)
         channels = [uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
                     lowpass_channel(grid, 2.0), thermal_channel(grid, 1.0)]
-        stack = reconstruct(BogoliubovChannel(grid, np.stack([ch.iota for ch in channels]),
-                                              np.stack([ch.squeeze for ch in channels])))
-        assert stack.levels == 4 and stack.loss_fraction.shape == (4,)
+        stacked = BogoliubovChannel(grid, np.stack([ch.iota for ch in channels]),
+                                    np.stack([ch.squeeze for ch in channels]))
+        stack, gap_spec = reconstruct(stacked), transform_gap(grid)
+        fractions = loss_fraction(stacked, gap_spec)
+        assert stack.levels == 4 and fractions.shape == (4,)
         for level, channel in enumerate(channels):
-            alone = reconstruct(channel)
-            assert alone.levels == 1 and type(alone.loss_fraction) is float
+            alone, fraction = reconstruct(channel), loss_fraction(channel, gap_spec)
+            assert alone.levels == 1 and type(fraction) is float
             assert same_bits(stack.samples[level], alone.samples)
             assert same_bits(stack.derivative_samples[level], alone.derivative_samples)
-            assert same_bits(stack.loss_fraction[level], alone.loss_fraction)
+            assert same_bits(fractions[level], fraction)
 
     def test_a_given_gap_spectrum_changes_no_bit(self):
-        """``reconstruct(channel, gap_spec)`` and ``degraded_values`` read the
-        caller's gap spectrum, unwritten, and give ``reconstruct(channel)``'s bits."""
+        """``reconstruct(channel, gap_spec)``, ``degraded_values`` and
+        ``loss_fraction`` read the caller's gap spectrum, unwritten, and give
+        the bits they give on the grid's own."""
         channels = [uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5, 1.0]),
                     lowpass_channel(GRID, 2.0), thermal_channel(GRID, 1.0)]
         gap_spec = transform_gap(GRID)
@@ -328,7 +333,8 @@ class TestReconstruct:
             alone, given = reconstruct(channel), reconstruct(channel, gap_spec)
             assert same_bits(given.samples, alone.samples)
             assert same_bits(given.derivative_samples, alone.derivative_samples)
-            assert same_bits(given.loss_fraction, alone.loss_fraction)
+            assert same_bits(loss_fraction(channel, gap_spec),
+                             loss_fraction(channel, transform_gap(GRID)))
             assert same_bits(degraded_values(channel, gap_spec), alone.samples)
         assert np.array_equal(gap_spec.amplitudes, kept)
 
@@ -393,10 +399,9 @@ class TestLatticeLookup:
             uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
             thermal_channel(grid, 1.0), lowpass_channel(grid, 2.0))]
         # A signed-zero table: numpy gives y_j itself, -0.0, where z == x_j.
-        acts.append(DegradedActivation(grid, -np.zeros(n_points), -np.zeros(n_points), 0.0))
+        acts.append(DegradedActivation(grid, -np.zeros(n_points), -np.zeros(n_points)))
         stack = DegradedActivation(grid, np.stack([a.samples for a in acts]),
-                                   np.stack([a.derivative_samples for a in acts]),
-                                   np.array([a.loss_fraction for a in acts]))
+                                   np.stack([a.derivative_samples for a in acts]))
         stacked_points = np.stack([points] * len(acts))
         view_tables = [4, 0, 0, 2]
         view = stack.rows(view_tables)
@@ -494,13 +499,11 @@ class TestLatticeLookup:
         stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
         assert list(stack.index) == [0, 1, 2] and alone.index is None
-        hand_built = DegradedActivation(SMALL, stack.samples, stack.derivative_samples,
-                                        stack.loss_fraction)
+        hand_built = DegradedActivation(SMALL, stack.samples, stack.derivative_samples)
         assert hand_built.levels == 3 and list(hand_built.index) == [0, 1, 2]
         for index in ([-1], [-3], [0, 1]):
             with pytest.raises(TypeError):
-                DegradedActivation(SMALL, stack.samples, stack.derivative_samples,
-                                   stack.loss_fraction, index=index)
+                DegradedActivation(SMALL, stack.samples, stack.derivative_samples, index=index)
         view = stack.rows([2, 0])
         assert list(view.index) == [2, 0] and list(stack.index) == [0, 1, 2]
         assert view.samples is stack.samples and view.levels == 2

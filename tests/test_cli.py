@@ -549,13 +549,16 @@ class TestDegradeCommand:
 
     FAMILIES = {"own level inside": [], "own level outside": ["--set", "channel.iota=0.3"],
                 "one level": ["--set", "sweep.levels=0.5"],
-                "off the lattice": ["--set", "grid.L=5"]}
+                "off the lattice": ["--set", "grid.L=5"],
+                "lowpass": ["--set", "channel.profile=lowpass"],
+                "thermal": ["--set", "channel.profile=thermal"]}
 
     @pytest.mark.parametrize("options", FAMILIES.values(), ids=FAMILIES)
     def test_family_transforms_two_arrays(self, tmp_path, monkeypatch, options):
-        """A uniform degrade transforms the gap and sigma' once each, and
-        each family curve has the bits of that level's own reconstruction
-        read at the plot's points, the family's path before it shared them."""
+        """A degrade of any profile transforms the gap and sigma' once each.
+        Each curve of a uniform run's family has the bits of that level's own
+        reconstruction read at the plot's points, the family's path before it
+        shared them; another profile plots the run's own curve alone."""
         transformed, plotted = [], []
         real_transform, real_plot = spectral.transform_samples, cli.line_plot
 
@@ -578,14 +581,19 @@ class TestDegradeCommand:
         assert run_cli(["degrade", "--out", str(tmp_path / "deg"), *options]) == 0
 
         run = cli.resolve_config(cli.build_parser().parse_args(["degrade", *options]))
-        grid, levels = run.grid, run.values["sweep.levels"]
+        grid, profile = run.grid, run.values["channel.profile"]
         assert len(transformed) == 2
         assert same_bits(transformed[0], spectral.gap_samples(grid))
         assert same_bits(transformed[1], sigmoid_prime(grid.z))
-        assert [label for label, *_ in plotted] == [f"iota={iota:g}" for iota in levels]
-        for (_, zs, curve), iota in zip(plotted, levels):
+        if profile == "uniform":
+            expected = [(f"iota={iota:g}", uniform_channel(grid, iota))
+                        for iota in run.values["sweep.levels"]]
+        else:
+            expected = [(profile, run.channel)]
+        assert [label for label, *_ in plotted] == [label for label, _ in expected]
+        for (_, zs, curve), (_, channel) in zip(plotted, expected):
             assert same_bits(zs, np.linspace(-10.0, 10.0, 801))
-            assert same_bits(curve, reconstruct(uniform_channel(grid, iota)).evaluate(zs))
+            assert same_bits(curve, reconstruct(channel).evaluate(zs))
 
 
 class TestTrainSweepCommand:
@@ -630,6 +638,21 @@ class TestTrainSweepCommand:
                         "--set", "sweep.seeds=-1"]) == 2
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),
                         "--set", "sweep.seeds=0,1.5"]) == 2
+
+    def test_seeds_past_int64_are_written_as_integers(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli(["train-sweep", "--out", str(out), "--set", "sweep.levels=0",
+                        "--set", "sweep.seeds=7,9223372036854775809"]) == 0
+        rows = (out / "train_reports.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["7", "9223372036854775809"]
+
+    def test_seed_of_2_to_the_64_rejected_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli(["train-sweep", "--out", str(out),
+                        "--set", "sweep.seeds=18446744073709551616"]) == 2
+        assert capsys.readouterr().err == ("error: sweep.seeds must be distinct integers "
+                                           "in [0, 2**64): '18446744073709551616'\n")
+        assert not out.exists()
 
 
 class TestVerifyCommand:

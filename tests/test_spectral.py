@@ -496,8 +496,9 @@ class TestFormatRows:
         assert format_rows([x, -x]) == csv_rows(x, -x)
 
     def test_integer_columns(self):
-        """int64 from -2**63 to 19-digit values, uint64 to 20 digits, int8;
-        every digit count's bounds, and the powers of two either side."""
+        """int64 from -2**63 to 19-digit values, uint64 to 20 digits: every
+        digit count's bounds, and the powers of two either side; each other
+        integer width at its bounds, 0 and +-1."""
         edges = sorted({v for n in range(21) for v in (10**n - 1, 10**n, 10**n + 1)}
                        | {2**n + d for n in range(65) for d in (-1, 0, 1)})
         columns = [
@@ -508,6 +509,9 @@ class TestFormatRows:
             np.array([v for v in edges if v < 2**64], np.uint64),
             np.array([-128, -1, 0, 7, 127], np.int8),
         ]
+        for dtype in (np.int16, np.int32, np.uint8, np.uint16, np.uint32):
+            info = np.iinfo(dtype)
+            columns.append(np.array(sorted({info.min, max(info.min, -1), 0, 1, info.max}), dtype))
         for column in columns:
             assert format_rows([column]) == csv_rows(column)
 

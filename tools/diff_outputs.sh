@@ -22,6 +22,9 @@
 # Two uniform degrades draw their family plot off the run's gap spectrum:
 # at channel.iota = 0.3 on N = 262144 none of the five levels is the run's,
 # and sweep.levels = 0.5 is a one-level family that is the run's own curve.
+# Two XOR sweeps write the report's seed column at its widest: seeds 0 and
+# 2**63 - 1 (1 and 19 digits in one column) and the one seed 2**64 - 1.
+# 31 commands in all.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -65,6 +68,8 @@ train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=3
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
 train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=0,1 --set grid.L=3
+train-sweep --set sweep.levels=0,1 --set sweep.seeds=0,9223372036854775807
+train-sweep --set sweep.levels=0,1 --set sweep.seeds=18446744073709551615
 verify
 verify --full"
 
