@@ -4,9 +4,7 @@ small networks."""
 
 from .activations import (
     SIGMOID,
-    STEP,
     DimensionError,
-    NonDifferentiableError,
     PerceptronConfig,
     perceptron_decide,
     sigmoid,

@@ -11,10 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NonDifferentiableError(ValueError):
-    """Raised when a derivative is requested from the hard step."""
-
-
 class DimensionError(ValueError):
     """Raised on mismatched vector lengths."""
 
@@ -87,16 +83,4 @@ class _Sigmoid:
         return s, s * (1.0 - s)
 
 
-class _Step:
-    """The hard step as a hidden activation: it has no derivative to train with."""
-
-    def evaluate(self, z):
-        return step(z)
-
-    def evaluate_with_derivative(self, z):
-        raise NonDifferentiableError("step activation has no derivative; finite input "
-                                     "changes can produce drastic output changes")
-
-
 SIGMOID = _Sigmoid()
-STEP = _Step()

@@ -13,11 +13,13 @@ amplitude of a real field picks up the factor alpha_k - beta_k =
 sqrt(1 - iota_k) * exp(-r_k).
 
 A degraded activation is the step carrier plus the surviving gap modes.  Its
-derivative table attenuates the transform of the smooth gap derivative
-(the sigmoid derivative) by the same per-mode factors: the step carrier
-contributes nothing almost everywhere, so the distributional delta at the
-jump is deliberately excluded.  This makes the derivative table scale exactly
-like sqrt(1 - iota) for uniform channels.
+derivative table attenuates the transform of sigma', the gap's derivative
+without the delta at the jump, by the same per-mode factors: the delta and
+the channel's image of it are deliberately excluded.  For a uniform channel
+that image is sqrt(1 - iota) times the delta, so off the jump the table is
+df/dz and scales exactly like sqrt(1 - iota).  A channel that acts on each
+mode differently spreads the image over the line: off the jump a lowpass
+table is df/dz + D(z), with D(z) = (1/2L) sum_{|k_n| < kc} cos(k_n z).
 """
 
 import math
@@ -175,12 +177,11 @@ class DegradedActivation:
     ``rows(index)``, the only way to make another view, shares the tables,
     so a subset of cells is read uncopied.
 
-    A hidden activation of ``network``: any object with ``evaluate`` and the
-    fused ``evaluate_with_derivative`` (and ``levels`` and ``rows`` for a
-    stack), which here reads both tables from one cell search;
-    ``evaluate_derivative`` reads the derivative table alone.  Each gives
-    ``np.interp``'s bits, and a read with any point off the lattice is
-    ``np.interp``'s own.
+    A hidden activation of ``network`` (its module docstring states the
+    protocol): the fused ``evaluate_with_derivative`` reads both tables from
+    one cell search, and ``evaluate_derivative`` the derivative table alone.
+    Each gives ``np.interp``'s bits, and a read with any point off the
+    lattice is ``np.interp``'s own.
     """
 
     grid: Grid

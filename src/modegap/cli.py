@@ -319,10 +319,8 @@ def build_parser():
     return parser
 
 
-def out_of_memory_hint(command) -> str:
-    """"; use fewer ..." naming what ``command`` may read of ``FEWER``, a
-    uniform degrade's family of levels included; "" if it reads none."""
-    read = READS.get(command, "").format(param="", family="sweep.levels").split()
+def out_of_memory_hint(read) -> str:
+    """"; use fewer ..." naming the keys of ``FEWER`` among ``read``; "" if none."""
     names = [name for key, name in FEWER.items() if key in read]
     if not names:
         return ""
@@ -335,10 +333,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    run = None
     try:
         if args.command == "verify":
             return cmd_verify(args.full)
-        return args.run(resolve_config(args))
+        run = resolve_config(args)
+        return args.run(run)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -346,7 +346,10 @@ def main(argv=None) -> int:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print(f"error: {args.command} ran out of memory{out_of_memory_hint(args.command)}",
+        # The keys the run reads; before they are known, those the command may read.
+        read = run.values if run else READS.get(args.command, "").format(
+            param="", family="sweep.levels").split()
+        print(f"error: {args.command} ran out of memory{out_of_memory_hint(read)}",
               file=sys.stderr)
         return 2
     except OSError as exc:

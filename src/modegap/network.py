@@ -10,19 +10,21 @@ batch gradient is the plain sum of per-example gradients.  Gradient-norm
 statistics cover the hidden layers only; the output layer keeps learning at
 full loss and would mask the freeze.
 
-A hidden activation is any object with ``evaluate(z)`` and the fused
-``evaluate_with_derivative(z)`` (and ``levels`` and ``rows`` for a stack):
-a ``reconstruct(...)`` result, or the closed-form ``SIGMOID`` or ``STEP``.
-The reconstruction of an (L, N) channel stack is the view of all its
-``levels`` tables, and reads row i of a ``z`` from table i; ``rows(index)``,
-the only way to make another view, reads row i from table ``index[i]``.  A
-pass that feeds a backward step reads each hidden pre-activation once, with
-the fused read, and keeps f'(z) for ``loss_gradients``; a pass that only
-judges the network reads values alone.  ``train(task, activation, seeds)``
-reads everything else from the task's row of ``TASKS``.  A full-batch task
-judges every cell on its stack; a minibatch task judges through a ``rows``
-view the open cells, those that have not reached the threshold yet, and
-every cell at the last epoch, whose pass gives the final loss and accuracy.
+A hidden activation is any object with ``evaluate(z)``, the values alone,
+and the fused ``evaluate_with_derivative(z)``, values and f'(z) from one
+read; a stack adds ``levels``, its number of tables (1 if absent), and
+``rows``.  It is a ``reconstruct(...)`` result, whose iota = 1 table is the
+step limit, or the closed-form ``SIGMOID``.  The reconstruction of an (L, N)
+channel stack is the view of all its ``levels`` tables, and reads row i of a
+``z`` from table i; ``rows(index)``, the only way to make another view, reads
+row i from table ``index[i]``.  A pass that feeds a backward step reads each
+hidden pre-activation once, with the fused read, and keeps f'(z) for
+``loss_gradients``; a pass that only judges the network reads values alone.
+``train(task, activation, seeds)`` reads everything else from the task's row
+of ``TASKS``.  A full-batch task judges every cell on its stack; a minibatch
+task judges through a ``rows`` view the open cells, those that have not
+reached the threshold yet, and every cell at the last epoch, whose pass gives
+the final loss and accuracy.
 
 The network math takes a (..., batch, d) input whose leading axes
 broadcast against the weights' and biases': a (batch, d) batch, or the
@@ -218,10 +220,9 @@ _SHARE_VALUES = 4096
 
 def train(task: str, activation, seeds) -> TrainReport:
     """Plain gradient descent on ``make_dataset(task, seed)`` for each seed,
-    with the task's row of ``TASKS``; one report of the (levels, seeds)
-    stack of cells, where ``activation.levels`` (1 if absent) counts the
-    levels of a stacked activation.  An unknown task or an empty seed list
-    raises ``ValueError``.
+    with the task's row of ``TASKS``, on a hidden activation as the module
+    docstring states it; one report of the (levels, seeds) stack of cells.
+    An unknown task or an empty seed list raises ``ValueError``.
 
     The seeds are trained on every core this process may use
     (``workers.split`` and ``workers.run``), unless the stack is too small
@@ -270,11 +271,9 @@ def _train(task, activation, seeds) -> TrainReport:
     initial weights, which every level starts from, and then each epoch's
     minibatch order, which every level shares.  Full batch when batch_size
     >= n; the evaluation pass that ends an epoch is then the next epoch's
-    training pass, and judges every cell on the stack.  With minibatches
-    that pass reads, through a ``rows`` view of their levels, the open
-    cells, whose threshold epoch can still move, and every cell at the
-    last epoch, which gives the final loss and accuracy; a report is the
-    same either way.  The threshold rule is evaluated on the full dataset.
+    training pass.  Which cells that pass judges is the module docstring's
+    rule; a report is the same either way.  The threshold rule is evaluated
+    on the full dataset.
     """
     x, y = _stack([make_dataset(task, seed) for seed in seeds])
     spec = TASKS[task]

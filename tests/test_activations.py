@@ -4,9 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from modegap import (
     SIGMOID,
-    STEP,
     DimensionError,
-    NonDifferentiableError,
     PerceptronConfig,
     perceptron_decide,
     sigmoid,
@@ -154,10 +152,9 @@ class TestClosedFormActivation:
         assert SIGMOID.evaluate_with_derivative(0.0) == (0.5, 0.25)
 
     def test_fields_are_what_a_network_reads(self):
-        """Each constant has two public methods: the two reads of a network."""
-        for activation in (SIGMOID, STEP):
-            assert [name for name in dir(activation) if not name.startswith("_")] == [
-                "evaluate", "evaluate_with_derivative"]
+        """``SIGMOID`` has two public methods: the two reads of a network."""
+        assert [name for name in dir(SIGMOID) if not name.startswith("_")] == [
+            "evaluate", "evaluate_with_derivative"]
 
     def test_reads_go_through_the_module_function(self, monkeypatch):
         calls = []
@@ -169,12 +166,6 @@ class TestClosedFormActivation:
         assert SIGMOID.evaluate(0.0) == 0.5
         assert SIGMOID.evaluate_with_derivative(0.0) == (0.5, 0.25)
         assert calls == [0.0, 0.0]
-
-    def test_step_derivative_raises(self):
-        with pytest.raises(NonDifferentiableError):
-            STEP.evaluate_with_derivative(0.0)
-        with pytest.raises(NonDifferentiableError):
-            STEP.evaluate_with_derivative(np.zeros(3))
 
     def test_sigmoid_fused_read_gives_both_reads_bits(self):
         """The fused read of a training pass: every bit of ``sigmoid`` and
@@ -238,11 +229,6 @@ class TestSensitivity:
         err_half = abs(true_delta(dw / 2, db / 2)
                        - _sensitivity_predict(act, cfg, x, dw / 2, db / 2))
         assert err_full / err_half == pytest.approx(4.0, rel=0.15)
-
-    def test_step_raises(self):
-        cfg = PerceptronConfig([1.0], 0.0)
-        with pytest.raises(NonDifferentiableError):
-            _sensitivity_predict(STEP, cfg, [1.0], [0.01], 0.0)
 
     def test_dimension_error(self):
         cfg = PerceptronConfig([1.0, 2.0], 0.0)

@@ -28,6 +28,7 @@ from modegap import (
 from modegap import bogoliubov
 from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, degraded_values,
                                 loss_fraction, write_activation_csv)
+from modegap.verify import DEFAULT_GRID, SWEEP_LEVELS
 
 GRID = Grid(40.0, 4096)
 SMALL = Grid(20.0, 256)
@@ -367,6 +368,54 @@ class TestEvaluate:
         # linear interpolation error ~ dz^2/8 * curvature, plus the ramp cell
         off_jump = np.abs(z) > 2 * GRID.dz
         assert np.abs(act.evaluate(z)[off_jump] - closed[off_jump]).max() < 1e-5
+
+
+class TestForwardBackward:
+    """Where the derivative table is the slope of the value table, and where
+    it is not."""
+
+    @staticmethod
+    def slopes(activation, z):
+        """The forward pass's central difference at ``z``, with h = dz/8, and
+        the backward pass's f'(z)."""
+        h = activation.grid.dz / 8
+        forward = (activation.evaluate(z + h) - activation.evaluate(z - h)) / (2 * h)
+        return forward, activation.evaluate_derivative(z)
+
+    def test_uniform_stack(self):
+        """The sweep's stack, read at every cell midpoint.  Off the two cells
+        beside z = 0 the backward pass is the forward slope, c*sigma' with
+        c = sqrt(1 - iota), to interpolation accuracy.  On them the forward
+        pass ramps across the step's jump 1 - c, half of it per cell, which
+        the derivative table leaves out."""
+        grid = DEFAULT_GRID
+        stack = reconstruct(uniform_channel(grid, SWEEP_LEVELS))
+        mid = grid.z[:-1] + grid.dz / 2
+        forward, backward = self.slopes(stack, np.tile(mid, (stack.levels, 1)))
+        jump = np.abs(mid) < grid.dz
+        assert np.flatnonzero(jump).tolist() == [grid.n_points // 2 - 1, grid.n_points // 2]
+        assert np.max(np.abs(forward - backward)[:, ~jump]) < 1e-5
+        for level, iota in enumerate(SWEEP_LEVELS):
+            c = math.sqrt(1.0 - iota)
+            assert backward[level, jump] == pytest.approx(c / 4, rel=1e-4, abs=1e-15)
+            assert forward[level, jump] == pytest.approx((1 - c) / (2 * grid.dz) + c / 4,
+                                                         rel=1e-4)
+
+    @pytest.mark.parametrize("n_points, bound", [(4096, 7e-5), (16384, 4.5e-6)])
+    @pytest.mark.parametrize("k_cut", [1.5, 2.0, 2.5])
+    def test_lowpass_misses_the_image_of_the_delta(self, k_cut, n_points, bound):
+        """The table is the channel applied to sigma', the gap's derivative
+        without the jump's delta.  A lowpass channel turns that delta into
+        D(z) = (1/2L) sum_{|k_n| < kc} cos(k_n z), which spreads over the
+        line, so df/dz - fprime is -D(z) even far from the jump."""
+        grid = Grid(40.0, n_points)
+        table = reconstruct(lowpass_channel(grid, k_cut))
+        residual = np.gradient(table.samples, grid.dz) - table.derivative_samples
+        far = (np.abs(grid.z) > 2) & (np.abs(grid.z) < 30)
+        kept = grid.k[np.abs(grid.k) < k_cut]
+        image = np.cos(np.outer(grid.z[far], kept)).sum(axis=1) / (2 * grid.half_width)
+        assert np.max(np.abs(residual[far])) > 0.05
+        assert np.max(np.abs(residual[far] + image)) < bound
 
 
 def same_bits(a, b):

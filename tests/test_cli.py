@@ -703,34 +703,49 @@ class TestExit2:
     stdout and no worker left, for every command it can meet."""
 
     @staticmethod
-    def error_line(harness, capsys, command, out):
+    def error_line(harness, capsys, command, out, profile=None):
         options = EXIT_2[command][0]
         argv = [command] if options is None else [command, "--out", str(out), *options]
+        argv += ["--set", f"channel.profile={profile}"] if profile else []
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         harness.assert_nothing_left()
         return captured.err
 
-    @pytest.mark.parametrize("command", EXIT_2)
-    def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command):
+    @pytest.mark.parametrize("command, profile", [
+        *((command, None) for command in EXIT_2), ("degrade", "lowpass"), ("degrade", "thermal")],
+        ids=[*EXIT_2, "degrade-lowpass", "degrade-thermal"])
+    def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command, profile):
         """The spy stands in for an allocation too large, made before any
         table is written, so at most the record is.  The hint names only
-        what the command reads: grid points (grid.N), seeds (sweep.seeds),
-        levels (sweep.levels, which a uniform degrade plots as a family);
-        verify reads no key and gets none."""
+        what the run reads: grid points (grid.N), seeds (sweep.seeds),
+        levels (sweep.levels, which only a uniform degrade plots as a
+        family); verify reads no key and gets none."""
         def no_memory(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(*EXIT_2[command][1], no_memory)
         hint = {"spectrum": "; use fewer grid points",
                 "channel": "; use fewer grid points",
-                "degrade": "; use fewer levels or grid points",
+                "degrade": ("; use fewer grid points" if profile  # lowpass, thermal
+                            else "; use fewer levels or grid points"),
                 "train-sweep": "; use fewer seeds, levels or grid points",
                 "verify": ""}[command]
         out = tmp_path / "out"
-        assert self.error_line(harness, capsys, command, out) == (
+        assert self.error_line(harness, capsys, command, out, profile) == (
             f"error: {command} ran out of memory{hint}\n")
         assert {p.name for p in out.glob("*")} <= {"config.resolved"}
+
+    def test_out_of_memory_while_resolving(self, tmp_path, monkeypatch, capsys, harness):
+        """Before the run's keys are known, the hint names every key the
+        command may read, and nothing is written."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "thermal_channel", no_memory)
+        out = tmp_path / "out"
+        assert self.error_line(harness, capsys, "degrade", out, "lowpass") == (
+            "error: degrade ran out of memory; use fewer levels or grid points\n")
+        assert not out.exists()
 
     def test_out_of_memory_in_the_family_spectrum(self, tmp_path, monkeypatch, capsys, harness):
         """A uniform degrade transforms the gap for its run and its family

@@ -5,6 +5,7 @@ public name a module defines is named somewhere outside its definition.
 """
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -90,6 +91,38 @@ def test_dead_public_name_is_found():
 def test_no_dead_public_names():
     modules = {path.stem: path.read_text() for path in MODULES}
     assert dead_public_names(modules, [path.read_text() for path in READERS]) == []
+
+
+def unraised_errors(sources: list) -> list[str]:
+    """Exception classes that ``sources`` define, those derived from a builtin
+    exception or from another such class, and that no ``raise`` in them names."""
+    bases, raised = {}, set()
+    for node in (n for source in sources for n in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [getattr(b, "id", getattr(b, "attr", None)) for b in node.bases]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+
+    def is_error(name):
+        if name in bases:
+            return any(is_error(base) for base in bases[name])
+        found = getattr(builtins, str(name), None)
+        return isinstance(found, type) and issubclass(found, BaseException)
+    return sorted(name for name in bases if is_error(name) and name not in raised)
+
+
+def test_unraised_error_is_found():
+    source = ("class AError(ValueError):\n    pass\nclass BError(AError):\n    pass\n"
+              "class CError(m.BError):\n    pass\nclass Plain:\n    pass\n"
+              "raise AError('a')\nraise m.CError\n")
+    assert unraised_errors([source]) == ["BError"]
+
+
+def test_every_error_is_raised():
+    """An error type that the package defines but never raises is dead code
+    that its callers may still catch."""
+    assert unraised_errors([path.read_text() for path in SRC.glob("*.py")]) == []
 
 
 def os_calls(source: str, name: str) -> list[int]:

@@ -8,14 +8,12 @@ import pytest
 
 from modegap import (
     SIGMOID,
-    STEP,
     TASKS,
     DegradedActivation,
     DimensionError,
     Grid,
     TrainReport,
     forward,
-    NonDifferentiableError,
     loss_gradients,
     make_dataset,
     reconstruct,
@@ -201,19 +199,14 @@ class TestTrain:
             np.testing.assert_array_equal(w0, w1)
             np.testing.assert_array_equal(b0, b1)
 
-    def test_step_cannot_be_trained(self):
-        """The step has no derivative: a training pass raises, a value-only
-        pass evaluates, and backprop refuses a pass without slopes."""
-        for task in ("xor", "moons"):
-            with pytest.raises(NonDifferentiableError):
-                train(task, STEP, [0])
+    def test_backprop_refuses_a_value_only_pass(self):
+        """A pass that only judges the network keeps no slopes, and backprop
+        refuses it."""
         inputs, labels = make_dataset("xor")
         weights = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(0))
-        with pytest.raises(NonDifferentiableError):
-            forward(STEP, weights, inputs, derivatives=True)
-        passes = forward(STEP, weights, inputs)
-        np.testing.assert_array_equal(passes[1][1], np.heaviside(inputs @ weights[0][0].T, 0.5))
-        with pytest.raises(ValueError):
+        passes = forward(SIGMOID, weights, inputs)
+        assert passes[0] is None
+        with pytest.raises(ValueError, match="derivatives=True"):
             loss_gradients(weights, passes, labels)
 
     def test_report_fields(self):
