@@ -22,7 +22,6 @@ from .spectral import (
     gap,
     gap_samples,
     inverse_transform,
-    transform_gap,
     transform_samples,
 )
 from .bogoliubov import (

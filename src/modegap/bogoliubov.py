@@ -31,7 +31,6 @@ from .spectral import (
     Grid,
     ModeSpectrum,
     inverse_transform,
-    transform_gap,
     transform_samples,
     write_columns,
 )
@@ -284,39 +283,37 @@ class DegradedActivation:
         return tuple(out if out.ndim else float(out) for out in reads)
 
 
-def reconstruct(channel: BogoliubovChannel, gap_spec: ModeSpectrum | None = None
-                ) -> DegradedActivation:
+def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     """Degraded activation of a channel: theta(z) + surviving gap modes.
 
     One table row per channel row, bit for bit that row's own reconstruction.
-    sigma' is transformed once per call, and so is the gap unless the caller
-    passes ``gap_spec``, the grid's ``transform_gap``, which is not written.
+    The gap's modes are the grid's ``gap_spectrum``; sigma' is transformed
+    once per call.
     """
     grid = channel.grid
-    samples = degraded_values(channel, transform_gap(grid) if gap_spec is None else gap_spec)
+    samples = degraded_values(channel)
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
     return DegradedActivation(grid, samples, deriv)
 
 
-def degraded_values(channel: BogoliubovChannel, gap_spec: ModeSpectrum) -> np.ndarray:
+def degraded_values(channel: BogoliubovChannel) -> np.ndarray:
     """``reconstruct(channel).samples`` bit for bit, and nothing else: the
-    channel applied to ``gap_spec``, the grid's ``transform_gap``, inverted,
-    plus the step.  No derivative table is made."""
-    samples = inverse_transform(apply_channel(channel, gap_spec))
+    channel applied to the grid's ``gap_spectrum``, inverted, plus the step.
+    No derivative table is made."""
+    samples = inverse_transform(apply_channel(channel, channel.grid.gap_spectrum))
     samples += step(channel.grid.z)
     return samples
 
 
-def loss_fraction(channel: BogoliubovChannel, gap_spec: ModeSpectrum):
+def loss_fraction(channel: BogoliubovChannel):
     """The share of the gap's spectral power that the channel's loss takes:
-    sum(iota_k |g_k|^2) / sum(|g_k|^2), ``gap_spec`` the grid's
-    ``transform_gap``.  A float for one channel, one per row for a stack; it
-    is iota itself for a uniform channel.  The amplitudes are scaled by the
-    largest before they are squared: on a coarse lattice they are small
-    enough (about 1e-160 at dz = 375) that their squares would fall into
-    the subnormals."""
-    magnitudes = np.abs(gap_spec.amplitudes)
+    sum(iota_k |g_k|^2) / sum(|g_k|^2), g_k the grid's ``gap_spectrum``.  A
+    float for one channel, one per row for a stack; it is iota itself for a
+    uniform channel.  The amplitudes are scaled by the largest before they
+    are squared: on a coarse lattice they are small enough (about 1e-160 at
+    dz = 375) that their squares would fall into the subnormals."""
+    magnitudes = np.abs(channel.grid.gap_spectrum.amplitudes)
     weights = (magnitudes / np.max(magnitudes)) ** 2
     fraction = np.sum(channel.iota * weights, axis=-1) / np.sum(weights)
     return fraction if fraction.ndim else float(fraction)

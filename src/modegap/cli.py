@@ -14,8 +14,10 @@ in the text that parses back to it, so two spellings write one record, and
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, a command out of memory, a failed worker, or an output it
-cannot write (``config.resolved`` included); a command that exits 2 on its
-configuration has written nothing.
+cannot write (``config.resolved`` included).  A command computes before it
+writes, so one that exits 2 on its configuration, or on a failure while it
+computes, has written nothing; one that fails while it writes (a writer
+worker, memory, an output it cannot write) leaves what it wrote.
 """
 
 import argparse
@@ -26,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .activations import sigmoid
-from .spectral import (Grid, continuum_gap_spectrum, gap_samples, transform_gap,
-                       write_columns, write_spectrum_csv)
+from .spectral import (Grid, continuum_gap_spectrum, gap_samples, write_columns,
+                       write_spectrum_csv)
 from .bogoliubov import (
     BogoliubovChannel,
     commutator_residual,
@@ -234,13 +236,8 @@ def cmd_channel(run: RunConfig) -> int:
 
 def cmd_degrade(run: RunConfig) -> int:
     grid, profile = run.grid, run.values["channel.profile"]
-    out_dir = prepare_out(run)
-    # One gap spectrum serves the run, its loss fraction and a uniform run's
-    # family.  The family is drawn before any table is written: once the
-    # writer has forked, each heap page the caller writes faults again.
-    gap_spec = transform_gap(grid)
-    fraction = loss_fraction(run.channel, gap_spec)
-    activation = reconstruct(run.channel, gap_spec)
+    fraction = loss_fraction(run.channel)
+    activation = reconstruct(run.channel)
 
     # A family level needs only its 801-point curve: its value table alone,
     # read as that level's own evaluate would read it (np.interp's bits).
@@ -248,13 +245,13 @@ def cmd_degrade(run: RunConfig) -> int:
     own = activation.evaluate(zs)
     if profile == "uniform":
         curves = [(f"iota={iota:g}", zs, own if iota == run.values["channel.iota"]
-                   else np.interp(zs, grid.z, degraded_values(uniform_channel(grid, iota),
-                                                              gap_spec), 0.0, 1.0))
+                   else np.interp(zs, grid.z, degraded_values(uniform_channel(grid, iota)),
+                                  0.0, 1.0))
                   for iota in run.values["sweep.levels"]]
     else:
         curves = [(profile, zs, own)]
-    del gap_spec
 
+    out_dir = prepare_out(run)
     write_activation_csv(out_dir / "degraded_activation.csv", activation)
     write_channel_txt(out_dir, run)
     line_plot(out_dir / "degraded_activation.svg", curves,
@@ -268,8 +265,8 @@ def cmd_degrade(run: RunConfig) -> int:
 
 def cmd_train_sweep(run: RunConfig) -> int:
     task, levels = run.values["task.name"], run.values["sweep.levels"]
-    out_dir = prepare_out(run)
     report = sweep(task, levels, run.values["sweep.seeds"], run.grid)
+    out_dir = prepare_out(run)
     write_report_csv(out_dir / "train_reports.csv", report)
 
     line_plot(out_dir / "train_sweep.svg",

@@ -18,6 +18,7 @@ most exp(-L).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ class Grid:
     reads three samples on each side of z = 0); dz and the largest |k| are
     finite, with dz > 0; and the gap samples next to z = 0, its largest, do
     not underflow, or every sample is 0 and no loss fraction exists.
+
+    ``gap_spectrum`` is the gap's mode content on this lattice, transformed
+    on first use and kept read-only: every channel on the grid acts on it.
     """
 
     half_width: float
@@ -68,6 +72,12 @@ class Grid:
         index = np.arange(-(n // 2), n // 2)
         self.k = np.pi * index / self.half_width
         self.phase = np.where(index % 2 == 0, 1.0, -1.0)
+
+    @cached_property
+    def gap_spectrum(self) -> "ModeSpectrum":
+        spectrum = transform_samples(self, gap_samples(self))
+        spectrum.amplitudes.flags.writeable = False
+        return spectrum
 
     def require_same(self, other: "Grid"):
         if self.half_width != other.half_width or self.n_points != other.n_points:
@@ -138,11 +148,6 @@ def transform_samples(grid: Grid, samples) -> ModeSpectrum:
     np.multiply(scale[:half], amplitudes[half:], out=amplitudes[:half])
     np.multiply(scale[half:], low, out=amplitudes[half:])
     return ModeSpectrum(grid, amplitudes)
-
-
-def transform_gap(grid: Grid) -> ModeSpectrum:
-    """Mode content of the gap on the grid's wavenumber lattice."""
-    return transform_samples(grid, gap_samples(grid))
 
 
 def continuum_spectrum(grid: Grid, samples) -> ModeSpectrum:

@@ -12,20 +12,21 @@ from modegap import network
 
 
 class Harness:
-    """Counts each ``os.fork`` and raises in place of the ones refused; records
-    each part file ``tempfile.TemporaryFile`` makes, and gives the default
-    temporary directory, where ``train``'s part files lie, to this test."""
+    """Records the OS thread count at each ``os.fork`` and raises in place of
+    the ones refused; records each part file ``tempfile.TemporaryFile`` makes,
+    and gives the default temporary directory, where ``train``'s part files
+    lie, to this test."""
 
     def __init__(self, monkeypatch, directory):
         self.monkeypatch, self.directory = monkeypatch, directory
         self.caller = os.getpid()
-        self.forks = []      # one entry per call of os.fork
+        self.forks = []      # the thread count at each call of os.fork
         self.refused = {}    # call number, from 1 -> the error raised in place of forking
         self.parts = []
         fork, temporary_file = os.fork, tempfile.TemporaryFile
 
         def counting_fork():
-            self.forks.append(None)
+            self.forks.append(self.thread_count())
             if len(self.forks) in self.refused:
                 raise self.refused[len(self.forks)]("fork refused")
             return fork()
@@ -36,6 +37,19 @@ class Harness:
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(tempfile, "TemporaryFile", recording)
         monkeypatch.setattr(tempfile, "tempdir", str(directory))
+
+    @staticmethod
+    def thread_count():
+        """This process's OS threads, from the ``Threads:`` line of
+        ``/proc/self/status``; None where that file cannot be read."""
+        try:
+            with open("/proc/self/status") as status:
+                for line in status:
+                    if line.startswith("Threads:"):
+                        return int(line.split()[1])
+        except OSError:
+            pass
+        return None
 
     def cores(self, count):
         """``count`` cores, and a training share for every seed however small its stack."""

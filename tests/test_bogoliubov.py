@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,12 +21,12 @@ from modegap import (
     reconstruct,
     self_compose,
     sigmoid,
+    sigmoid_prime,
     step,
     thermal_channel,
-    transform_gap,
     uniform_channel,
 )
-from modegap import bogoliubov
+from modegap import bogoliubov, spectral
 from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, degraded_values,
                                 loss_fraction, write_activation_csv)
 from modegap.verify import DEFAULT_GRID, SWEEP_LEVELS
@@ -220,17 +221,17 @@ class TestModeOccupation:
 
 class TestApplyChannel:
     def test_identity(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         out = apply_channel(uniform_channel(GRID, 0.0), spec)
         assert np.abs(out.amplitudes - spec.amplitudes).max() < 1e-15
 
     def test_uniform_three_quarters_halves(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         out = apply_channel(uniform_channel(GRID, 0.75), spec)
         np.testing.assert_allclose(out.amplitudes, 0.5 * spec.amplitudes, atol=1e-15)
 
     def test_lowpass(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         out = apply_channel(lowpass_channel(GRID, 2.0), spec)
         below = np.abs(GRID.k) < 2.0
         np.testing.assert_array_equal(out.amplitudes[below], spec.amplitudes[below])
@@ -238,7 +239,7 @@ class TestApplyChannel:
 
     def test_grid_mismatch(self):
         with pytest.raises(GridError):
-            apply_channel(uniform_channel(SMALL, 0.0), transform_gap(GRID))
+            apply_channel(uniform_channel(SMALL, 0.0), GRID.gap_spectrum)
 
 
 class TestReconstruct:
@@ -246,13 +247,13 @@ class TestReconstruct:
         channel = uniform_channel(GRID, 0.0)
         act = reconstruct(channel)
         assert np.abs(act.samples - sigmoid(GRID.z)).max() < 1e-9
-        assert loss_fraction(channel, transform_gap(GRID)) == pytest.approx(0.0, abs=1e-15)
+        assert loss_fraction(channel) == pytest.approx(0.0, abs=1e-15)
 
     def test_total_loss_is_exact_step(self):
         channel = uniform_channel(GRID, 1.0)
         act = reconstruct(channel)
         np.testing.assert_array_equal(act.samples, step(GRID.z))
-        assert loss_fraction(channel, transform_gap(GRID)) == 1.0
+        assert loss_fraction(channel) == 1.0
         np.testing.assert_array_equal(act.derivative_samples, 0.0)
 
     @pytest.mark.parametrize("iota", [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -264,7 +265,7 @@ class TestReconstruct:
     def test_uniform_loss_fraction_equals_iota(self):
         # dz = 375: the gap amplitudes (about 1e-160) square to subnormals
         for grid in (GRID, Grid(1500.0, 8)):
-            fraction = loss_fraction(uniform_channel(grid, 0.5), transform_gap(grid))
+            fraction = loss_fraction(uniform_channel(grid, 0.5))
             assert fraction == pytest.approx(0.5, abs=1e-12)
 
     def test_monotone_between_levels(self):
@@ -287,7 +288,7 @@ class TestReconstruct:
     def test_energy_bookkeeping(self):
         ch = BogoliubovChannel(GRID, np.where(np.abs(GRID.k) < 3, 0.3, 0.8),
                                np.full(GRID.n_points, 0.2))
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         power = np.abs(spec.amplitudes) ** 2
         out_power = np.abs(apply_channel(ch, spec).amplitudes) ** 2
         kept, lost, total = (float(np.sum(p)) for p in (out_power, power - out_power, power))
@@ -311,33 +312,53 @@ class TestReconstruct:
                     lowpass_channel(grid, 2.0), thermal_channel(grid, 1.0)]
         stacked = BogoliubovChannel(grid, np.stack([ch.iota for ch in channels]),
                                     np.stack([ch.squeeze for ch in channels]))
-        stack, gap_spec = reconstruct(stacked), transform_gap(grid)
-        fractions = loss_fraction(stacked, gap_spec)
+        stack, fractions = reconstruct(stacked), loss_fraction(stacked)
         assert stack.levels == 4 and fractions.shape == (4,)
         for level, channel in enumerate(channels):
-            alone, fraction = reconstruct(channel), loss_fraction(channel, gap_spec)
+            alone, fraction = reconstruct(channel), loss_fraction(channel)
             assert alone.levels == 1 and type(fraction) is float
             assert same_bits(stack.samples[level], alone.samples)
             assert same_bits(stack.derivative_samples[level], alone.derivative_samples)
             assert same_bits(fractions[level], fraction)
 
-    def test_a_given_gap_spectrum_changes_no_bit(self):
-        """``reconstruct(channel, gap_spec)``, ``degraded_values`` and
-        ``loss_fraction`` read the caller's gap spectrum, unwritten, and give
-        the bits they give on the grid's own."""
-        channels = [uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5, 1.0]),
-                    lowpass_channel(GRID, 2.0), thermal_channel(GRID, 1.0)]
-        gap_spec = transform_gap(GRID)
-        kept = gap_spec.amplitudes.copy()
-        gap_spec.amplitudes.flags.writeable = False
-        for channel in channels:
-            alone, given = reconstruct(channel), reconstruct(channel, gap_spec)
-            assert same_bits(given.samples, alone.samples)
-            assert same_bits(given.derivative_samples, alone.derivative_samples)
-            assert same_bits(loss_fraction(channel, gap_spec),
-                             loss_fraction(channel, transform_gap(GRID)))
-            assert same_bits(degraded_values(channel, gap_spec), alone.samples)
-        assert np.array_equal(gap_spec.amplitudes, kept)
+    def test_the_grid_transforms_its_gap_once(self, monkeypatch):
+        """A grid's ``gap_spectrum`` is what every channel on it reads:
+        ``loss_fraction``, a stacked ``reconstruct`` and four
+        ``degraded_values`` transform the gap once between them, beside the
+        one ``reconstruct``'s sigma'.  It is read-only, with the bits of the
+        lattice transform of the gap."""
+        grid, transformed, real_transform = Grid(40.0, 4096), [], spectral.transform_samples
+
+        def transform(grid, samples):
+            transformed.append(samples)
+            return real_transform(grid, samples)
+        bound = [(module, name) for module in list(sys.modules.values())
+                 if module.__name__.split(".")[0] == "modegap"
+                 for name, value in vars(module).items() if value is real_transform]
+        assert {(module.__name__, name) for module, name in bound} >= {
+            ("modegap", "transform_samples"), ("modegap.spectral", "transform_samples"),
+            ("modegap.bogoliubov", "transform_samples")}
+        for module, name in bound:
+            monkeypatch.setattr(module, name, transform)
+
+        fraction = loss_fraction(uniform_channel(grid, 0.5))
+        stack = reconstruct(uniform_channel(grid, [0.0, 0.5, 1.0]))
+        values = [degraded_values(channel) for channel in (
+            uniform_channel(grid, 0.5), uniform_channel(grid, [0.0, 1.0]),
+            lowpass_channel(grid, 2.0), thermal_channel(grid, 1.0))]
+        assert len(transformed) == 2
+        assert same_bits(transformed[0], gap_samples(grid))
+        assert same_bits(transformed[1], sigmoid_prime(grid.z))
+        assert fraction == pytest.approx(0.5, abs=1e-12)
+        assert same_bits(values[0], stack.samples[1])
+        assert same_bits(values[1], stack.samples[[0, 2]])
+
+        spectrum = grid.gap_spectrum
+        assert spectrum is grid.gap_spectrum
+        with pytest.raises(ValueError):
+            spectrum.amplitudes[0] = 0.0
+        assert same_bits(spectrum.amplitudes.view(float),
+                         real_transform(grid, gap_samples(grid)).amplitudes.view(float))
 
     def test_derivative_table_owns_contiguous_memory(self):
         for channel in (uniform_channel(GRID, 0.3), uniform_channel(GRID, [0.0, 0.5])):

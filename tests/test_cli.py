@@ -718,7 +718,9 @@ class TestExit2:
         ids=[*EXIT_2, "degrade-lowpass", "degrade-thermal"])
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command, profile):
         """The spy stands in for an allocation too large, made before any
-        table is written, so at most the record is.  The hint names only
+        table is written.  Spectrum, degrade and train-sweep compute before
+        they write, so they make no directory; channel's is made in its
+        first table's writer, after the record.  The hint names only
         what the run reads: grid points (grid.N), seeds (sweep.seeds),
         levels (sweep.levels, which only a uniform degrade plots as a
         family); verify reads no key and gets none."""
@@ -734,7 +736,8 @@ class TestExit2:
         out = tmp_path / "out"
         assert self.error_line(harness, capsys, command, out, profile) == (
             f"error: {command} ran out of memory{hint}\n")
-        assert {p.name for p in out.glob("*")} <= {"config.resolved"}
+        assert [p.name for p in out.glob("*")] == ["config.resolved"] * (command == "channel")
+        assert out.exists() == (command == "channel")
 
     def test_out_of_memory_while_resolving(self, tmp_path, monkeypatch, capsys, harness):
         """Before the run's keys are known, the hint names every key the
@@ -749,14 +752,46 @@ class TestExit2:
 
     def test_out_of_memory_in_the_family_spectrum(self, tmp_path, monkeypatch, capsys, harness):
         """A uniform degrade transforms the gap for its run and its family
-        before ``reconstruct``; that allocation exits 2 the same way."""
+        once, as the grid's ``gap_spectrum``, before ``reconstruct``; that
+        allocation exits 2 the same way, and nothing is written."""
         def no_memory(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr(cli, "transform_gap", no_memory)
+        monkeypatch.setattr(spectral, "gap_samples", no_memory)
         out = tmp_path / "out"
         assert self.error_line(harness, capsys, "degrade", out) == (
             "error: degrade ran out of memory; use fewer levels or grid points\n")
-        assert [p.name for p in out.iterdir()] == ["config.resolved"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, error", [
+        ("degrade", "degrade ran out of memory; use fewer levels or grid points"),
+        ("train-sweep", "train-sweep: the worker training seeds 1,3 exited with 1")],
+        ids=["degrade", "train-sweep"])
+    def test_a_failure_while_computing_keeps_the_earlier_run(
+            self, tmp_path, monkeypatch, capsys, harness, command, error):
+        """A degrade out of memory in ``reconstruct``, and a train-sweep whose
+        training worker fails on two cores, each run into a directory that
+        holds a good run of other values, leave its listing and bytes as
+        they were: a command computes before it writes."""
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--set", "sweep.levels=0,1", "--set"]
+        good, bad = {"degrade": ("channel.iota=0.5", "channel.iota=0.25"),
+                     "train-sweep": ("sweep.seeds=0,1,2", "sweep.seeds=0,1,3")}[command]
+        assert run_cli(argv + [good]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        if command == "degrade":
+            monkeypatch.setattr(cli, "reconstruct", no_memory)
+        else:
+            harness.cores(2)
+            harness.spy(network, "_train", fail="worker")
+        assert run_cli(argv + [bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        harness.assert_nothing_left()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("command", [c for c in EXIT_2 if EXIT_2[c][2]])
     def test_directory_in_the_way(self, tmp_path, capsys, harness, command):
@@ -777,6 +812,8 @@ class TestExit2:
         out = tmp_path / "out"
         assert self.error_line(harness, capsys, command, out) == (
             f"error: {command}: the worker {name.format(first=f'{out}/{first}')} exited with 1\n")
+        # a writer fails while it writes; training, before anything is written
+        assert out.exists() == (work[0] is spectral)
 
 
 class TestBenchmarkTracing:

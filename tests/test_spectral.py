@@ -18,7 +18,6 @@ from modegap import (
     gap,
     gap_samples,
     inverse_transform,
-    transform_gap,
     transform_samples,
 )
 from modegap import spectral
@@ -133,14 +132,14 @@ class TestAnalyticSpectrum:
 
 class TestTransformGap:
     def test_conjugate_symmetry(self):
-        assert transform_gap(GRID).conjugate_symmetry_defect() < 1e-10
+        assert GRID.gap_spectrum.conjugate_symmetry_defect() < 1e-10
 
     def test_purely_imaginary(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         assert np.abs(spec.amplitudes.real).max() < 1e-8
 
     def test_near_k_one_matches_oracle(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         i = np.argmin(np.abs(GRID.k - 1.0))
         ana = analytic_gap_spectrum(GRID.k[i])
         assert abs(spec.amplitudes[i] - ana) / abs(ana) < 1e-3
@@ -152,7 +151,7 @@ class TestTransformGap:
         the rectangle rule second-order with exactly this leading error;
         after removing it the agreement is two orders better.
         """
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         band = (GRID.k >= 0.1) & (GRID.k <= 10.0)
         ana = analytic_gap_spectrum(GRID.k[band])
         raw = np.abs(spec.amplitudes[band] - ana) / np.abs(ana)
@@ -164,7 +163,7 @@ class TestTransformGap:
     def test_doubling_n_halves_or_better(self):
         def band_err(n):
             g = Grid(40.0, n)
-            spec = transform_gap(g)
+            spec = g.gap_spectrum
             band = (g.k >= 0.1) & (g.k <= 10.0)
             ana = analytic_gap_spectrum(g.k[band])
             return np.max(np.abs(spec.amplitudes[band] - ana) / np.abs(ana))
@@ -197,7 +196,7 @@ class TestContinuumSpectrum:
 
     def test_conjugate_symmetric_with_zero_origin_and_nyquist_terms(self):
         spec = continuum_gap_spectrum(GRID)
-        raw = transform_gap(GRID)
+        raw = GRID.gap_spectrum
         assert spec.conjugate_symmetry_defect() < 1e-10
         half = GRID.n_points // 2
         assert spec.amplitudes[half] == raw.amplitudes[half]
@@ -221,11 +220,11 @@ class TestContinuumSpectrum:
 
 class TestInverseTransform:
     def test_round_trip(self):
-        rec = inverse_transform(transform_gap(GRID))
+        rec = inverse_transform(GRID.gap_spectrum)
         assert np.abs(rec - gap_samples(GRID)).max() < 1e-9
 
     def test_transform_of_inverse(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         again = transform_samples(GRID, inverse_transform(spec))
         assert np.abs(again.amplitudes - spec.amplitudes).max() < 1e-9
 
@@ -234,7 +233,7 @@ class TestInverseTransform:
         assert np.all(rec == 0.0)
 
     def test_halved_spectrum_halves_samples(self):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         rec = inverse_transform(ModeSpectrum(GRID, spec.amplitudes / 2.0))
         assert np.abs(rec - gap_samples(GRID) / 2.0).max() < 1e-9
 
@@ -245,7 +244,7 @@ class TestInverseTransform:
             inverse_transform(ModeSpectrum(GRID, amps))
 
     def test_one_asymmetric_row_rejects_the_stack(self):
-        amps = np.stack([transform_gap(GRID).amplitudes] * 3)
+        amps = np.stack([GRID.gap_spectrum.amplitudes] * 3)
         assert inverse_transform(ModeSpectrum(GRID, amps)).shape == (3, GRID.n_points)
         amps[1, GRID.n_points // 2 + 5] += 1.0  # no conjugate partner in row 1
         with pytest.raises(SpectrumSymmetryError):
@@ -356,7 +355,7 @@ def _parseval_check(spectrum, samples):
 class TestParseval:
     def test_gap_defect(self):
         g = gap_samples(GRID)
-        assert _parseval_check(transform_gap(GRID), g) < 1e-9
+        assert _parseval_check(GRID.gap_spectrum, g) < 1e-9
 
     def test_zero_function(self):
         zero = np.zeros(GRID.n_points)
@@ -384,7 +383,7 @@ class TestGapEnergy:
 
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
-        spec = transform_gap(GRID)
+        spec = GRID.gap_spectrum
         path = tmp_path / "spec.csv"
         write_spectrum_csv(path, spec)
         lines = path.read_text().splitlines()

@@ -210,3 +210,15 @@ def test_a_platform_without_fork_computes_alone(directory, harness, caller, miss
     assert cores() == 1
     assert caller.job(directory) == caller.reference()
     assert harness.forks == []
+
+
+@pytest.mark.parametrize("caller", [CALLERS["write_columns"], CALLERS["train"]],
+                         ids=["write_columns", "train"])
+def test_no_thread_is_started_before_a_fork(directory, harness, caller):
+    """The fork on two cores sees the OS threads that the test started with
+    (after ``import numpy``, the OpenBLAS pool's: 2, or 1 with
+    ``OPENBLAS_NUM_THREADS=1``): the package starts none of its own."""
+    harness.cores(2)
+    threads = harness.thread_count()
+    assert caller.job(directory) == caller.reference()
+    assert harness.forks == [threads]
