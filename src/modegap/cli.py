@@ -6,7 +6,7 @@ overridden, a later assignment winning, by each ``key = value`` line of the
 about an assignment names its source, ``path:line`` or the flag.  ``--out``
 names the output directory (default ``out``; never empty) and is no key.
 ``verify`` takes only ``--full``.  ``resolve_config`` checks every key before
-any command writes, each channel profile's parameter by that profile's maker
+any command computes, each channel profile's parameter by that profile's maker
 whether the run uses it or not.  A command reads only the parsed values of the
 keys that shape its outputs (``READS``); ``config.resolved`` records them, each
 in the text that parses back to it, so two spellings write one record, and
@@ -14,14 +14,17 @@ in the text that parses back to it, so two spellings write one record, and
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, a command out of memory, a failed worker, or an output it
-cannot write (``config.resolved`` included).  A command computes before it
-writes, so one that exits 2 on its configuration, or on a failure while it
-computes, has written nothing; one that fails while it writes (a writer
-worker, memory, an output it cannot write) leaves what it wrote.
+cannot write.  Each command but ``verify`` computes its files and its lines
+and opens no path; ``write_run`` alone writes, and the lines are printed
+once every file is in place.  So a run reaches ``--out`` whole, or, on any
+exit 2, ``--out`` is left as it was.
 """
 
 import argparse
+import errno
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +70,7 @@ READS = {"spectrum": "grid.L grid.N",
 # What a command out of memory can use fewer of: each key it may read that counts one.
 FEWER = {"sweep.seeds": "seeds", "sweep.levels": "levels", "grid.N": "grid points"}
 CHECK_GRID = Grid(1.0, 8)  # the lattice on which the profiles a run does not use are built
+STAGE_PREFIX = ".modegap-stage-"  # write_run's staging directory inside --out
 
 
 class ConfigError(ValueError):
@@ -171,70 +175,80 @@ def resolve_config(args) -> RunConfig:
     return RunConfig({k: values[k] for k in read.split()}, grid, channel, compose, Path(args.out))
 
 
-def prepare_out(run: RunConfig) -> Path:
-    """Make the output directory; record ``run.values`` in its ``config.resolved``,
-    a sorted ``key = value`` line each, in the text that parses back to the value:
-    a float's ``repr`` without a trailing ``.0``, a list joined by ``,``."""
-    def text(v):  # no int or checked name ends in ".0"
+def write_run(run: RunConfig, files):
+    """Write ``config.resolved`` (``run.values``, a sorted ``key = value`` line
+    each, in the text that parses back to the value) and ``files``, (name,
+    writer) pairs, into ``run.out`` whole: each by ``writer(path)`` into a
+    staging directory inside ``run.out``, beside a writer worker's part file,
+    then, once no name there is a directory, moved into place.  On any error
+    the staging directory and the outermost directory this call made go."""
+    def text(v):  # a float's repr without a trailing ".0", which no int or checked name has
         return ",".join(map(text, v)) if isinstance(v, list) else str(v).removesuffix(".0")
-    lines = [f"{k} = {text(v)}" for k, v in sorted(run.values.items())]
-    run.out.mkdir(parents=True, exist_ok=True)
-    (run.out / "config.resolved").write_text("\n".join(lines) + "\n")
-    return run.out
+    record = "".join(f"{k} = {text(v)}\n" for k, v in sorted(run.values.items()))
+    files = [("config.resolved", lambda path: path.write_text(record)), *files]
+    out = run.out
+    made = next((p for p in (*reversed(out.parents), out) if not p.exists()), None)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=STAGE_PREFIX, dir=out) as stage:
+            try:
+                for name, writer in files:
+                    writer(Path(stage, name))
+            except WorkerError as exc:  # name the table at its place in --out
+                raise WorkerError(str(exc).replace(stage, str(out))) from None
+            for name in (name for name, _ in files if (out / name).is_dir()):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out / name))
+            for name, _ in files:
+                Path(stage, name).replace(out / name)
+    except BaseException:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        raise
 
 
-def write_channel_txt(out_dir: Path, run: RunConfig):
-    """Write what no key says: ``compose = n`` if n >= 2, ``max_iota``, ``max_squeeze``."""
+def channel_txt(run: RunConfig):
+    """channel.txt, what no key says: ``compose = n`` if n >= 2, ``max_iota``, ``max_squeeze``."""
     lines = [f"compose = {run.compose}"] * (run.compose > 1) + [
         f"max_iota = {float(np.max(run.channel.iota))}",
         f"max_squeeze = {float(np.max(run.channel.squeeze))}"]
-    (out_dir / "channel.txt").write_text("\n".join(lines) + "\n")
+    return "channel.txt", lambda path: path.write_text("\n".join(lines) + "\n")
 
 
-def print_checks(results) -> int:
-    """Print a ``PASS|FAIL name: measured`` line per check; return the failures."""
-    for name, passed, measured in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {measured}")
-    return sum(not passed for _, passed, _ in results)
+def check_lines(results):
+    """A ``PASS|FAIL name: measured`` line per check."""
+    return [f"{'PASS' if passed else 'FAIL'} {name}: {measured}"
+            for name, passed, measured in results]
 
 
-def cmd_spectrum(run: RunConfig) -> int:
+def cmd_spectrum(run: RunConfig):
     grid = run.grid
     spec = continuum_gap_spectrum(grid)
     try:
         (ks, numeric, analytic, rel_err), oracle = verify_mod.oracle_comparison(spec)
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
-    out_dir = prepare_out(run)
-
-    write_columns(out_dir / "gap_samples.csv", ["z", "g"], [grid.z, gap_samples(grid)])
-    write_spectrum_csv(out_dir / "gap_spectrum.csv", spec)
-    write_columns(out_dir / "oracle_comparison.csv", ["k", "numeric", "analytic", "rel_err"],
-                  [ks, numeric.imag, analytic.imag, rel_err])
-
-    show = ks <= 20.0
-    line_plot(out_dir / "gap_spectrum.svg",
-              [("numeric |g(k)|", ks[show], np.abs(numeric[show])),
-               ("analytic |g(k)|", ks[show], np.abs(analytic[show]))],
-              "Gap mode spectrum", "k", "|amplitude|")
-
-    print_checks([("grid-oracle-agreement", *oracle)])
-    return 0
+    samples, show = gap_samples(grid), ks <= 20.0
+    curves = [("numeric |g(k)|", ks[show], np.abs(numeric[show])),
+              ("analytic |g(k)|", ks[show], np.abs(analytic[show]))]
+    files = [("gap_samples.csv", lambda path: write_columns(path, ["z", "g"], [grid.z, samples])),
+             ("gap_spectrum.csv", lambda path: write_spectrum_csv(path, spec)),
+             ("oracle_comparison.csv", lambda path: write_columns(
+                 path, ["k", "numeric", "analytic", "rel_err"],
+                 [ks, numeric.imag, analytic.imag, rel_err])),
+             ("gap_spectrum.svg", lambda path: line_plot(
+                 path, curves, "Gap mode spectrum", "k", "|amplitude|"))]
+    return files, check_lines([("grid-oracle-agreement", *oracle)])
 
 
-def cmd_channel(run: RunConfig) -> int:
+def cmd_channel(run: RunConfig):
     channel = run.channel
-    out_dir = prepare_out(run)
-
-    beta = channel.beta
-    write_columns(out_dir / "channel_modes.csv", ["k", "alpha", "beta", "eta", "occupation"],
-                  [run.grid.k, channel.alpha, beta, channel.eta, beta**2])
-    write_channel_txt(out_dir, run)
-    print(f"commutator residual: {commutator_residual(channel):.12g}")
-    return 0
+    columns = [run.grid.k, channel.alpha, channel.beta, channel.eta, channel.beta**2]
+    files = [("channel_modes.csv", lambda path: write_columns(
+                 path, ["k", "alpha", "beta", "eta", "occupation"], columns)), channel_txt(run)]
+    return files, [f"commutator residual: {commutator_residual(channel):.12g}"]
 
 
-def cmd_degrade(run: RunConfig) -> int:
+def cmd_degrade(run: RunConfig):
     grid, profile = run.grid, run.values["channel.profile"]
     fraction = loss_fraction(run.channel)
     activation = reconstruct(run.channel)
@@ -251,38 +265,31 @@ def cmd_degrade(run: RunConfig) -> int:
     else:
         curves = [(profile, zs, own)]
 
-    out_dir = prepare_out(run)
-    write_activation_csv(out_dir / "degraded_activation.csv", activation)
-    write_channel_txt(out_dir, run)
-    line_plot(out_dir / "degraded_activation.svg", curves,
-              "Degraded activations", "z", "f(z)")
-
     sigma_dev = float(np.max(np.abs(activation.samples - sigmoid(grid.z))))
-    print(f"loss_fraction: {fraction:.12g}")
-    print(f"max deviation from sigmoid: {sigma_dev:.6e}")
-    return 0
+    files = [("degraded_activation.csv", lambda path: write_activation_csv(path, activation)),
+             channel_txt(run),
+             ("degraded_activation.svg", lambda path: line_plot(
+                 path, curves, "Degraded activations", "z", "f(z)"))]
+    return files, [f"loss_fraction: {fraction:.12g}",
+                   f"max deviation from sigmoid: {sigma_dev:.6e}"]
 
 
-def cmd_train_sweep(run: RunConfig) -> int:
+def cmd_train_sweep(run: RunConfig):
     task, levels = run.values["task.name"], run.values["sweep.levels"]
     report = sweep(task, levels, run.values["sweep.seeds"], run.grid)
-    out_dir = prepare_out(run)
-    write_report_csv(out_dir / "train_reports.csv", report)
-
-    line_plot(out_dir / "train_sweep.svg",
-              [("median hidden grad norm", levels, verify_mod.grad_norm_medians(report)),
-               ("median final accuracy", levels, np.median(report.final_accuracy, axis=-1))],
-              f"Trainability vs loss level ({task})", "iota", "median metric")
-
-    print_checks(verify_mod.sweep_checks(task, report))
-    return 0
+    curves = [("median hidden grad norm", levels, verify_mod.grad_norm_medians(report)),
+              ("median final accuracy", levels, np.median(report.final_accuracy, axis=-1))]
+    files = [("train_reports.csv", lambda path: write_report_csv(path, report)),
+             ("train_sweep.svg", lambda path: line_plot(
+                 path, curves, f"Trainability vs loss level ({task})", "iota", "median metric"))]
+    return files, check_lines(verify_mod.sweep_checks(task, report))
 
 
 def cmd_verify(full: bool) -> int:
     results = verify_mod.run_criteria(full=full)
-    failures = print_checks(results)
-    print(f"{len(results) - failures}/{len(results)} criteria passed")
-    return 1 if failures else 0
+    passed = sum(ok for _, ok, _ in results)
+    print(*check_lines(results), f"{passed}/{len(results)} criteria passed", sep="\n")
+    return 1 if passed < len(results) else 0
 
 
 def build_parser():
@@ -335,7 +342,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args.full)
         run = resolve_config(args)
-        return args.run(run)
+        files, lines = args.run(run)
+        write_run(run, files)
+        print(*lines, sep="\n")
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from modegap import network
+from modegap import cli, network
 
 
 class Harness:
@@ -81,15 +81,20 @@ class Harness:
         return calls
 
     def assert_nothing_left(self):
-        """No child process is left, every part file is closed, and none lies
-        in the default temporary directory."""
+        """No child process is left, every part file is closed, none lies in
+        the default temporary directory, and no staging directory of
+        ``cli.write_run`` lies anywhere under this test's directory."""
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert all(part.closed for part in self.parts)
         assert os.listdir(self.directory) == []
+        assert list(self.directory.parent.rglob(f"{cli.STAGE_PREFIX}*")) == []
 
 
 @pytest.fixture
 def harness(monkeypatch, tmp_path):
+    """The harness of one test, which, once the test ends, leaves nothing."""
     (tmp_path / "temporary").mkdir()
-    return Harness(monkeypatch, tmp_path / "temporary")
+    harness = Harness(monkeypatch, tmp_path / "temporary")
+    yield harness
+    harness.assert_nothing_left()

@@ -22,10 +22,11 @@ target anyway:
 """
 
 import math
+from pathlib import Path
 
 import pytest
 
-from modegap import verify
+from modegap import cli, verify
 
 
 @pytest.fixture(scope="module")
@@ -130,3 +131,65 @@ def test_acceptance_runtime_budgets():
     assert t2 - t1 < 5.0
     verify.check_gradient_correctness()
     assert time.perf_counter() - t2 < 10.0
+
+
+GRID_RECORD = "grid.L = 40\ngrid.N = 4096\n"
+# The default-grid commands of the benchmark's fine-grid workload, and the
+# default XOR sweep: (arguments, config.resolved, the check of perfbench/checks.py).
+ORACLE_RUNS = {
+    "spectrum": (["spectrum"], GRID_RECORD, lambda checks, out: checks.check_spectrum(
+        out, 40.0, 4096)),
+    "channel": (["channel", "--set", "channel.profile=thermal", "--compose", "4"],
+                "channel.T = 1\nchannel.profile = thermal\n" + GRID_RECORD,
+                lambda checks, out: checks.check_channel(out, 40.0, 4096, 1.0, 4)),
+    "uniform": (["degrade"], "channel.iota = 0.5\nchannel.profile = uniform\n" + GRID_RECORD
+                + "sweep.levels = 0,0.25,0.5,0.75,1\n",
+                lambda checks, out: checks.check_degrade_uniform(out, 40.0, 4096, 0.5, 5)),
+    "lowpass": (["degrade", "--set", "channel.profile=lowpass"],
+                "channel.kc = 2\nchannel.profile = lowpass\n" + GRID_RECORD,
+                lambda checks, out: checks.check_degrade_spectral(
+                    out, 40.0, 4096, checks.lowpass_factor(2.0), "lowpass")),
+    "thermal": (["degrade", "--set", "channel.profile=thermal"],
+                "channel.T = 1\nchannel.profile = thermal\n" + GRID_RECORD,
+                lambda checks, out: checks.check_degrade_spectral(
+                    out, 40.0, 4096, checks.thermal_factor(1.0), "thermal")),
+    "xor-sweep": (["train-sweep"], GRID_RECORD + "sweep.levels = 0,0.25,0.5,0.75,1\n"
+                  "sweep.seeds = 0,1,2,3,4,5,6,7,8,9\ntask.name = xor\n",
+                  lambda checks, out: checks.check_sweep(
+                      out, "xor", list(verify.SWEEP_LEVELS), list(verify.SWEEP_SEEDS),
+                      [(0.5, 3), (0.75, 5)])),
+}
+
+
+def test_outputs_pass_the_benchmarks_independent_checks(xor_report, tmp_path, monkeypatch):
+    """perfbench/checks.py, imported as it is, recomputes each output without
+    modegap: the gap samples and spectrum, the composed thermal occupation,
+    the closed-form uniform tables, its own transform of the lowpass and
+    thermal tables, and a reference trainer for cells (iota 0.5, seed 3) and
+    (iota 0.75, seed 5) of the default XOR sweep, which is verify's own
+    (``xor_report``, shared with the c8 checks).  Every check returns no
+    problem, and each directory holds exactly the files that the writer
+    moved into it from its staging directory, config.resolved as recorded."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import checks
+
+    def default_sweep(task, levels, seeds, grid):
+        assert (task, levels, seeds, grid) == (
+            "xor", list(verify.SWEEP_LEVELS), list(verify.SWEEP_SEEDS), verify.DEFAULT_GRID)
+        return xor_report
+    moved, real_replace = [], Path.replace
+
+    def moving(source, target):
+        moved.append((source, target))
+        return real_replace(source, target)
+    monkeypatch.setattr(cli, "sweep", default_sweep)
+    monkeypatch.setattr(Path, "replace", moving)
+    for name, (argv, record, check) in ORACLE_RUNS.items():
+        out = tmp_path / name
+        del moved[:]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert sorted(out.iterdir()) == sorted(target for _, target in moved)
+        assert all(source.parent.parent == out and source.parent.name.startswith(
+            cli.STAGE_PREFIX) and not source.parent.exists() for source, _ in moved)
+        assert (out / "config.resolved").read_text() == record
+        assert check(checks, out) == [], name

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import filecmp
 import io
 import os
@@ -116,7 +117,8 @@ class TestConfigResolution:
         assert resolved.grid == verify_mod.DEFAULT_GRID
         assert resolved.values["sweep.levels"] == list(verify_mod.SWEEP_LEVELS)
         assert resolved.values["sweep.seeds"] == list(verify_mod.SWEEP_SEEDS)
-        cli.prepare_out(resolved)
+        cli.write_run(resolved, [])
+        assert [p.name for p in tmp_path.iterdir()] == ["config.resolved"]
         assert (tmp_path / "config.resolved").read_text() == (
             "grid.L = 40\ngrid.N = 4096\nsweep.levels = 0,0.25,0.5,0.75,1\n"
             "sweep.seeds = 0,1,2,3,4,5,6,7,8,9\ntask.name = xor\n")
@@ -384,6 +386,29 @@ class TestRunRecord:
             printed.append(capsys.readouterr())
         assert printed == [printed[0]] * len(spellings)
         assert_same_files(*(tmp_path / str(n) for n in range(len(spellings))))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lines_are_printed_once_every_file_is_in_place(self, tmp_path, monkeypatch, command):
+        """A command computes its files, as (name, writer) pairs, and its lines,
+        and opens no path; the writer puts every file in place, and only then
+        are the lines printed."""
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), *record_flags("uniform")]
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args(argv)
+        files, lines = args.run(cli.resolve_config(args))
+        assert list(tmp_path.iterdir()) == []
+        names = sorted(["config.resolved", *(name for name, _ in files)])
+        listings = []
+
+        class Watching(io.StringIO):
+            def write(self, text):
+                listings.append(sorted(p.name for p in out.iterdir()))
+                return super().write(text)
+        with contextlib.redirect_stdout(Watching()) as printed:
+            assert run_cli(argv) == 0
+        assert printed.getvalue() == "".join(f"{line}\n" for line in lines)
+        assert listings and listings == [names] * len(listings)
 
     def test_unread_channel_keys_leave_a_sweep_unchanged(self, tmp_path, capsys):
         """A sweep never reads the channel keys, so setting them changes no byte
@@ -698,6 +723,16 @@ EXIT_2 = {
 }
 
 
+# The exit-2 paths of a run into --out.
+EXIT_2_PATHS = ["bad-config", "memory-while-computing", "memory-in-a-writer", "training-worker",
+                "writer-worker", "directory-in-the-way", "unwritable"]
+
+
+def tree(root):
+    """Each path under ``root`` -> its bytes, or None for a directory."""
+    return {p.relative_to(root): None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
 class TestExit2:
     """Each resource failure exits 2 with one ``error:`` line, nothing on
     stdout and no worker left, for every command it can meet."""
@@ -717,13 +752,13 @@ class TestExit2:
         *((command, None) for command in EXIT_2), ("degrade", "lowpass"), ("degrade", "thermal")],
         ids=[*EXIT_2, "degrade-lowpass", "degrade-thermal"])
     def test_out_of_memory(self, tmp_path, monkeypatch, capsys, harness, command, profile):
-        """The spy stands in for an allocation too large, made before any
-        table is written.  Spectrum, degrade and train-sweep compute before
-        they write, so they make no directory; channel's is made in its
-        first table's writer, after the record.  The hint names only
-        what the run reads: grid points (grid.N), seeds (sweep.seeds),
-        levels (sweep.levels, which only a uniform degrade plots as a
-        family); verify reads no key and gets none."""
+        """The spy stands in for an allocation too large: while spectrum,
+        degrade and train-sweep compute, and in channel's first table's
+        writer, after its record is staged.  No command makes its
+        directory.  The hint names only what the run reads: grid points
+        (grid.N), seeds (sweep.seeds), levels (sweep.levels, which only a
+        uniform degrade plots as a family); verify reads no key and gets
+        none."""
         def no_memory(*args, **kwargs):
             raise MemoryError
         monkeypatch.setattr(*EXIT_2[command][1], no_memory)
@@ -736,8 +771,7 @@ class TestExit2:
         out = tmp_path / "out"
         assert self.error_line(harness, capsys, command, out, profile) == (
             f"error: {command} ran out of memory{hint}\n")
-        assert [p.name for p in out.glob("*")] == ["config.resolved"] * (command == "channel")
-        assert out.exists() == (command == "channel")
+        assert not out.exists()
 
     def test_out_of_memory_while_resolving(self, tmp_path, monkeypatch, capsys, harness):
         """Before the run's keys are known, the hint names every key the
@@ -762,47 +796,79 @@ class TestExit2:
             "error: degrade ran out of memory; use fewer levels or grid points\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, error", [
-        ("degrade", "degrade ran out of memory; use fewer levels or grid points"),
-        ("train-sweep", "train-sweep: the worker training seeds 1,3 exited with 1")],
-        ids=["degrade", "train-sweep"])
-    def test_a_failure_while_computing_keeps_the_earlier_run(
-            self, tmp_path, monkeypatch, capsys, harness, command, error):
-        """A degrade out of memory in ``reconstruct``, and a train-sweep whose
-        training worker fails on two cores, each run into a directory that
-        holds a good run of other values, leave its listing and bytes as
-        they were: a command computes before it writes."""
-        out = tmp_path / "out"
-        argv = [command, "--out", str(out), "--set", "sweep.levels=0,1", "--set"]
-        good, bad = {"degrade": ("channel.iota=0.5", "channel.iota=0.25"),
-                     "train-sweep": ("sweep.seeds=0,1,2", "sweep.seeds=0,1,3")}[command]
-        assert run_cli(argv + [good]) == 0
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        capsys.readouterr()
+    @pytest.mark.parametrize("before", ["earlier-run", "absent"])
+    @pytest.mark.parametrize("path", EXIT_2_PATHS)
+    def test_an_exit_2_leaves_out_as_it_was(self, tmp_path, monkeypatch, capsys, harness,
+                                            path, before):
+        """Each exit-2 path, run into a directory that holds a good run, leaves
+        its listing and bytes as they were; run into a directory that did not
+        exist, under a parent that did not either, it leaves neither."""
+        out = tmp_path / "new" / "out"
+        blocked = out / "degraded_activation.svg"
+        if before == "earlier-run":
+            assert run_cli(["degrade", "--out", str(out), "--set", "grid.N=256"]) == 0
+            capsys.readouterr()
+            if path == "directory-in-the-way":
+                blocked.unlink()
+                blocked.mkdir()
+        was = tree(tmp_path)
+        argv = ["degrade", "--out", str(out), "--set", "grid.N=256", "--set", "channel.iota=0.25"]
+        no_memory = "error: degrade ran out of memory; use fewer levels or grid points"
+        real_plot = cli.line_plot
 
-        def no_memory(*args, **kwargs):
-            raise MemoryError
-        if command == "degrade":
-            monkeypatch.setattr(cli, "reconstruct", no_memory)
-        else:
+        def failing(error):
+            def fail(*args, **kwargs):
+                raise error
+            return fail
+
+        def blocking_plot(*args):
+            blocked.mkdir(exist_ok=True)
+            return real_plot(*args)
+        if path == "bad-config":
+            argv += ["--set", "channel.iota=7"]
+            error = "error: bad channel.iota: loss profile must lie in [0, 1]"
+        elif path == "memory-while-computing":
+            monkeypatch.setattr(cli, "reconstruct", failing(MemoryError))
+            error = no_memory
+        elif path == "memory-in-a-writer":  # the last writer, once every other file is staged
+            monkeypatch.setattr(cli, "line_plot", failing(MemoryError))
+            error = no_memory
+        elif path == "training-worker":
             harness.cores(2)
             harness.spy(network, "_train", fail="worker")
-        assert run_cli(argv + [bad]) == 2
+            argv = ["train-sweep", "--out", str(out), "--set", "sweep.levels=0,1",
+                    "--set", "sweep.seeds=0,1"]
+            error = "error: train-sweep: the worker training seeds 1 exited with 1"
+        elif path == "writer-worker":
+            harness.cores(2)
+            harness.spy(spectral, "_write_rows", fail="worker")
+            argv += ["--set", "grid.N=16384"]
+            error = (f"error: degrade: the worker formatting rows 8192-16383 of "
+                     f"{out}/degraded_activation.csv exited with 1")
+        elif path == "directory-in-the-way":  # absent: the directory appears while the run writes
+            monkeypatch.setattr(cli, "line_plot", blocking_plot)
+            error = ("error: degrade cannot write its output: "
+                     f"[Errno 21] Is a directory: '{blocked}'")
+        else:  # unwritable
+            monkeypatch.setattr(cli, "line_plot", failing(OSError(errno.ENOSPC, "No space left")))
+            error = "error: degrade cannot write its output: [Errno 28] No space left"
+        assert run_cli(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {error}\n"
-        harness.assert_nothing_left()
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert captured.out == "" and captured.err == f"{error}\n"
+        assert tree(tmp_path) == was
+        assert (tmp_path / "new").exists() == (before == "earlier-run")
 
     @pytest.mark.parametrize("command", [c for c in EXIT_2 if EXIT_2[c][2]])
     def test_directory_in_the_way(self, tmp_path, capsys, harness, command):
-        """The output that cannot be written is named; the record written
-        before it stays, and nothing after it is written."""
+        """The output that cannot be written is named, and nothing is
+        written: not the record, nor any file that comes before it."""
         out, blocked = tmp_path / "out", EXIT_2[command][2]
         (out / blocked).mkdir(parents=True)
         error = self.error_line(harness, capsys, command, out)
-        assert error.startswith(f"error: {command} cannot write its output: ")
-        assert blocked in error
-        assert sorted(p.name for p in out.iterdir()) == sorted(["config.resolved", blocked])
+        assert error == (f"error: {command} cannot write its output: [Errno 21] "
+                         f"Is a directory: '{out / blocked}'\n")
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert list((out / blocked).iterdir()) == []
 
     @pytest.mark.parametrize("command", EXIT_2)
     def test_failed_worker(self, tmp_path, capsys, harness, command):
@@ -812,8 +878,8 @@ class TestExit2:
         out = tmp_path / "out"
         assert self.error_line(harness, capsys, command, out) == (
             f"error: {command}: the worker {name.format(first=f'{out}/{first}')} exited with 1\n")
-        # a writer fails while it writes; training, before anything is written
-        assert out.exists() == (work[0] is spectral)
+        # a writer's table is named at its place in --out, where nothing is written
+        assert not out.exists()
 
 
 class TestBenchmarkTracing:

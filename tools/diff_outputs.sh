@@ -24,7 +24,8 @@
 # and sweep.levels = 0.5 is a one-level family that is the run's own curve.
 # Two XOR sweeps write the report's seed column at its widest: seeds 0 and
 # 2**63 - 1 (1 and 19 digits in one column) and the one seed 2**64 - 1.
-# 31 commands in all.
+# A command marked `+` runs into a directory that already holds a default
+# degrade run, so its files are moved over existing ones.  32 commands in all.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -60,6 +61,7 @@ degrade --config ../../run.cfg
 degrade --set grid.L=5
 degrade --set channel.iota=0.3 $fine
 degrade --set sweep.levels=0.5
++degrade --set channel.iota=0.25
 train-sweep
 train-sweep --set task.name=moons --set sweep.levels=0,1
 train-sweep --set sweep.seeds=0,1,2
@@ -81,9 +83,12 @@ for side in parent change; do
         dir="$work/$side/$n"
         mkdir -p "$dir"
         echo "$command" >"$dir/command"
+        out="--out out"
         case $command in
             verify*) out="" ;;
-            *) out="--out out" ;;
+            +*) command=${command#+}
+                (cd "$dir" && PYTHONPATH="$src" python3 -m modegap degrade --out out \
+                    >/dev/null 2>&1) ;;
         esac
         # shellcheck disable=SC2086  # the command is a list of words
         (cd "$dir" && PYTHONPATH="$src" python3 -m modegap $command $out \
