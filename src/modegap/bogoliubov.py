@@ -23,7 +23,7 @@ table is df/dz + D(z), with D(z) = (1/2L) sum_{|k_n| < kc} cos(k_n z).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,12 +169,9 @@ class DegradedActivation:
 
     ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
     for a stack of L channels on one grid.  It holds what a network reads: the
-    grid, the two tables and the view index.  Row i of a ``z`` reads table
-    ``index[i]``: an (L, N) stack is the view of all its tables, ``index =
-    arange(L)``, and reads a ``z`` of ``levels = len(index)`` rows; one table
-    has ``index`` None and reads a ``z`` of any shape (``levels`` 1).
-    ``rows(index)``, the only way to make another view, shares the tables,
-    so a subset of cells is read uncopied.
+    grid and the two tables.  One table reads a ``z`` of any shape; a stack
+    of ``levels`` tables reads a ``z`` of ``levels`` rows, row i from table
+    i.  ``level(i)`` is table i alone, sharing the stack's memory.
 
     A hidden activation of ``network`` (its module docstring states the
     protocol): the fused ``evaluate_with_derivative`` reads both tables from
@@ -186,27 +183,20 @@ class DegradedActivation:
     grid: Grid
     samples: np.ndarray
     derivative_samples: np.ndarray
-    index: np.ndarray | None = field(init=False)   # the table per row of z
-
-    def __post_init__(self):
-        self.index = np.arange(len(self.samples)) if self.samples.ndim == 2 else None
 
     @property
     def levels(self) -> int:
-        return 1 if self.index is None else len(self.index)
+        return len(self.samples) if self.samples.ndim == 2 else 1
 
-    def rows(self, index):
-        """The view whose row i of ``z`` reads table ``index[i]``, sharing
-        these tables.  An index that is not 1-D or names no table raises
-        ``DimensionError``."""
-        index = np.asarray(index, dtype=np.intp)
-        tables = len(self.samples) if self.samples.ndim == 2 else 1
-        if index.ndim != 1 or not np.all((index >= 0) & (index < tables)):
-            raise DimensionError(f"a view of {tables} tables reads a 1-D index of "
-                                 f"table numbers, got {index!r}")
-        view = replace(self)
-        view.index = index
-        return view
+    def level(self, i):
+        """Table ``i`` of a stack as one table, sharing the stack's memory;
+        one table is its own ``level(0)``.  Any other ``i``, negative, past
+        the last table or not an integer, raises ``DimensionError``."""
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.levels):
+            raise DimensionError(f"a stack of {self.levels} tables has no level {i!r}")
+        if self.samples.ndim == 1:
+            return self
+        return DegradedActivation(self.grid, self.samples[i], self.derivative_samples[i])
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
@@ -223,7 +213,7 @@ class DegradedActivation:
 
     def _lookup(self, z, *tables):
         """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per row
-        of a stack or view, for each ``(table, right)`` pair.
+        of a stack, for each ``(table, right)`` pair.
 
         A read with any point outside [z_0, z_{N-1}) (+-inf and NaN included)
         is ``np.interp``'s, whole, row by row.  Otherwise one search finds z's
@@ -237,8 +227,8 @@ class DegradedActivation:
         ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
-        x, n, index, levels = self.grid.z, self.grid.n_points, self.index, self.levels
-        if index is not None and z.shape[:1] != (levels,):
+        x, n, levels = self.grid.z, self.grid.n_points, self.levels
+        if self.samples.ndim == 2 and z.shape[:1] != (levels,):
             raise DimensionError(f"a stack of {levels} rows reads z with a leading axis "
                                  f"of {levels}, got shape {z.shape}")
         rows = z.reshape(levels, -1)
@@ -247,11 +237,9 @@ class DegradedActivation:
                   and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1])
         reads = []
         if not inside:
-            read = (0,) if index is None else index
             for table, right in tables:
-                per_table = table.reshape(-1, n)
-                reads.append(np.stack([np.interp(z_row, x, per_table[t], 0.0, right)
-                                       for z_row, t in zip(rows, read)]))
+                reads.append(np.stack([np.interp(z_row, x, row, 0.0, right)
+                                       for z_row, row in zip(rows, table.reshape(-1, n))]))
         else:
             nearest = rows - x[0]
             nearest /= self.grid.dz
@@ -263,8 +251,8 @@ class DegradedActivation:
             x_j, dx = x[j], x[1:][j]
             dx -= x_j
             past_x_j = np.subtract(rows, x_j, out=x_j)
-            if index is not None:
-                j += (index * n)[:, None]
+            if levels > 1:
+                j += (np.arange(levels) * n)[:, None]
             at_node = past_x_j == 0.0
             if not at_node.any():
                 at_node = None

@@ -180,8 +180,10 @@ def write_run(run: RunConfig, files):
     each, in the text that parses back to the value) and ``files``, (name,
     writer) pairs, into ``run.out`` whole: each by ``writer(path)`` into a
     staging directory inside ``run.out``, beside a writer worker's part file,
-    then, once no name there is a directory, moved into place.  On any error
-    the staging directory and the outermost directory this call made go."""
+    then, once no name there is a directory, moved into place, each old file
+    moved aside into the staging directory first.  On any error every move
+    is undone, and the staging directory and the outermost directory this
+    call made go."""
     def text(v):  # a float's repr without a trailing ".0", which no int or checked name has
         return ",".join(map(text, v)) if isinstance(v, list) else str(v).removesuffix(".0")
     record = "".join(f"{k} = {text(v)}\n" for k, v in sorted(run.values.items()))
@@ -198,8 +200,22 @@ def write_run(run: RunConfig, files):
                 raise WorkerError(str(exc).replace(stage, str(out))) from None
             for name in (name for name, _ in files if (out / name).is_dir()):
                 raise IsADirectoryError(errno.EISDIR, "Is a directory", str(out / name))
-            for name, _ in files:
-                Path(stage, name).replace(out / name)
+            aside, moved = Path(stage, ".old"), []  # (name, its old file aside or None)
+            aside.mkdir()
+            try:
+                for name, _ in files:
+                    old = aside / name if (out / name).exists() else None
+                    if old is not None:
+                        (out / name).replace(old)
+                    moved.append((name, old))
+                    Path(stage, name).replace(out / name)
+            except BaseException:
+                for name, old in reversed(moved):
+                    if old is None:
+                        (out / name).unlink(missing_ok=True)
+                    else:
+                        old.replace(out / name)
+                raise
     except BaseException:
         if made is not None:
             shutil.rmtree(made, ignore_errors=True)

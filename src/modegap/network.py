@@ -13,18 +13,17 @@ full loss and would mask the freeze.
 A hidden activation is any object with ``evaluate(z)``, the values alone,
 and the fused ``evaluate_with_derivative(z)``, values and f'(z) from one
 read; a stack adds ``levels``, its number of tables (1 if absent), and
-``rows``.  It is a ``reconstruct(...)`` result, whose iota = 1 table is the
-step limit, or the closed-form ``SIGMOID``.  The reconstruction of an (L, N)
-channel stack is the view of all its ``levels`` tables, and reads row i of a
-``z`` from table i; ``rows(index)``, the only way to make another view, reads
-row i from table ``index[i]``.  A pass that feeds a backward step reads each
+``level(i)``, table i alone (the activation itself if absent).  It is a
+``reconstruct(...)`` result, whose iota = 1 table is the step limit, or the
+closed-form ``SIGMOID``.  The reconstruction of an (L, N) channel stack reads
+row i of a ``z`` from table i.  A pass that feeds a backward step reads each
 hidden pre-activation once, with the fused read, and keeps f'(z) for
 ``loss_gradients``; a pass that only judges the network reads values alone.
 ``train(task, activation, seeds)`` reads everything else from the task's row
 of ``TASKS``.  A full-batch task judges every cell on its stack; a minibatch
-task judges through a ``rows`` view the open cells, those that have not
-reached the threshold yet, and every cell at the last epoch, whose pass gives
-the final loss and accuracy.
+task judges the open cells, those that have not reached the threshold yet,
+and every cell at the last epoch, whose pass gives the final loss and
+accuracy: one pass per level with such a cell, through ``level(i)``.
 
 The network math takes a (..., batch, d) input whose leading axes
 broadcast against the weights' and biases': a (batch, d) batch, or the
@@ -290,7 +289,7 @@ def _train(task, activation, seeds) -> TrainReport:
     seed_rows = np.arange(len(seeds))[:, None]
 
     reached_at = np.full(cells, -1)                      # -1: not reached (yet)
-    rows = getattr(activation, "rows", None)
+    level = getattr(activation, "level", lambda i: activation)
     early_norms = np.empty(cells + (min(100, spec.max_epochs),))
     # Epoch 1's training pass.
     passes = forward(activation, weights, x, derivatives=True) if full_batch else None
@@ -325,14 +324,14 @@ def _train(task, activation, seeds) -> TrainReport:
         else:
             # Minibatches: a report reads the epoch a cell first reaches the
             # threshold and the last epoch's loss and accuracy, so the open
-            # cells are judged, and every cell at the last epoch, in (level,
-            # seed) order.
-            level_of, seed_of = np.nonzero((reached_at < 0) | (epoch == spec.max_epochs))
-            if level_of.size:
-                judge = activation if rows is None else rows(level_of)
-                out = forward(judge, [(w[level_of, seed_of], b[level_of, seed_of])
-                                      for w, b in weights], x[seed_of])[2]
-                loss, acc = _judge(out, y[seed_of])
+            # cells are judged, and every cell at the last epoch: each level's
+            # through its own table, joined in (level, seed) order.
+            judged = (reached_at < 0) | (epoch == spec.max_epochs)
+            outs = [forward(level(i), [(w[i, s], b[i, s]) for w, b in weights], x[s])[2]
+                    for i, s in enumerate(map(np.flatnonzero, judged)) if s.size]
+            if outs:
+                level_of, seed_of = np.nonzero(judged)
+                loss, acc = _judge(np.concatenate(outs), y[seed_of])
                 hit = spec.reached(loss, acc) & (reached_at[level_of, seed_of] < 0)
                 reached_at[level_of[hit], seed_of[hit]] = epoch
 

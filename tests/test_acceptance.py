@@ -134,8 +134,9 @@ def test_acceptance_runtime_budgets():
 
 
 GRID_RECORD = "grid.L = 40\ngrid.N = 4096\n"
-# The default-grid commands of the benchmark's fine-grid workload, and the
-# default XOR sweep: (arguments, config.resolved, the check of perfbench/checks.py).
+# The default-grid commands of the benchmark's fine-grid workload, the default
+# XOR sweep and a small moons sweep: (arguments, config.resolved, the check of
+# perfbench/checks.py).
 ORACLE_RUNS = {
     "spectrum": (["spectrum"], GRID_RECORD, lambda checks, out: checks.check_spectrum(
         out, 40.0, 4096)),
@@ -158,6 +159,11 @@ ORACLE_RUNS = {
                   lambda checks, out: checks.check_sweep(
                       out, "xor", list(verify.SWEEP_LEVELS), list(verify.SWEEP_SEEDS),
                       [(0.5, 3), (0.75, 5)])),
+    "moons-sweep": (["train-sweep", "--set", "task.name=moons", "--set", "sweep.levels=0.5,1",
+                     "--set", "sweep.seeds=0,1"],
+                    GRID_RECORD + "sweep.levels = 0.5,1\nsweep.seeds = 0,1\ntask.name = moons\n",
+                    lambda checks, out: checks.check_sweep(
+                        out, "moons", [0.5, 1.0], [0, 1], [(0.5, 1), (1.0, 0)])),
 }
 
 
@@ -167,13 +173,20 @@ def test_outputs_pass_the_benchmarks_independent_checks(xor_report, tmp_path, mo
     the closed-form uniform tables, its own transform of the lowpass and
     thermal tables, and a reference trainer for cells (iota 0.5, seed 3) and
     (iota 0.75, seed 5) of the default XOR sweep, which is verify's own
-    (``xor_report``, shared with the c8 checks).  Every check returns no
+    (``xor_report``, shared with the c8 checks), and for cells (iota 0.5,
+    seed 1) and (iota 1, seed 0) of a moons sweep whose iota = 0.5 cells
+    reach the threshold while iota = 1 stays open, so that the epoch-end
+    judging skips a level.  Every check returns no
     problem, and each directory holds exactly the files that the writer
     moved into it from its staging directory, config.resolved as recorded."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import checks
 
+    real_sweep = cli.sweep
+
     def default_sweep(task, levels, seeds, grid):
+        if task == "moons":
+            return real_sweep(task, levels, seeds, grid)
         assert (task, levels, seeds, grid) == (
             "xor", list(verify.SWEEP_LEVELS), list(verify.SWEEP_SEEDS), verify.DEFAULT_GRID)
         return xor_report

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -473,17 +474,17 @@ class TestLatticeLookup:
         stack = DegradedActivation(grid, np.stack([a.samples for a in acts]),
                                    np.stack([a.derivative_samples for a in acts]))
         stacked_points = np.stack([points] * len(acts))
-        view_tables = [4, 0, 0, 2]
-        view = stack.rows(view_tables)
-        view_points = np.stack([points] * len(view_tables))
+        view_tables = [4, 0, 2]
+        views = [stack.level(i) for i in view_tables]
         inputs = [points, triples, x, inside, *scalars]
         reads = {}   # (activation, input) -> [value read, derivative read]
         for table, right, lookup in [("samples", 1.0, "evaluate"),
                                      ("derivative_samples", 0.0, "evaluate_derivative")]:
             levels = getattr(stack, lookup)(stacked_points)
-            viewed = getattr(view, lookup)(view_points)
+            viewed = [getattr(view, lookup)(points) for view in views]
             reads.setdefault(("stack", 0), []).append(levels)
-            reads.setdefault(("view", 0), []).append(viewed)
+            for v, read in enumerate(viewed):
+                reads.setdefault(("view", v), []).append(read)
             for level, act in enumerate(acts):
                 fp = getattr(act, table)
                 ref = np.interp(points, x, fp, left=0.0, right=right)
@@ -498,15 +499,16 @@ class TestLatticeLookup:
                 for z, value in zip(scalars, values[4:]):
                     assert type(value) is float
                     assert same_bits(value, np.interp(z, x, fp, left=0.0, right=right))
-            for row, level in enumerate(view_tables):
-                assert same_bits(viewed[row], np.interp(points, x, getattr(acts[level], table),
-                                                        left=0.0, right=right))
+            for read, level in zip(viewed, view_tables):
+                assert same_bits(read, np.interp(points, x, getattr(acts[level], table),
+                                                 left=0.0, right=right))
             with pytest.raises(DimensionError):
-                getattr(view, lookup)(stacked_points)
+                getattr(stack, lookup)(stacked_points[:len(views)])
 
         with pytest.raises(DimensionError):
-            view.evaluate_with_derivative(stacked_points)
-        cases = [(stack, stacked_points, reads["stack", 0]), (view, view_points, reads["view", 0])]
+            stack.evaluate_with_derivative(stacked_points[:len(views)])
+        cases = [(stack, stacked_points, reads["stack", 0])]
+        cases += [(view, points, reads["view", v]) for v, view in enumerate(views)]
         cases += [(act, z, reads[level, i]) for level, act in enumerate(acts)
                   for i, z in enumerate(inputs)]
         for act, z, (value, derivative) in cases:
@@ -535,7 +537,7 @@ class TestLatticeLookup:
         outside = inside.copy()
         outside[1, 7] = x[-1]   # the lattice is half-open: z_{N-1} is off it
         cases = [(stack, inside, [0, 1, 2], 1.0), (stack, outside, [0, 1, 2], -1.0),
-                 (stack.rows([1, 1, 0]), outside, [1, 1, 0], -1.0),
+                 (stack.level(1), outside, [0], -1.0), (stack.level(2), inside, [0], 1.0),
                  (alone, inside[0], [0], 1.0), (alone, outside[1], [0], -1.0),
                  (alone, np.float64(25.0), [0], -1.0), (alone, -np.inf, [0], -1.0)]
         monkeypatch.setattr(np, "interp", spy)
@@ -563,29 +565,44 @@ class TestLatticeLookup:
                     for (fp, left, right), (table_row, want_right) in zip(calls, expected):
                         assert same_bits(fp, table_row) and left == 0.0 and right == want_right
 
-    def test_a_view_is_made_only_by_rows(self):
-        """A stack is the view of all its tables, one table reads any z, and
-        ``index`` is no constructor argument: ``rows`` checks every view."""
+    def test_level_is_one_table_of_the_stack(self):
+        """An activation is its grid and two tables, nothing else; ``level(i)``
+        is table i alone, sharing the stack's memory and reading row i's bits,
+        one table is its own ``level(0)``, and any other ``i`` names no table."""
         stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
-        assert list(stack.index) == [0, 1, 2] and alone.index is None
+        assert [f.name for f in dataclasses.fields(DegradedActivation)] == [
+            "grid", "samples", "derivative_samples"]
         hand_built = DegradedActivation(SMALL, stack.samples, stack.derivative_samples)
-        assert hand_built.levels == 3 and list(hand_built.index) == [0, 1, 2]
+        assert hand_built.levels == 3 and stack.levels == 3 and alone.levels == 1
         for index in ([-1], [-3], [0, 1]):
             with pytest.raises(TypeError):
                 DegradedActivation(SMALL, stack.samples, stack.derivative_samples, index=index)
-        view = stack.rows([2, 0])
-        assert list(view.index) == [2, 0] and list(stack.index) == [0, 1, 2]
-        assert view.samples is stack.samples and view.levels == 2
+        z = np.linspace(-3.0, 3.0, 30).reshape(2, 3, 5)
+        f, f_prime = stack.evaluate_with_derivative(np.stack([z] * 3))
+        for i in range(3):
+            level = stack.level(i)
+            assert level.levels == 1 and level.grid is stack.grid
+            assert np.shares_memory(level.samples, stack.samples)
+            assert np.shares_memory(level.derivative_samples, stack.derivative_samples)
+            assert same_bits(level.evaluate(z), f[i])
+            assert same_bits(level.evaluate_derivative(z), f_prime[i])
+        assert alone.level(0) is alone
+        for i in (-1, stack.levels, 1.5):
+            with pytest.raises(DimensionError):
+                stack.level(i)
+        for i in (-1, 1, 0.0):
+            with pytest.raises(DimensionError):
+                alone.level(i)
 
     def test_stack_rejects_a_mismatched_level_axis(self):
         acts = [reconstruct(uniform_channel(SMALL, iota)) for iota in (0.0, 1.0)]
         stack = reconstruct(uniform_channel(SMALL, [0.0, 1.0]))
         assert stack.levels == 2 and acts[0].levels == 1
-        assert stack.rows([1, 1, 0]).levels == 3 and acts[0].rows([0, 0]).levels == 2
-        for index in ([2], [-1], [[0, 1]], 0):
+        assert stack.level(1).levels == 1 and acts[0].level(0).levels == 1
+        for index in (2, -1, [0, 1], np.array([0])):
             with pytest.raises(DimensionError):
-                stack.rows(index)
+                stack.level(index)
         z = np.linspace(-3.0, 3.0, 10)
         for bad in (np.stack([z] * 3), z, np.float64(0.5), z.reshape(1, 10)):
             with pytest.raises(DimensionError):

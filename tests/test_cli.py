@@ -725,7 +725,8 @@ EXIT_2 = {
 
 # The exit-2 paths of a run into --out.
 EXIT_2_PATHS = ["bad-config", "memory-while-computing", "memory-in-a-writer", "training-worker",
-                "writer-worker", "directory-in-the-way", "unwritable"]
+                "writer-worker", "directory-in-the-way", "unwritable", "move-fails-second",
+                "move-fails-last"]
 
 
 def tree(root):
@@ -802,7 +803,11 @@ class TestExit2:
                                             path, before):
         """Each exit-2 path, run into a directory that holds a good run, leaves
         its listing and bytes as they were; run into a directory that did not
-        exist, under a parent that did not either, it leaves neither."""
+        exist, under a parent that did not either, it leaves neither.  A move
+        into place that fails (as ``EPERM`` does on another user's file in a
+        sticky directory) undoes the moves before it: on the second move, and
+        on the last, into a run whose record is gone, so that a new file with
+        no old one is taken back too."""
         out = tmp_path / "new" / "out"
         blocked = out / "degraded_activation.svg"
         if before == "earlier-run":
@@ -811,10 +816,12 @@ class TestExit2:
             if path == "directory-in-the-way":
                 blocked.unlink()
                 blocked.mkdir()
+            if path == "move-fails-last":
+                (out / "config.resolved").unlink()
         was = tree(tmp_path)
         argv = ["degrade", "--out", str(out), "--set", "grid.N=256", "--set", "channel.iota=0.25"]
         no_memory = "error: degrade ran out of memory; use fewer levels or grid points"
-        real_plot = cli.line_plot
+        real_plot, failed = cli.line_plot, []   # failed: the move that fails
 
         def failing(error):
             def fail(*args, **kwargs):
@@ -849,11 +856,26 @@ class TestExit2:
             monkeypatch.setattr(cli, "line_plot", blocking_plot)
             error = ("error: degrade cannot write its output: "
                      f"[Errno 21] Is a directory: '{blocked}'")
-        else:  # unwritable
+        elif path == "unwritable":
             monkeypatch.setattr(cli, "line_plot", failing(OSError(errno.ENOSPC, "No space left")))
             error = "error: degrade cannot write its output: [Errno 28] No space left"
+        else:  # move-fails-second, move-fails-last
+            real_replace, moves = Path.replace, []
+
+            def replace(source, target):  # fails once; the moves that undo it succeed
+                moves.append(target)
+                if not failed and (len(moves) == 2 if path == "move-fails-second"
+                                   else target == blocked):
+                    failed.append(f"'{source}' -> '{target}'")
+                    raise OSError(errno.EPERM, "Operation not permitted", str(source), None,
+                                  str(target))
+                return real_replace(source, target)
+            monkeypatch.setattr(Path, "replace", replace)
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
+        if failed:
+            error = ("error: degrade cannot write its output: [Errno 1] Operation not "
+                     f"permitted: {failed[0]}")
         assert captured.out == "" and captured.err == f"{error}\n"
         assert tree(tmp_path) == was
         assert (tmp_path / "new").exists() == (before == "earlier-run")

@@ -322,30 +322,34 @@ class TestBatchedTrain:
         assert all(len(args) - 2 == 2 for args in lookups)
 
     def test_minibatch_epoch_end_judges_the_open_cells(self, monkeypatch, harness):
-        """Every epoch, moons judges through a view whose rows read the judged
-        cells' levels: before the last epoch each cell up to the epoch it
+        """Every epoch, moons judges each level that has a judged cell through
+        that level's own table, in ascending level order, on that level's
+        judged seeds: before the last epoch each cell up to the epoch it
         reaches the threshold, and at the last epoch every cell.  One core, so
         that the spy, which sees only this process, sees every cell."""
         harness.cores(1)
+        levels, seeds = [0.0, 1.0], [1, 4]
+        tables = degraded(levels).samples
         reads, real = [], DegradedActivation.evaluate
 
         def spy(act, z):
-            reads.append((act.index, z.shape))
+            assert act.samples.ndim == 1
+            level, = [i for i, table in enumerate(tables) if np.array_equal(act.samples, table)]
+            reads.append((level, z.shape))
             return real(act, z)
 
         monkeypatch.setattr(DegradedActivation, "evaluate", spy)
-        levels, seeds = [0.0, 1.0], [1, 4]
         report = sweep("moons", levels, seeds, GRID)
-        reached = report.epochs_to_threshold.ravel().tolist()    # (level, seed) order
-        assert -1 in reached and len(set(reached)) == 4
+        reached = report.epochs_to_threshold.tolist()    # (level, seed)
+        assert -1 in sum(reached, []) and len(set(sum(reached, []))) == 4
         epochs = TASKS["moons"].max_epochs
         expected = []
         for epoch in range(1, epochs + 1):
-            open_levels = [cell // len(seeds) for cell, e in enumerate(reached)
-                           if e < 0 or e >= epoch or epoch == epochs]
-            expected += [(open_levels, (len(open_levels), 200, 8))] * 2
-        assert [(list(index), shape) for index, shape in reads] == expected
-        assert expected[-1] == ([0, 0, 1, 1], (4, 200, 8))
+            for level, per_seed in enumerate(reached):
+                judged = [e for e in per_seed if e < 0 or e >= epoch or epoch == epochs]
+                expected += [(level, (len(judged), 200, 8))] * 2 * bool(judged)
+        assert reads == expected
+        assert expected[-4:] == [(0, (2, 200, 8))] * 2 + [(1, (2, 200, 8))] * 2
 
     def test_sweep_trains_every_level_in_one_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "train")

@@ -10,7 +10,8 @@
 # and one spells values unusually (`4e1`, `01`), so a record that keeps the
 # typed text instead of the parsed values shows in the diff.  The moons
 # sweeps train in shares of different sizes: five seeds at five levels in
-# two and three on two cores, ten seeds in five and five, one seed alone.
+# two and three on two cores, ten seeds in five and five, one seed alone,
+# and a one-level stack whose epoch-end judging reads its one table.
 # The degrade tables of N = 8192 and 16384 rows are one and two 8,192-row
 # chunks: the first is written by the command alone, the second in one
 # share per core on two cores.  Two commands read their tables off the
@@ -25,7 +26,7 @@
 # Two XOR sweeps write the report's seed column at its widest: seeds 0 and
 # 2**63 - 1 (1 and 19 digits in one column) and the one seed 2**64 - 1.
 # A command marked `+` runs into a directory that already holds a default
-# degrade run, so its files are moved over existing ones.  32 commands in all.
+# degrade run, so its files are moved over existing ones.  33 commands in all.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -67,6 +68,7 @@ train-sweep --set task.name=moons --set sweep.levels=0,1
 train-sweep --set sweep.seeds=0,1,2
 train-sweep --set task.name=moons --set sweep.seeds=0,1,2,3,4
 train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=3
+train-sweep --set task.name=moons --set sweep.levels=1 --set sweep.seeds=0,1
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
 train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=0,1 --set grid.L=3
