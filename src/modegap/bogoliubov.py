@@ -24,6 +24,7 @@ table is df/dz + D(z), with D(z) = (1/2L) sum_{|k_n| < kc} cos(k_n z).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,8 +177,9 @@ class DegradedActivation:
     A hidden activation of ``network`` (its module docstring states the
     protocol): the fused ``evaluate_with_derivative`` reads both tables from
     one cell search, and ``evaluate_derivative`` the derivative table alone.
-    Each gives ``np.interp``'s bits, and a read with any point off the
-    lattice is ``np.interp``'s own.
+    Every read is ``np.interp``'s bits by ``_lookup``'s one rule (0 below
+    z_0, 1 or 0 above z_{N-1}, a NaN as itself).  Each table's read state is
+    built once, on the first read, and shared by ``level(i)``: write no table.
     """
 
     grid: Grid
@@ -189,85 +191,82 @@ class DegradedActivation:
         return len(self.samples) if self.samples.ndim == 2 else 1
 
     def level(self, i):
-        """Table ``i`` of a stack as one table, sharing the stack's memory;
-        one table is its own ``level(0)``.  Any other ``i``, negative, past
-        the last table or not an integer, raises ``DimensionError``."""
-        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.levels):
+        """Table ``i`` of a stack as one table, sharing the stack's memory and
+        read state; one table is its own ``level(0)``.  Any other ``i`` (negative,
+        past the last table, a bool or not an integer) raises ``DimensionError``."""
+        if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < self.levels):
             raise DimensionError(f"a stack of {self.levels} tables has no level {i!r}")
         if self.samples.ndim == 1:
             return self
-        return DegradedActivation(self.grid, self.samples[i], self.derivative_samples[i])
+        level = DegradedActivation(self.grid, self.samples[i], self.derivative_samples[i])
+        offsets, tables = self._read_state
+        level._read_state = offsets[:1], [(t[i], slopes[i], right) for t, slopes, right in tables]
+        return level
 
     def evaluate(self, z):
         """Linear interpolation of the value table; 0/1 outside the grid."""
-        return self._lookup(z, (self.samples, 1.0))[0]
+        return self._lookup(z, 0)[0]
 
     def evaluate_derivative(self, z):
         """Linear interpolation of the derivative table; 0 outside the grid."""
-        return self._lookup(z, (self.derivative_samples, 0.0))[0]
+        return self._lookup(z, 1)[0]
 
     def evaluate_with_derivative(self, z):
         """``(evaluate(z), evaluate_derivative(z))`` bit for bit, from one
         cell search: the read of a pass that feeds a backward step."""
-        return self._lookup(z, (self.samples, 1.0), (self.derivative_samples, 0.0))
+        return self._lookup(z, 0, 1)
+
+    @cached_property
+    def _read_state(self):
+        """Each row's offset into the flat tables, and per table (0 the values,
+        1 the derivative) the table, numpy's slopes ``(y_{j+1} - y_j)/(x_{j+1}
+        - x_j)`` with a 0 closing each row, and its read right of the lattice."""
+        slopes = np.zeros((2,) + self.samples.shape)
+        for table, out in zip((self.samples, self.derivative_samples), slopes[..., :-1]):
+            np.divide(np.diff(table), np.diff(self.grid.z), out=out)
+        return ((np.arange(self.levels) * self.grid.n_points)[:, None],
+                [(self.samples, slopes[0], 1.0), (self.derivative_samples, slopes[1], 0.0)])
 
     def _lookup(self, z, *tables):
         """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per row
-        of a stack, for each ``(table, right)`` pair.
+        of a stack, for each table named (0 the values, 1 the derivative).
 
-        A read with any point outside [z_0, z_{N-1}) (+-inf and NaN included)
-        is ``np.interp``'s, whole, row by row.  Otherwise one search finds z's
-        cells for every table.  On a uniform lattice the nearest point to z is
-        ``round((z - z_0)/dz)``, which is off by less than a half, so the cell
-        j with x_j <= z < x_{j+1} is that point or the one below it: one
-        comparison with ``grid.z`` decides.  The value is numpy's own formula
-        on the gathered cell ends, ``slope*(z - x_j) + y_j`` with ``slope =
-        (y_{j+1} - y_j)/(x_{j+1} - x_j)``, and ``y_j`` itself where ``z ==
-        x_j``.  Bit equality holds for finite tables, which every
-        ``reconstruct`` gives.  The caller's ``z`` is never written.
+        One search finds z's cells for every table.  Each point is clamped onto
+        [z_0, z_{N-1}], a NaN onto z_0.  The node nearest to it, ``round((z -
+        z_0)/dz)`` on a uniform lattice, is off by less than a half, so its cell
+        j (x_j <= z < x_{j+1}, or j = N-1 at z_{N-1}) is that node or the one
+        below: one comparison with ``grid.z`` decides.  The value is numpy's
+        ``slope*(z - x_j) + y_j``, or ``y_j`` where ``z == x_j``.  Only the
+        points off the lattice are then overwritten: 0 below z_0, ``right``
+        above z_{N-1}, a NaN by itself.  Bit equality holds for finite tables,
+        which every ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
-        x, n, levels = self.grid.z, self.grid.n_points, self.levels
+        x, levels = self.grid.z, self.levels
         if self.samples.ndim == 2 and z.shape[:1] != (levels,):
-            raise DimensionError(f"a stack of {levels} rows reads z with a leading axis "
-                                 f"of {levels}, got shape {z.shape}")
+            raise DimensionError(f"{levels} tables read a z of {levels} rows, got {z.shape}")
         rows = z.reshape(levels, -1)
+        offsets, state = self._read_state
+        on = np.fmax(rows, x[0])
+        np.fmin(on, x[-1], out=on)
+        off, = (on != rows).ravel().nonzero()   # below z_0, above z_{N-1} or NaN
+        z_off = rows.flat[off]
+        above, zero_or_nan = off[z_off > x[-1]], np.maximum(z_off, 0.0)   # NaN stays itself
 
-        inside = (np.minimum.reduce(rows, axis=None, initial=np.inf) >= x[0]
-                  and np.maximum.reduce(rows, axis=None, initial=-np.inf) < x[-1])
+        j = ((on - x[0]) / self.grid.dz + 0.5).astype(np.intp)
+        j -= x[j] > on
+        past_x_j = np.subtract(on, x[j], out=on)
+        at_node = past_x_j == 0.0
+        j += offsets
         reads = []
-        if not inside:
-            for table, right in tables:
-                reads.append(np.stack([np.interp(z_row, x, row, 0.0, right)
-                                       for z_row, row in zip(rows, table.reshape(-1, n))]))
-        else:
-            nearest = rows - x[0]
-            nearest /= self.grid.dz
-            nearest += 0.5
-            j = nearest.astype(np.intp)
-            del nearest
-            j -= x[j] > rows
-
-            x_j, dx = x[j], x[1:][j]
-            dx -= x_j
-            past_x_j = np.subtract(rows, x_j, out=x_j)
-            if levels > 1:
-                j += (np.arange(levels) * n)[:, None]
-            at_node = past_x_j == 0.0
-            if not at_node.any():
-                at_node = None
-
-            for table, right in tables:
-                flat = table.reshape(-1)
-                y_j, out = flat[j], flat[1:][j]
-                out -= y_j
-                out /= dx  # the slope
-                out *= past_x_j
-                out += y_j
-                if at_node is not None:
-                    np.copyto(out, y_j, where=at_node)
-                reads.append(out)
-        reads = [out.reshape(z.shape) for out in reads]
+        for table, slopes, right in (state[k] for k in tables):
+            y_j, out = table.reshape(-1)[j], slopes.reshape(-1)[j]
+            out *= past_x_j
+            out += y_j
+            np.copyto(out, y_j, where=at_node)
+            out.flat[off] = zero_or_nan
+            out.flat[above] = right
+            reads.append(out.reshape(z.shape))
         return tuple(out if out.ndim else float(out) for out in reads)
 
 

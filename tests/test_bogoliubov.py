@@ -518,52 +518,40 @@ class TestLatticeLookup:
             assert same_bits(f_prime, derivative)
         assert same_bits(inside, kept)   # a lookup never writes the caller's z
 
-    def test_a_read_off_the_lattice_is_np_interp_whole(self, monkeypatch):
-        """A read with every point inside [z_0, z_{N-1}) never calls
-        ``np.interp``; one point off it sends the whole read there, one call
-        per row and per table, and the read is what those calls return.  The
-        spy flips the sign bit of every value it returns, so a point that the
-        lattice read instead shows."""
-        interp, calls = np.interp, []
-
-        def spy(z, xp, fp, left, right):
-            calls.append((fp, left, right))
-            return -interp(z, xp, fp, left, right)
-
-        x = SMALL.z
+    def test_a_read_off_the_lattice_is_np_interp_per_row(self):
+        """One rule reads every point.  Rows wholly inside [z_0, z_{N-1}),
+        rows holding z_{N-1} (on the lattice: it reads y_{N-1}), and rows with
+        points past +-L, +-inf and NaNs (each read as itself, payload and
+        sign) give ``np.interp``'s bits per row and per table, through all
+        three reads of a stack, of its levels and of one table."""
+        x, half_width = SMALL.z, SMALL.half_width
         stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
-        inside = np.stack([np.linspace(x[0], x[-2], 50)] * 3)
-        outside = inside.copy()
-        outside[1, 7] = x[-1]   # the lattice is half-open: z_{N-1} is off it
-        cases = [(stack, inside, [0, 1, 2], 1.0), (stack, outside, [0, 1, 2], -1.0),
-                 (stack.level(1), outside, [0], -1.0), (stack.level(2), inside, [0], 1.0),
-                 (alone, inside[0], [0], 1.0), (alone, outside[1], [0], -1.0),
-                 (alone, np.float64(25.0), [0], -1.0), (alone, -np.inf, [0], -1.0)]
-        monkeypatch.setattr(np, "interp", spy)
-        for act, z, read, sign in cases:
+        payload_nan = np.array([0x7ff8000000000123, 0xfff8000000000456], np.uint64).view(float)
+        inside = np.linspace(x[0], x[-2], 16)
+        z = np.stack([inside, inside.copy(), inside.copy()])
+        z[1, [0, 5, 15]] = x[-1]
+        z[2, :12] = [-np.inf, np.inf, np.nan, -np.nan, *payload_nan, -half_width - 1.0,
+                     half_width, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+                     x[-1], 2 * half_width]
+        assert not np.isnan(z[:2]).any() and np.all((z[0] >= x[0]) & (z[0] < x[-1]))
+        cases = [(stack, z, [0, 1, 2]), (stack.level(2), z[2], [0]),
+                 (stack.level(1), z[::-1], [0]), (alone, z, [0]), (alone, z[2, :, None], [0])]
+        cases += [(alone, np.float64(point), [0]) for point in z[2, :12]]
+        for act, points, read in cases:
             for lookup, tables in [
                     ("evaluate", [("samples", 1.0)]),
                     ("evaluate_derivative", [("derivative_samples", 0.0)]),
                     ("evaluate_with_derivative", [("samples", 1.0), ("derivative_samples", 0.0)])]:
-                calls.clear()
-                got = getattr(act, lookup)(z)
+                got = getattr(act, lookup)(points)
                 got = got if lookup == "evaluate_with_derivative" else (got,)
-                rows = np.reshape(z, (len(read), -1))
-                expected = []
-                for (table, right), value in zip(tables, got):
+                rows = np.reshape(points, (len(read), -1))
+                for (table, right), value in zip(tables, got, strict=True):
                     per_table = getattr(act, table).reshape(-1, SMALL.n_points)
-                    want = np.stack([sign * interp(z_row, x, per_table[t], 0.0, right)
+                    want = np.stack([np.interp(z_row, x, per_table[t], 0.0, right)
                                      for z_row, t in zip(rows, read)])
-                    assert type(value) is (float if np.ndim(z) == 0 else np.ndarray)
-                    assert same_bits(value, want.reshape(np.shape(z)))
-                    expected += [(per_table[t], right) for t in read]
-                if sign > 0:
-                    assert calls == []
-                else:
-                    assert len(calls) == len(expected)
-                    for (fp, left, right), (table_row, want_right) in zip(calls, expected):
-                        assert same_bits(fp, table_row) and left == 0.0 and right == want_right
+                    assert type(value) is (float if np.ndim(points) == 0 else np.ndarray)
+                    assert same_bits(value, want.reshape(np.shape(points)))
 
     def test_level_is_one_table_of_the_stack(self):
         """An activation is its grid and two tables, nothing else; ``level(i)``
@@ -588,10 +576,10 @@ class TestLatticeLookup:
             assert same_bits(level.evaluate(z), f[i])
             assert same_bits(level.evaluate_derivative(z), f_prime[i])
         assert alone.level(0) is alone
-        for i in (-1, stack.levels, 1.5):
+        for i in (-1, stack.levels, 1.5, True, False):
             with pytest.raises(DimensionError):
                 stack.level(i)
-        for i in (-1, 1, 0.0):
+        for i in (-1, 1, 0.0, True, False):
             with pytest.raises(DimensionError):
                 alone.level(i)
 

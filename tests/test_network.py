@@ -190,6 +190,33 @@ class TestTrain:
     def test_deterministic(self):
         assert_same_report(train("xor", SIGMOID, [4]), train("xor", SIGMOID, [4]))
 
+    @pytest.mark.parametrize("task", ["xor", "moons"])
+    def test_training_off_the_lattice_is_np_interp_training(self, monkeypatch, task):
+        """On Grid(3, 512) hidden pre-activations leave the lattice.  A report
+        trained on the lattice read equals, bit for bit, the report trained
+        with the reference read patched in: ``np.interp``, row by row, for
+        every read, as reads with a point off the lattice once were made."""
+        grid, seeds = Grid(3.0, 512), [0, 1]
+        lattice = train(task, reconstruct(uniform_channel(grid, 0.5)), seeds)
+        off_reads = []
+
+        def interp_read(act, z, tables):
+            rows = np.reshape(z, (act.levels, -1))
+            off_reads.append(np.any((rows < grid.z[0]) | (rows > grid.z[-1])))
+            reads = [np.stack([np.interp(z_row, grid.z, row, 0.0, right) for z_row, row in
+                               zip(rows, table.reshape(act.levels, -1))]).reshape(np.shape(z))
+                     for table, right in tables]
+            return tuple(read if read.ndim else float(read) for read in reads)
+
+        monkeypatch.setattr(DegradedActivation, "evaluate",
+                            lambda act, z: interp_read(act, z, [(act.samples, 1.0)])[0])
+        monkeypatch.setattr(DegradedActivation, "evaluate_with_derivative",
+                            lambda act, z: interp_read(act, z, [(act.samples, 1.0),
+                                                                (act.derivative_samples, 0.0)]))
+        reference = train(task, reconstruct(uniform_channel(grid, 0.5)), seeds)
+        assert any(off_reads)
+        assert_same_report(lattice, reference)
+
     def test_total_loss_freezes_hidden_layers(self):
         initial = init_weights(TASKS["xor"].layer_sizes, np.random.default_rng(3))
         report = train("xor", degraded(1.0), [3])

@@ -14,19 +14,21 @@
 # and a one-level stack whose epoch-end judging reads its one table.
 # The degrade tables of N = 8192 and 16384 rows are one and two 8,192-row
 # chunks: the first is written by the command alone, the second in one
-# share per core on two cores.  Two commands read their tables off the
-# lattice, where a whole read is np.interp's: degrade at grid.L = 5 plots
-# [-10, 10], and the moons sweep at grid.L = 3 trains on pre-activations
-# past +-3.  Two commands write the CSV formatter's rare layouts:
-# spectrum at grid.L = 740 writes 349 subnormal gap samples, and a thermal
-# channel at T = 0.01 composed 18 times writes exponents e+2dd and e-3dd.
+# share per core on two cores.  Three commands read their tables off the
+# lattice, where a read clamps each point onto it and then overwrites the
+# points that were off it: degrade at grid.L = 5 plots [-10, 10], and the
+# minibatch moons sweep at grid.L = 3 and the full-batch XOR sweep at
+# grid.L = 3, grid.N = 512 train on pre-activations past +-3.  Two commands
+# write the CSV formatter's rare layouts: spectrum at grid.L = 740 writes
+# 349 subnormal gap samples, and a thermal channel at T = 0.01 composed 18
+# times writes exponents e+2dd and e-3dd.
 # Two uniform degrades draw their family plot off the run's gap spectrum:
 # at channel.iota = 0.3 on N = 262144 none of the five levels is the run's,
 # and sweep.levels = 0.5 is a one-level family that is the run's own curve.
 # Two XOR sweeps write the report's seed column at its widest: seeds 0 and
 # 2**63 - 1 (1 and 19 digits in one column) and the one seed 2**64 - 1.
 # A command marked `+` runs into a directory that already holds a default
-# degrade run, so its files are moved over existing ones.  33 commands in all.
+# degrade run, so its files are moved over existing ones.  34 commands in all.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
 # and exits 1 when something does, and exits 2 on a bad argument.  Needs
 # python3 with numpy; writes only to a temporary directory that it removes.
@@ -72,6 +74,7 @@ train-sweep --set task.name=moons --set sweep.levels=1 --set sweep.seeds=0,1
 train-sweep --set channel.profile=thermal --set channel.T=0.01 --set sweep.seeds=0,1
 train-sweep --set grid.L=4e1 --set sweep.levels=0,1 --set sweep.seeds=0,01
 train-sweep --set task.name=moons --set sweep.levels=0,1 --set sweep.seeds=0,1 --set grid.L=3
+train-sweep --set grid.L=3 --set grid.N=512
 train-sweep --set sweep.levels=0,1 --set sweep.seeds=0,9223372036854775807
 train-sweep --set sweep.levels=0,1 --set sweep.seeds=18446744073709551615
 verify
