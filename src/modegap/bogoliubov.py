@@ -169,17 +169,18 @@ class DegradedActivation:
     """Step carrier plus attenuated gap, tabulated on the grid's lattice.
 
     ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
-    for a stack of L channels on one grid.  It holds what a network reads: the
-    grid and the two tables.  One table reads a ``z`` of any shape; a stack
-    of ``levels`` tables reads a ``z`` of ``levels`` rows, row i from table
-    i.  ``level(i)`` is table i alone, sharing the stack's memory.
+    for L channels on one grid, and ``degraded_values`` the value table alone.
+    It holds the grid and the tables a network reads.  One table reads a ``z``
+    of any shape; a stack of ``levels`` tables reads a ``z`` of ``levels`` rows,
+    row i from table i.  ``level(i)`` is table i alone, a view into the stack.
 
     A hidden activation of ``network`` (its module docstring states the
     protocol): the fused ``evaluate_with_derivative`` reads both tables from
     one cell search, and ``evaluate_derivative`` the derivative table alone.
     Every read is ``np.interp``'s bits by ``_lookup``'s one rule (0 below
     z_0, 1 or 0 above z_{N-1}, a NaN as itself).  Each table's read state is
-    built once, on the first read, and shared by ``level(i)``: write no table.
+    built on its first read, so a values read never touches the derivative
+    table, and is shared by ``level(i)``: write no table.
     """
 
     grid: Grid
@@ -199,8 +200,8 @@ class DegradedActivation:
         if self.samples.ndim == 1:
             return self
         level = DegradedActivation(self.grid, self.samples[i], self.derivative_samples[i])
-        offsets, tables = self._read_state
-        level._read_state = offsets[:1], [(t[i], slopes[i], right) for t, slopes, right in tables]
+        offsets, built = self._read_state
+        level._read_state = offsets[:1], {k: (t[i], s[i], r) for k, (t, s, r) in built.items()}
         return level
 
     def evaluate(self, z):
@@ -218,14 +219,19 @@ class DegradedActivation:
 
     @cached_property
     def _read_state(self):
-        """Each row's offset into the flat tables, and per table (0 the values,
-        1 the derivative) the table, numpy's slopes ``(y_{j+1} - y_j)/(x_{j+1}
+        """Each row's offset into the flat tables, and by table k the read
+        state that ``_table(k)`` built."""
+        return (np.arange(self.levels) * self.grid.n_points)[:, None], {}
+
+    def _table(self, k):
+        """Table k's read state, built and kept on its first read: the table (0
+        the values, 1 the derivative), numpy's slopes ``(y_{j+1} - y_j)/(x_{j+1}
         - x_j)`` with a 0 closing each row, and its read right of the lattice."""
-        slopes = np.zeros((2,) + self.samples.shape)
-        for table, out in zip((self.samples, self.derivative_samples), slopes[..., :-1]):
-            np.divide(np.diff(table), np.diff(self.grid.z), out=out)
-        return ((np.arange(self.levels) * self.grid.n_points)[:, None],
-                [(self.samples, slopes[0], 1.0), (self.derivative_samples, slopes[1], 0.0)])
+        table = (self.samples, self.derivative_samples)[k]
+        slopes = np.zeros(table.shape)
+        np.divide(np.diff(table), np.diff(self.grid.z), out=slopes[..., :-1])
+        state = self._read_state[1][k] = table, slopes, (1.0, 0.0)[k]
+        return state
 
     def _lookup(self, z, *tables):
         """``np.interp(z, grid.z, table, 0.0, right)`` bit for bit, per row
@@ -246,7 +252,7 @@ class DegradedActivation:
         if self.samples.ndim == 2 and z.shape[:1] != (levels,):
             raise DimensionError(f"{levels} tables read a z of {levels} rows, got {z.shape}")
         rows = z.reshape(levels, -1)
-        offsets, state = self._read_state
+        offsets, built = self._read_state
         on = np.fmax(rows, x[0])
         np.fmin(on, x[-1], out=on)
         off, = (on != rows).ravel().nonzero()   # below z_0, above z_{N-1} or NaN
@@ -259,7 +265,7 @@ class DegradedActivation:
         at_node = past_x_j == 0.0
         j += offsets
         reads = []
-        for table, slopes, right in (state[k] for k in tables):
+        for table, slopes, right in (built.get(k) or self._table(k) for k in tables):
             y_j, out = table.reshape(-1)[j], slopes.reshape(-1)[j]
             out *= past_x_j
             out += y_j
@@ -278,19 +284,19 @@ def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     once per call.
     """
     grid = channel.grid
-    samples = degraded_values(channel)
+    values = degraded_values(channel)
     deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
     deriv = inverse_transform(apply_channel(channel, deriv_spec))
-    return DegradedActivation(grid, samples, deriv)
+    return DegradedActivation(grid, values.samples, deriv)
 
 
-def degraded_values(channel: BogoliubovChannel) -> np.ndarray:
-    """``reconstruct(channel).samples`` bit for bit, and nothing else: the
-    channel applied to the grid's ``gap_spectrum``, inverted, plus the step.
-    No derivative table is made."""
+def degraded_values(channel: BogoliubovChannel) -> DegradedActivation:
+    """``reconstruct(channel)`` with its value table alone, the same bits (the
+    channel applied to the grid's ``gap_spectrum``, inverted, plus the step):
+    no derivative table is made, and ``derivative_samples`` is None."""
     samples = inverse_transform(apply_channel(channel, channel.grid.gap_spectrum))
     samples += step(channel.grid.z)
-    return samples
+    return DegradedActivation(channel.grid, samples, None)
 
 
 def loss_fraction(channel: BogoliubovChannel):

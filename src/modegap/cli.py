@@ -270,13 +270,12 @@ def cmd_degrade(run: RunConfig):
     activation = reconstruct(run.channel)
 
     # A family level needs only its 801-point curve: its value table alone,
-    # read as that level's own evaluate would read it (np.interp's bits).
+    # read by the evaluate that reads the run's own level.
     zs = np.linspace(-10.0, 10.0, 801)
     own = activation.evaluate(zs)
     if profile == "uniform":
         curves = [(f"iota={iota:g}", zs, own if iota == run.values["channel.iota"]
-                   else np.interp(zs, grid.z, degraded_values(uniform_channel(grid, iota)),
-                                  0.0, 1.0))
+                   else degraded_values(uniform_channel(grid, iota)).evaluate(zs))
                   for iota in run.values["sweep.levels"]]
     else:
         curves = [(profile, zs, own)]

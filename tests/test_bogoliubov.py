@@ -326,8 +326,9 @@ class TestReconstruct:
         """A grid's ``gap_spectrum`` is what every channel on it reads:
         ``loss_fraction``, a stacked ``reconstruct`` and four
         ``degraded_values`` transform the gap once between them, beside the
-        one ``reconstruct``'s sigma'.  It is read-only, with the bits of the
-        lattice transform of the gap."""
+        one ``reconstruct``'s sigma'; each value-only activation holds the
+        stack's value bits and no derivative table.  It is read-only, with
+        the bits of the lattice transform of the gap."""
         grid, transformed, real_transform = Grid(40.0, 4096), [], spectral.transform_samples
 
         def transform(grid, samples):
@@ -351,8 +352,10 @@ class TestReconstruct:
         assert same_bits(transformed[0], gap_samples(grid))
         assert same_bits(transformed[1], sigmoid_prime(grid.z))
         assert fraction == pytest.approx(0.5, abs=1e-12)
-        assert same_bits(values[0], stack.samples[1])
-        assert same_bits(values[1], stack.samples[[0, 2]])
+        assert [v.derivative_samples for v in values] == [None] * 4
+        assert [v.levels for v in values] == [1, 2, 1, 1]
+        assert same_bits(values[0].samples, stack.samples[1])
+        assert same_bits(values[1].samples, stack.samples[[0, 2]])
 
         spectrum = grid.gap_spectrum
         assert spectrum is grid.gap_spectrum
@@ -523,7 +526,9 @@ class TestLatticeLookup:
         rows holding z_{N-1} (on the lattice: it reads y_{N-1}), and rows with
         points past +-L, +-inf and NaNs (each read as itself, payload and
         sign) give ``np.interp``'s bits per row and per table, through all
-        three reads of a stack, of its levels and of one table."""
+        three reads of a stack, of its levels and of one table.  A value table
+        alone reads the same way: a values read builds no derivative state,
+        so it reads with the derivative table None."""
         x, half_width = SMALL.z, SMALL.half_width
         stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
@@ -538,11 +543,15 @@ class TestLatticeLookup:
         cases = [(stack, z, [0, 1, 2]), (stack.level(2), z[2], [0]),
                  (stack.level(1), z[::-1], [0]), (alone, z, [0]), (alone, z[2, :, None], [0])]
         cases += [(alone, np.float64(point), [0]) for point in z[2, :12]]
+        values = [degraded_values(uniform_channel(SMALL, [0.0, 0.5, 1.0])),
+                  dataclasses.replace(alone, derivative_samples=None)]
+        cases += [(values[0], z, [0, 1, 2]), (values[1], z, [0]), (values[1], z[2, :, None], [0])]
+        cases += [(values[1], np.float64(point), [0]) for point in z[2, :12]]
+        lookups = [("evaluate", [("samples", 1.0)]),
+                   ("evaluate_derivative", [("derivative_samples", 0.0)]),
+                   ("evaluate_with_derivative", [("samples", 1.0), ("derivative_samples", 0.0)])]
         for act, points, read in cases:
-            for lookup, tables in [
-                    ("evaluate", [("samples", 1.0)]),
-                    ("evaluate_derivative", [("derivative_samples", 0.0)]),
-                    ("evaluate_with_derivative", [("samples", 1.0), ("derivative_samples", 0.0)])]:
+            for lookup, tables in lookups[:1 if act.derivative_samples is None else 3]:
                 got = getattr(act, lookup)(points)
                 got = got if lookup == "evaluate_with_derivative" else (got,)
                 rows = np.reshape(points, (len(read), -1))
@@ -555,9 +564,12 @@ class TestLatticeLookup:
 
     def test_level_is_one_table_of_the_stack(self):
         """An activation is its grid and two tables, nothing else; ``level(i)``
-        is table i alone, sharing the stack's memory and reading row i's bits,
-        one table is its own ``level(0)``, and any other ``i`` names no table."""
-        stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
+        is table i alone, sharing the stack's memory and reading row i's bits
+        whether it is taken before any read of the stack, after a values read
+        or after a fused read; one table is its own ``level(0)``, and any
+        other ``i`` names no table."""
+        stack, unread, values_read = (reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
+                                      for _ in range(3))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
         assert [f.name for f in dataclasses.fields(DegradedActivation)] == [
             "grid", "samples", "derivative_samples"]
@@ -567,14 +579,17 @@ class TestLatticeLookup:
             with pytest.raises(TypeError):
                 DegradedActivation(SMALL, stack.samples, stack.derivative_samples, index=index)
         z = np.linspace(-3.0, 3.0, 30).reshape(2, 3, 5)
+        before = [unread.level(i) for i in range(3)]
+        values_read.evaluate(np.stack([z] * 3))
         f, f_prime = stack.evaluate_with_derivative(np.stack([z] * 3))
         for i in range(3):
-            level = stack.level(i)
-            assert level.levels == 1 and level.grid is stack.grid
-            assert np.shares_memory(level.samples, stack.samples)
-            assert np.shares_memory(level.derivative_samples, stack.derivative_samples)
-            assert same_bits(level.evaluate(z), f[i])
-            assert same_bits(level.evaluate_derivative(z), f_prime[i])
+            for level, source in [(stack.level(i), stack), (before[i], unread),
+                                  (values_read.level(i), values_read)]:
+                assert level.levels == 1 and level.grid is source.grid
+                assert np.shares_memory(level.samples, source.samples)
+                assert np.shares_memory(level.derivative_samples, source.derivative_samples)
+                assert same_bits(level.evaluate(z), f[i])
+                assert same_bits(level.evaluate_derivative(z), f_prime[i])
         assert alone.level(0) is alone
         for i in (-1, stack.levels, 1.5, True, False):
             with pytest.raises(DimensionError):

@@ -125,21 +125,34 @@ def test_every_error_is_raised():
     assert unraised_errors([path.read_text() for path in SRC.glob("*.py")]) == []
 
 
-def os_calls(source: str, name: str) -> list[int]:
-    """The line of every ``os.<name>()`` call in a source."""
+def module_calls(source: str, name: str, modules=("os",)) -> list[int]:
+    """The line of every ``<module>.<name>()`` call in a source, for each
+    module named in ``modules``."""
     return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == name and getattr(node.func.value, "id", None) == "os"]
+            and node.func.attr == name and getattr(node.func.value, "id", None) in modules]
 
 
 def test_one_fork_site():
     """The package forks, reaps, kills and ends a worker in one place,
     ``workers``; every other module that computes in workers goes through
     ``workers.run``."""
-    assert os_calls("import os\nos.fork()\nlocks.fork()\nif os.fork(): pass\n", "fork") == [2, 4]
+    assert module_calls("import os\nos.fork()\nlocks.fork()\nif os.fork(): pass\n", "fork") == [2, 4]
     for name, count in [("fork", 1), ("waitpid", 2), ("kill", 1), ("_exit", 1)]:
-        sites = {path.name: len(os_calls(path.read_text(), name)) for path in SRC.glob("*.py")}
+        sites = {path.name: len(module_calls(path.read_text(), name)) for path in SRC.glob("*.py")}
         assert {module: n for module, n in sites.items() if n} == {"workers.py": count}, name
+
+
+def test_one_lattice_read():
+    """The package reads a table off the lattice in one place,
+    ``DegradedActivation._lookup``, which gives ``np.interp``'s bits; no
+    module calls ``np.interp`` itself.  The tests and the benchmark's checks
+    keep it as their independent reference."""
+    snippet = "import numpy as np\nnp.interp(z, x, y)\nm.interp(z)\nnumpy.interp(z, x, y)\n"
+    assert module_calls(snippet, "interp", ("np", "numpy")) == [2, 4]
+    sites = {path.name: module_calls(path.read_text(), "interp", ("np", "numpy"))
+             for path in SRC.glob("*.py")}
+    assert {module: lines for module, lines in sites.items() if lines} == {}
 
 
 def process_patches(source: str) -> list[int]:
@@ -147,7 +160,7 @@ def process_patches(source: str) -> list[int]:
     or ``os.sched_getaffinity`` in a source: a call given ``os`` and the
     name, as ``monkeypatch.setattr`` and ``delattr`` are, or an assignment."""
     names = {"fork", "sched_getaffinity"}
-    lines = os_calls(source, "waitpid")
+    lines = module_calls(source, "waitpid")
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call) and len(node.args) >= 2:
             target, name = node.args[:2]
