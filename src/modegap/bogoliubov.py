@@ -168,9 +168,9 @@ def apply_channel(channel: BogoliubovChannel, spectrum: ModeSpectrum) -> ModeSpe
 class DegradedActivation:
     """Step carrier plus attenuated gap, tabulated on the grid's lattice.
 
-    ``reconstruct`` builds it: (N,) tables for one channel, or an (L, N) stack
-    for L channels on one grid, and ``degraded_values`` the value table alone.
-    It holds the grid and the tables a network reads.  One table reads a ``z``
+    ``reconstruct`` is its one maker: (N,) tables for one channel, or an (L, N)
+    stack for L channels on one grid.  It keeps its channel and value table;
+    its derivative table is made on its first read.  One table reads a ``z``
     of any shape; a stack of ``levels`` tables reads a ``z`` of ``levels`` rows,
     row i from table i.  ``level(i)`` is table i alone, a view into the stack.
 
@@ -179,28 +179,39 @@ class DegradedActivation:
     one cell search, and ``evaluate_derivative`` the derivative table alone.
     Every read is ``np.interp``'s bits by ``_lookup``'s one rule (0 below
     z_0, 1 or 0 above z_{N-1}, a NaN as itself).  Each table's read state is
-    built on its first read, so a values read never touches the derivative
+    built on its first read, so a values read never makes the derivative
     table, and is shared by ``level(i)``: write no table.
     """
 
-    grid: Grid
+    channel: BogoliubovChannel
     samples: np.ndarray
-    derivative_samples: np.ndarray
+
+    _stack = None   # (stack, i) for level(i) of a stack
 
     @property
     def levels(self) -> int:
         return len(self.samples) if self.samples.ndim == 2 else 1
 
+    @cached_property
+    def derivative_samples(self) -> np.ndarray:
+        """The channel applied to the transform of sigma', inverted; that of
+        ``level(i)`` is row i of its stack's."""
+        if self._stack:
+            return self._stack[0].derivative_samples[self._stack[1]]
+        spectrum = transform_samples(self.channel.grid, sigmoid_prime(self.channel.grid.z))
+        return inverse_transform(apply_channel(self.channel, spectrum))
+
     def level(self, i):
-        """Table ``i`` of a stack as one table, sharing the stack's memory and
-        read state; one table is its own ``level(0)``.  Any other ``i`` (negative,
+        """Table ``i`` of a stack as one table, sharing the stack's channel, memory
+        and read state; one table is its own ``level(0)``.  Any other ``i`` (negative,
         past the last table, a bool or not an integer) raises ``DimensionError``."""
         if isinstance(i, bool) or not (isinstance(i, (int, np.integer)) and 0 <= i < self.levels):
             raise DimensionError(f"a stack of {self.levels} tables has no level {i!r}")
         if self.samples.ndim == 1:
             return self
-        level = DegradedActivation(self.grid, self.samples[i], self.derivative_samples[i])
+        level = DegradedActivation(self.channel, self.samples[i])
         offsets, built = self._read_state
+        level._stack = self, i
         level._read_state = offsets[:1], {k: (t[i], s[i], r) for k, (t, s, r) in built.items()}
         return level
 
@@ -221,15 +232,15 @@ class DegradedActivation:
     def _read_state(self):
         """Each row's offset into the flat tables, and by table k the read
         state that ``_table(k)`` built."""
-        return (np.arange(self.levels) * self.grid.n_points)[:, None], {}
+        return (np.arange(self.levels) * self.channel.grid.n_points)[:, None], {}
 
     def _table(self, k):
         """Table k's read state, built and kept on its first read: the table (0
         the values, 1 the derivative), numpy's slopes ``(y_{j+1} - y_j)/(x_{j+1}
         - x_j)`` with a 0 closing each row, and its read right of the lattice."""
-        table = (self.samples, self.derivative_samples)[k]
+        table = self.derivative_samples if k else self.samples
         slopes = np.zeros(table.shape)
-        np.divide(np.diff(table), np.diff(self.grid.z), out=slopes[..., :-1])
+        np.divide(np.diff(table), np.diff(self.channel.grid.z), out=slopes[..., :-1])
         state = self._read_state[1][k] = table, slopes, (1.0, 0.0)[k]
         return state
 
@@ -248,7 +259,7 @@ class DegradedActivation:
         which every ``reconstruct`` gives.  The caller's ``z`` is never written.
         """
         z = np.asarray(z, dtype=float)
-        x, levels = self.grid.z, self.levels
+        x, dz, levels = self.channel.grid.z, self.channel.grid.dz, self.levels
         if self.samples.ndim == 2 and z.shape[:1] != (levels,):
             raise DimensionError(f"{levels} tables read a z of {levels} rows, got {z.shape}")
         rows = z.reshape(levels, -1)
@@ -259,7 +270,7 @@ class DegradedActivation:
         z_off = rows.flat[off]
         above, zero_or_nan = off[z_off > x[-1]], np.maximum(z_off, 0.0)   # NaN stays itself
 
-        j = ((on - x[0]) / self.grid.dz + 0.5).astype(np.intp)
+        j = ((on - x[0]) / dz + 0.5).astype(np.intp)
         j -= x[j] > on
         past_x_j = np.subtract(on, x[j], out=on)
         at_node = past_x_j == 0.0
@@ -279,24 +290,12 @@ class DegradedActivation:
 def reconstruct(channel: BogoliubovChannel) -> DegradedActivation:
     """Degraded activation of a channel: theta(z) + surviving gap modes.
 
-    One table row per channel row, bit for bit that row's own reconstruction.
-    The gap's modes are the grid's ``gap_spectrum``; sigma' is transformed
-    once per call.
+    One table row per channel row, bit for bit that row's own reconstruction:
+    the channel applied to the grid's ``gap_spectrum``, inverted, plus the step.
     """
-    grid = channel.grid
-    values = degraded_values(channel)
-    deriv_spec = transform_samples(grid, sigmoid_prime(grid.z))
-    deriv = inverse_transform(apply_channel(channel, deriv_spec))
-    return DegradedActivation(grid, values.samples, deriv)
-
-
-def degraded_values(channel: BogoliubovChannel) -> DegradedActivation:
-    """``reconstruct(channel)`` with its value table alone, the same bits (the
-    channel applied to the grid's ``gap_spectrum``, inverted, plus the step):
-    no derivative table is made, and ``derivative_samples`` is None."""
     samples = inverse_transform(apply_channel(channel, channel.grid.gap_spectrum))
     samples += step(channel.grid.z)
-    return DegradedActivation(channel.grid, samples, None)
+    return DegradedActivation(channel, samples)
 
 
 def loss_fraction(channel: BogoliubovChannel):
@@ -314,7 +313,7 @@ def loss_fraction(channel: BogoliubovChannel):
 
 def write_activation_csv(path, activation: DegradedActivation):
     write_columns(path, ["z", "f", "fprime"],
-                  [activation.grid.z, activation.samples, activation.derivative_samples])
+                  [activation.channel.grid.z, activation.samples, activation.derivative_samples])
 
 
 def planck_occupation(k: float, temperature: float) -> float:

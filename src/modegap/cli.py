@@ -36,7 +36,6 @@ from .spectral import (Grid, continuum_gap_spectrum, gap_samples, write_columns,
 from .bogoliubov import (
     BogoliubovChannel,
     commutator_residual,
-    degraded_values,
     loss_fraction,
     lowpass_channel,
     reconstruct,
@@ -269,13 +268,12 @@ def cmd_degrade(run: RunConfig):
     fraction = loss_fraction(run.channel)
     activation = reconstruct(run.channel)
 
-    # A family level needs only its 801-point curve: its value table alone,
-    # read by the evaluate that reads the run's own level.
+    # A family level is read for its values alone: it makes no derivative table.
     zs = np.linspace(-10.0, 10.0, 801)
     own = activation.evaluate(zs)
     if profile == "uniform":
         curves = [(f"iota={iota:g}", zs, own if iota == run.values["channel.iota"]
-                   else degraded_values(uniform_channel(grid, iota)).evaluate(zs))
+                   else reconstruct(uniform_channel(grid, iota)).evaluate(zs))
                   for iota in run.values["sweep.levels"]]
     else:
         curves = [(profile, zs, own)]
@@ -359,7 +357,7 @@ def main(argv=None) -> int:
         run = resolve_config(args)
         files, lines = args.run(run)
         write_run(run, files)
-        print(*lines, sep="\n")
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

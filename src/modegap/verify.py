@@ -14,11 +14,9 @@ with it the deviation is 5.9e-9.  The lattice pair itself stays exact, so the
 round-trip and reconstruction identities are untouched.
 
 One check is known to fail on the default configuration and is reported
-honestly rather than loosened: the monotone early-gradient claim.  Its median
-early hidden-gradient norms measure 5.0e-3, 1.7e-2, 3.1e-2, 5.6e-2 and 0 over
-levels 0..1, while at a fixed weight point the hidden gradient scales as
-sqrt(1-iota) (gradient-scaling-fixed-point passes).  The cause of the rise is
-left open; the ROADMAP item "Gradient anatomy traces" holds its measurements.
+honestly rather than loosened: grad-norm-monotone.  The forward tables make its
+medians rise, a step carrier ramped across the jump cells (``check_grad_norm_monotone``;
+tests/test_acceptance.py::test_c8_rise_comes_from_the_forward_tables).
 """
 
 import contextlib
@@ -223,6 +221,10 @@ def grad_norm_medians(report):
 
 
 def check_grad_norm_monotone(report):
+    """Whether the medians never rise over the levels.  On the XOR sweep the forward tables
+    make them rise: with level 0's value table at every level they do not, with its derivative
+    table they do (``test_c8_rise_comes_from_the_forward_tables``).  At iota -> 1 a table is a
+    scaled straight-through estimator (Bengio, Léonard & Courville, arXiv 2013)."""
     medians = grad_norm_medians(report)
     monotone = bool(np.all(medians[:-1] >= medians[1:]))
     return monotone, "medians=" + ",".join(f"{m:.3e}" for m in medians)
@@ -300,15 +302,16 @@ def check_moons_band(report):
 
 
 def sweep_checks(task, report):
-    """The checks a sweep settles: the task's endpoint check when both
-    levels 0 and 1 were swept, then grad-norm-monotone."""
+    """The checks a sweep settles: the task's endpoint check when both levels
+    0 and 1 were swept, then grad-norm-monotone when two or more were."""
     results = []
     if 0.0 in report.iota and 1.0 in report.iota:
         if task == "xor":
             results.append(("xor-trainability-endpoints", *check_xor_endpoints(report)))
         else:
             results.append(("moons-band", *check_moons_band(report)))
-    results.append(("grad-norm-monotone", *check_grad_norm_monotone(report)))
+    if len(report.iota) >= 2:
+        results.append(("grad-norm-monotone", *check_grad_norm_monotone(report)))
     return results
 
 

@@ -16,17 +16,18 @@ target anyway:
 * grad-norm-monotone: the median early hidden-gradient norms measure
   5.0e-3, 1.7e-2, 3.1e-2, 5.6e-2 and 0 over levels 0..1, while at a fixed
   weight point the hidden gradient scales as sqrt(1-iota)
-  (gradient-scaling-fixed-point passes).  The cause of the rise is left
-  open; the ROADMAP item "Gradient anatomy traces" holds what has been
-  measured of it.
+  (gradient-scaling-fixed-point passes).  The rise comes from the forward
+  tables, as ``test_c8_rise_comes_from_the_forward_tables`` shows by
+  swapping tables between levels.
 """
 
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modegap import cli, verify
+from modegap import DegradedActivation, cli, network, reconstruct, uniform_channel, verify
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,29 @@ def test_c8_grad_norm_monotone(xor_report):
     passed, measured = report("c8b grad-norm-monotone",
                               *verify.check_grad_norm_monotone(xor_report))
     assert passed, measured
+
+
+def test_c8_rise_comes_from_the_forward_tables(xor_report):
+    """grad-norm-monotone's medians, with tables swapped between the levels of
+    one ``reconstruct``.  With level 0's value table at every level, so that
+    the levels differ in their derivative tables alone, the medians are
+    non-increasing; with level 0's derivative table at every level, so that
+    they differ in their value tables alone, they rise.  So the forward
+    tables make the unswapped medians rise: the step carrier (1 - c)*theta,
+    ramped across the cells beside the jump, which the derivative table
+    does not see.  Level 0 keeps the unswapped sweep's median."""
+    stack = reconstruct(uniform_channel(verify.DEFAULT_GRID, verify.SWEEP_LEVELS))
+    rows = (stack.levels, 1)
+    level0_values = DegradedActivation(stack.channel, np.tile(stack.samples[0], rows))
+    level0_derivative = DegradedActivation(stack.channel, stack.samples)
+    level0_derivative.derivative_samples = np.tile(stack.derivative_samples[0], rows)
+    values, derivative = (verify.grad_norm_medians(network.train("xor", act, verify.SWEEP_SEEDS))
+                          for act in (level0_values, level0_derivative))
+    for name, medians in [("value", values), ("derivative", derivative)]:
+        print(f"c8b level 0 {name} table: medians=" + ",".join(f"{m:.3e}" for m in medians))
+    assert values[0] == derivative[0] == verify.grad_norm_medians(xor_report)[0]
+    assert np.all(values[:-1] >= values[1:])
+    assert np.all(derivative[:-1] < derivative[1:])
 
 
 def test_c8_gradient_scaling_fixed_point():

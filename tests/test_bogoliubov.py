@@ -28,8 +28,8 @@ from modegap import (
     uniform_channel,
 )
 from modegap import bogoliubov, spectral
-from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, degraded_values,
-                                loss_fraction, write_activation_csv)
+from modegap.bogoliubov import (MAX_SQUEEZE, BogoliubovChannel, loss_fraction,
+                                write_activation_csv)
 from modegap.verify import DEFAULT_GRID, SWEEP_LEVELS
 
 GRID = Grid(40.0, 4096)
@@ -324,11 +324,12 @@ class TestReconstruct:
 
     def test_the_grid_transforms_its_gap_once(self, monkeypatch):
         """A grid's ``gap_spectrum`` is what every channel on it reads:
-        ``loss_fraction``, a stacked ``reconstruct`` and four
-        ``degraded_values`` transform the gap once between them, beside the
-        one ``reconstruct``'s sigma'; each value-only activation holds the
-        stack's value bits and no derivative table.  It is read-only, with
-        the bits of the lattice transform of the gap."""
+        ``loss_fraction``, a stacked ``reconstruct`` and four more
+        ``reconstruct`` calls transform the gap once between them.  Values
+        reads transform nothing more; the stack's first derivative read,
+        through it or a level, transforms sigma' once, and later reads none.
+        Each value table has the stack's row's bits.  The spectrum is
+        read-only, with the bits of the lattice transform of the gap."""
         grid, transformed, real_transform = Grid(40.0, 4096), [], spectral.transform_samples
 
         def transform(grid, samples):
@@ -345,17 +346,22 @@ class TestReconstruct:
 
         fraction = loss_fraction(uniform_channel(grid, 0.5))
         stack = reconstruct(uniform_channel(grid, [0.0, 0.5, 1.0]))
-        values = [degraded_values(channel) for channel in (
+        values = [reconstruct(channel) for channel in (
             uniform_channel(grid, 0.5), uniform_channel(grid, [0.0, 1.0]),
             lowpass_channel(grid, 2.0), thermal_channel(grid, 1.0))]
-        assert len(transformed) == 2
+        for act in [stack, *values]:
+            act.evaluate(np.zeros((act.levels, 5)))
+        assert len(transformed) == 1
         assert same_bits(transformed[0], gap_samples(grid))
-        assert same_bits(transformed[1], sigmoid_prime(grid.z))
         assert fraction == pytest.approx(0.5, abs=1e-12)
-        assert [v.derivative_samples for v in values] == [None] * 4
         assert [v.levels for v in values] == [1, 2, 1, 1]
         assert same_bits(values[0].samples, stack.samples[1])
         assert same_bits(values[1].samples, stack.samples[[0, 2]])
+        stack.level(2).evaluate_derivative(0.0)
+        stack.evaluate_with_derivative(np.zeros((3, 5)))
+        assert same_bits(stack.level(0).derivative_samples, stack.derivative_samples[0])
+        assert len(transformed) == 2
+        assert same_bits(transformed[1], sigmoid_prime(grid.z))
 
         spectrum = grid.gap_spectrum
         assert spectrum is grid.gap_spectrum
@@ -403,7 +409,7 @@ class TestForwardBackward:
     def slopes(activation, z):
         """The forward pass's central difference at ``z``, with h = dz/8, and
         the backward pass's f'(z)."""
-        h = activation.grid.dz / 8
+        h = activation.channel.grid.dz / 8
         forward = (activation.evaluate(z + h) - activation.evaluate(z - h)) / (2 * h)
         return forward, activation.evaluate_derivative(z)
 
@@ -448,6 +454,14 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def with_tables(channel, samples, derivative_samples):
+    """An activation of ``channel`` holding the given tables: its derivative
+    table is set before its first read, so it is never made."""
+    activation = DegradedActivation(channel, samples)
+    activation.derivative_samples = derivative_samples
+    return activation
+
+
 class TestLatticeLookup:
     """``evaluate`` and ``evaluate_derivative`` index the lattice by
     arithmetic; they must return ``np.interp``'s bits, which this compares
@@ -473,9 +487,11 @@ class TestLatticeLookup:
             uniform_channel(grid, 0.3), uniform_channel(grid, 1.0),
             thermal_channel(grid, 1.0), lowpass_channel(grid, 2.0))]
         # A signed-zero table: numpy gives y_j itself, -0.0, where z == x_j.
-        acts.append(DegradedActivation(grid, -np.zeros(n_points), -np.zeros(n_points)))
-        stack = DegradedActivation(grid, np.stack([a.samples for a in acts]),
-                                   np.stack([a.derivative_samples for a in acts]))
+        acts.append(with_tables(acts[1].channel, -np.zeros(n_points), -np.zeros(n_points)))
+        channels = BogoliubovChannel(grid, np.stack([a.channel.iota for a in acts]),
+                                     np.stack([a.channel.squeeze for a in acts]))
+        stack = with_tables(channels, np.stack([a.samples for a in acts]),
+                            np.stack([a.derivative_samples for a in acts]))
         stacked_points = np.stack([points] * len(acts))
         view_tables = [4, 0, 2]
         views = [stack.level(i) for i in view_tables]
@@ -526,9 +542,11 @@ class TestLatticeLookup:
         rows holding z_{N-1} (on the lattice: it reads y_{N-1}), and rows with
         points past +-L, +-inf and NaNs (each read as itself, payload and
         sign) give ``np.interp``'s bits per row and per table, through all
-        three reads of a stack, of its levels and of one table.  A value table
-        alone reads the same way: a values read builds no derivative state,
-        so it reads with the derivative table None."""
+        three reads of one table, of a stack and of its levels: one taken and
+        read before any read of the stack, whose derivative read makes the
+        stack's derivative table, one taken before the stack's first read and
+        read after it, and one taken after it.  Each level's derivative table
+        is then its row of the stack's, sharing its memory."""
         x, half_width = SMALL.z, SMALL.half_width
         stack = reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
@@ -540,18 +558,12 @@ class TestLatticeLookup:
                      half_width, np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
                      x[-1], 2 * half_width]
         assert not np.isnan(z[:2]).any() and np.all((z[0] >= x[0]) & (z[0] < x[-1]))
-        cases = [(stack, z, [0, 1, 2]), (stack.level(2), z[2], [0]),
-                 (stack.level(1), z[::-1], [0]), (alone, z, [0]), (alone, z[2, :, None], [0])]
-        cases += [(alone, np.float64(point), [0]) for point in z[2, :12]]
-        values = [degraded_values(uniform_channel(SMALL, [0.0, 0.5, 1.0])),
-                  dataclasses.replace(alone, derivative_samples=None)]
-        cases += [(values[0], z, [0, 1, 2]), (values[1], z, [0]), (values[1], z[2, :, None], [0])]
-        cases += [(values[1], np.float64(point), [0]) for point in z[2, :12]]
         lookups = [("evaluate", [("samples", 1.0)]),
                    ("evaluate_derivative", [("derivative_samples", 0.0)]),
                    ("evaluate_with_derivative", [("samples", 1.0), ("derivative_samples", 0.0)])]
-        for act, points, read in cases:
-            for lookup, tables in lookups[:1 if act.derivative_samples is None else 3]:
+
+        def check(act, points, read):
+            for lookup, tables in lookups:
                 got = getattr(act, lookup)(points)
                 got = got if lookup == "evaluate_with_derivative" else (got,)
                 rows = np.reshape(points, (len(read), -1))
@@ -562,34 +574,51 @@ class TestLatticeLookup:
                     assert type(value) is (float if np.ndim(points) == 0 else np.ndarray)
                     assert same_bits(value, want.reshape(np.shape(points)))
 
+        first, before = stack.level(1), stack.level(2)
+        check(first, z[::-1], [0])
+        check(stack, z, [0, 1, 2])
+        check(before, z[2], [0])
+        after = stack.level(0)
+        check(after, z[2], [0])
+        for level, i in [(first, 1), (before, 2), (after, 0)]:
+            assert np.shares_memory(level.derivative_samples, stack.derivative_samples)
+            assert same_bits(level.derivative_samples, stack.derivative_samples[i])
+        check(alone, z, [0])
+        check(alone, z[2, :, None], [0])
+        for point in z[2, :12]:
+            check(alone, np.float64(point), [0])
+
     def test_level_is_one_table_of_the_stack(self):
-        """An activation is its grid and two tables, nothing else; ``level(i)``
-        is table i alone, sharing the stack's memory and reading row i's bits
-        whether it is taken before any read of the stack, after a values read
-        or after a fused read; one table is its own ``level(0)``, and any
-        other ``i`` names no table."""
+        """An activation is its channel and value table, nothing else: the
+        channel makes its derivative table on the first read of it, and a
+        values read makes none.  ``level(i)`` is table i alone, sharing the
+        stack's channel and memory and reading row i's bits whether it is
+        taken before any read of the stack, after a values read or after a
+        fused read; one table is its own ``level(0)``, and any other ``i``
+        names no table."""
         stack, unread, values_read = (reconstruct(uniform_channel(SMALL, [0.0, 0.5, 1.0]))
                                       for _ in range(3))
         alone = reconstruct(uniform_channel(SMALL, 0.5))
-        assert [f.name for f in dataclasses.fields(DegradedActivation)] == [
-            "grid", "samples", "derivative_samples"]
-        hand_built = DegradedActivation(SMALL, stack.samples, stack.derivative_samples)
+        assert [f.name for f in dataclasses.fields(DegradedActivation)] == ["channel", "samples"]
+        hand_built = DegradedActivation(stack.channel, stack.samples)
         assert hand_built.levels == 3 and stack.levels == 3 and alone.levels == 1
+        assert same_bits(hand_built.derivative_samples, stack.derivative_samples)
         for index in ([-1], [-3], [0, 1]):
             with pytest.raises(TypeError):
-                DegradedActivation(SMALL, stack.samples, stack.derivative_samples, index=index)
+                DegradedActivation(stack.channel, stack.samples, index=index)
         z = np.linspace(-3.0, 3.0, 30).reshape(2, 3, 5)
         before = [unread.level(i) for i in range(3)]
         values_read.evaluate(np.stack([z] * 3))
+        assert "derivative_samples" not in vars(values_read)
         f, f_prime = stack.evaluate_with_derivative(np.stack([z] * 3))
         for i in range(3):
             for level, source in [(stack.level(i), stack), (before[i], unread),
                                   (values_read.level(i), values_read)]:
-                assert level.levels == 1 and level.grid is source.grid
+                assert level.levels == 1 and level.channel is source.channel
                 assert np.shares_memory(level.samples, source.samples)
-                assert np.shares_memory(level.derivative_samples, source.derivative_samples)
                 assert same_bits(level.evaluate(z), f[i])
                 assert same_bits(level.evaluate_derivative(z), f_prime[i])
+                assert np.shares_memory(level.derivative_samples, source.derivative_samples)
         assert alone.level(0) is alone
         for i in (-1, stack.levels, 1.5, True, False):
             with pytest.raises(DimensionError):

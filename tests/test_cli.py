@@ -391,9 +391,9 @@ class TestRunRecord:
     def test_lines_are_printed_once_every_file_is_in_place(self, tmp_path, monkeypatch, command):
         """A command computes its files, as (name, writer) pairs, and its lines,
         and opens no path; the writer puts every file in place, and only then
-        are the lines printed."""
+        are the lines printed.  Two levels, so that the sweep prints its checks."""
         out = tmp_path / "o"
-        argv = [command, "--out", str(out), *record_flags("uniform")]
+        argv = [command, "--out", str(out), *record_flags("uniform"), "--set", "sweep.levels=0,1"]
         monkeypatch.chdir(tmp_path)
         args = cli.build_parser().parse_args(argv)
         files, lines = args.run(cli.resolve_config(args))
@@ -620,6 +620,16 @@ class TestDegradeCommand:
             assert same_bits(zs, np.linspace(-10.0, 10.0, 801))
             assert same_bits(curve, reconstruct(channel).evaluate(zs))
 
+    def test_family_levels_make_no_derivative_table(self, tmp_path, monkeypatch):
+        """Each family level but the run's own is its own ``reconstruct``,
+        read for its values alone: its derivative table is never made.  The
+        run's own table makes its derivative table, the ``fprime`` column."""
+        made, real = [], cli.reconstruct
+        monkeypatch.setattr(cli, "reconstruct", lambda channel: made.append(real(channel)) or made[-1])
+        assert run_cli(["degrade", "--out", str(tmp_path / "deg"), "--set", "channel.iota=0.5"]) == 0
+        assert [act.levels for act in made] == [1] * 5
+        assert ["derivative_samples" in vars(act) for act in made] == [True] + [False] * 4
+
 
 class TestTrainSweepCommand:
     def test_endpoints_and_roundtrip(self, tmp_path, capsys):
@@ -643,12 +653,12 @@ class TestTrainSweepCommand:
         assert np.all(report.mean_grad_norm_first100[1] == 0.0)
         assert (out / "train_sweep.svg").exists()
 
-    def test_one_level_prints_only_monotone(self, tmp_path, capsys):
+    def test_one_level_prints_no_check(self, tmp_path, capsys):
+        """One median has nothing to be monotone against, and a sweep without
+        both ends has no endpoint check: a one-level sweep prints no line."""
         assert run_cli(["train-sweep", "--out", str(tmp_path / "sweep"),
                         "--set", "sweep.levels=1", "--set", "sweep.seeds=0"]) == 0
-        printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == 1
-        assert printed[0].startswith("PASS grad-norm-monotone: ")
+        assert capsys.readouterr().out == ""
 
     def test_unknown_task(self, tmp_path, capsys):
         assert run_cli(["train-sweep", "--out", str(tmp_path / "x"),

@@ -155,6 +155,41 @@ def test_one_lattice_read():
     assert {module: lines for module, lines in sites.items() if lines} == {}
 
 
+def constructions(source: str, name: str) -> list[str]:
+    """The function around every call of ``name`` in a source, as ``name()``
+    or ``<module>.name()``, the innermost when functions nest; "" at the top
+    level."""
+    found = []
+
+    def visit(node, around):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around = node.name
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.append(around)
+        for child in ast.iter_child_nodes(node):
+            visit(child, around)
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_one_table_maker():
+    """The package makes a ``DegradedActivation`` in ``reconstruct`` and
+    takes one table of a stack in ``DegradedActivation.level``; no other
+    function and no other module constructs one."""
+    snippet = ("act = DegradedActivation(c, s)\n"
+               "def make(c):\n    return bogoliubov.DegradedActivation(c, s)\n"
+               "class Stack:\n    def level(self, i):\n"
+               "        def row():\n            return DegradedActivation(c, s[i])\n"
+               "        return row()\n"
+               "DegradedActivations(c)\nm.DegradedActivation\n")
+    assert constructions(snippet, "DegradedActivation") == ["", "make", "row"]
+    sites = {path.name: constructions(path.read_text(), "DegradedActivation")
+             for path in SRC.glob("*.py")}
+    assert {module: sorted(found) for module, found in sites.items() if found} == {
+        "bogoliubov.py": ["level", "reconstruct"]}
+
+
 def process_patches(source: str) -> list[int]:
     """The line of every ``os.waitpid()`` call and every patch of ``os.fork``
     or ``os.sched_getaffinity`` in a source: a call given ``os`` and the

@@ -27,6 +27,8 @@
 # and sweep.levels = 0.5 is a one-level family that is the run's own curve.
 # Two XOR sweeps write the report's seed column at its widest: seeds 0 and
 # 2**63 - 1 (1 and 19 digits in one column) and the one seed 2**64 - 1.
+# The one-level moons sweep prints no check line: against a parent that
+# printed a one-level grad-norm-monotone verdict, its stdout alone differs.
 # A command marked `+` runs into a directory that already holds a default
 # degrade run, so its files are moved over existing ones.  34 commands in all.
 # Prints "no difference" and exits 0 when nothing differs, prints the diff
